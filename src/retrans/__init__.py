@@ -6,6 +6,8 @@ session simulation against pluggable translators, and quality/stability
 scoring (BLEU, GLEU, rewrite counts, WER-minimizing resegmentation).
 """
 
+from types import ModuleType as _ModuleType
+
 from .aligner import (
     NULL,
     TranslationTable,
@@ -49,7 +51,6 @@ from .partials import (
 from .session import (
     CommandTranslator,
     SessionLog,
-    SessionReport,
     Translator,
     UpdateEvent,
     apply_event,
@@ -63,51 +64,9 @@ from .session import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alignment",
-    "CommandTranslator",
-    "CorrectionReport",
-    "Method",
-    "MixManifest",
-    "NULL",
-    "ParallelCorpus",
-    "PartialCorpus",
-    "PartialPair",
-    "SentencePair",
-    "SessionLog",
-    "SessionReport",
-    "Tokens",
-    "TranslationTable",
-    "Translator",
-    "UpdateEvent",
-    "align_corpus",
-    "alignment_prefix_len",
-    "apply_event",
-    "bleu",
-    "corrected_words",
-    "correction_report",
-    "detokenize",
-    "dictionary_translator",
-    "edit_distance",
-    "evaluate_sessions",
-    "format_alignment",
-    "generate_partial",
-    "gleu",
-    "identity_translator",
-    "log_likelihood",
-    "mean_gleu",
-    "mix",
-    "ratio_prefix_len",
-    "read_alignment_line",
-    "read_alignments",
-    "read_events",
-    "read_parallel",
-    "resegment",
-    "run_session",
-    "scripted_translator",
-    "subsample",
-    "tokenize",
-    "train_model1",
-    "viterbi_align",
-    "wer",
-]
+# Every imported public name; the submodules bound by the imports are not exports.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

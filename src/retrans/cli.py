@@ -15,11 +15,13 @@ from typing import NoReturn
 
 from . import aligner, metrics, mixing, partials, session
 from .corpus import (
+    corpus_lines,
     detokenize,
     format_alignment,
     load_corpus,
     read_alignments,
     read_lines,
+    token_lines,
     write_lines,
 )
 from .errors import CorpusMismatchError, DataError, TranslatorError
@@ -70,10 +72,6 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _lenient_tokens(lines: list[str]) -> list[tuple[str, ...]]:
-    return [tuple(line.split()) for line in lines]
-
-
 def cmd_align(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be >= 1", args.parser.format_usage())
@@ -119,8 +117,9 @@ def cmd_mix(args: argparse.Namespace) -> int:
     )
     mixed, manifest = mixing.mix(full, partial, args.seed)
     _note(args, f"mixed {manifest.full_count} full + {manifest.partial_sampled} partial rows")
-    write_lines(f"{args.out_prefix}.src", [detokenize(p.source) for p in mixed])
-    write_lines(f"{args.out_prefix}.tgt", [detokenize(p.target) for p in mixed])
+    src_lines, tgt_lines = corpus_lines(mixed)
+    write_lines(f"{args.out_prefix}.src", src_lines)
+    write_lines(f"{args.out_prefix}.tgt", tgt_lines)
     write_lines(
         f"{args.out_prefix}.manifest.txt",
         [
@@ -135,14 +134,12 @@ def cmd_mix(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    hyp_lines = read_lines(args.hyp)
-    ref_lines = read_lines(args.ref)
-    if len(hyp_lines) != len(ref_lines):
-        raise CorpusMismatchError(len(hyp_lines), len(ref_lines))
-    if not hyp_lines:
+    hyps = token_lines(args.hyp)
+    refs = token_lines(args.ref)
+    if len(hyps) != len(refs):
+        raise CorpusMismatchError(len(hyps), len(refs))
+    if not hyps:
         raise DataError("nothing to score: both files are empty")
-    hyps = _lenient_tokens(hyp_lines)
-    refs = _lenient_tokens(ref_lines)
     if args.metric == "bleu":
         value = metrics.bleu(hyps, refs, smooth=args.smooth)
         print(f"bleu\t{value:.4f}")
@@ -162,11 +159,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_reseg(args: argparse.Namespace) -> int:
-    stream: tuple[str, ...] = ()
-    for line in read_lines(args.hyp_stream):
-        stream += tuple(line.split())
-    refs = [tuple(line.split()) for line in read_lines(args.refs)]
-    segments = metrics.resegment(stream, refs)
+    stream = tuple(token for line in token_lines(args.hyp_stream) for token in line)
+    segments = metrics.resegment(stream, token_lines(args.refs))
     write_lines(args.out, [detokenize(s) for s in segments])
     return 0
 
@@ -221,21 +215,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     )
                 )
         write_lines(args.log_out, lines)
-    report_lines = []
-    if args.refs:
-        refs = [tuple(line.split()) for line in read_lines(args.refs)]
-        report = session.evaluate_sessions(logs, refs)
-        report_lines.append(f"bleu: {report.bleu:.4f}")
-        report_lines.append(f"word_up: {report.words_updated}")
-        report_lines.append(f"mssg_up: {report.messages_updated}")
-        report_lines.append(f"updates_total: {report.updates_total}")
-    else:
-        totals = metrics.CorrectionReport(0, 0, 0)
-        for log in logs:
-            totals = totals + metrics.correction_report(log.translations)
-        report_lines.append(f"word_up: {totals.words_updated}")
-        report_lines.append(f"mssg_up: {totals.messages_updated}")
-        report_lines.append(f"updates_total: {totals.updates_total}")
+    refs = token_lines(args.refs) if args.refs else None
+    report_lines = session.evaluate_sessions(logs, refs).lines()
     for line in report_lines:
         print(line)
     if args.report_out:

@@ -57,20 +57,8 @@ class SentencePair:
             raise ValueError(f"pair {self.id}: source must be non-empty")
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
-    """An ordered collection of sentence pairs, ids matching line order."""
-
-    pairs: tuple[SentencePair, ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[SentencePair]:
-        return iter(self.pairs)
-
-    def __getitem__(self, index: int) -> SentencePair:
-        return self.pairs[index]
+ParallelCorpus = tuple[SentencePair, ...]
+"""An ordered collection of sentence pairs, ids matching line order."""
 
 
 @dataclass(frozen=True)
@@ -96,28 +84,38 @@ class Alignment:
                 )
 
 
-def read_parallel(src_lines: Iterable[str], tgt_lines: Iterable[str]) -> ParallelCorpus:
-    """Build a corpus from two aligned line streams.
+def line_tokens(line: str, side: str, k: int) -> Tokens:
+    """tokenize() for line k (0-based), naming side and line number on error."""
+    try:
+        return tokenize(line)
+    except EmptySentenceError:
+        raise EmptySentenceError(f"{side} line {k + 1}") from None
 
-    Pair k gets id k. Raises CorpusMismatchError on unequal lengths and
-    EmptySentenceError (with side and line number) on blank lines.
+
+def paired_lines(
+    src_lines: Iterable[str], tgt_lines: Iterable[str]
+) -> Iterator[tuple[int, tuple[str, str]]]:
+    """Enumerate the line pairs of two aligned streams.
+
+    Raises CorpusMismatchError when the streams differ in length.
     """
     src = list(src_lines)
     tgt = list(tgt_lines)
     if len(src) != len(tgt):
         raise CorpusMismatchError(len(src), len(tgt))
-    pairs = []
-    for k, (s, t) in enumerate(zip(src, tgt)):
-        try:
-            source = tokenize(s)
-        except EmptySentenceError:
-            raise EmptySentenceError(f"source line {k + 1}") from None
-        try:
-            target = tokenize(t)
-        except EmptySentenceError:
-            raise EmptySentenceError(f"target line {k + 1}") from None
-        pairs.append(SentencePair(k, source, target))
-    return ParallelCorpus(tuple(pairs))
+    return enumerate(zip(src, tgt))
+
+
+def read_parallel(src_lines: Iterable[str], tgt_lines: Iterable[str]) -> ParallelCorpus:
+    """Build a corpus from two aligned line streams; pair k gets id k.
+
+    Raises CorpusMismatchError on unequal lengths and EmptySentenceError
+    (with side and line number) on blank lines.
+    """
+    return tuple(
+        SentencePair(k, line_tokens(s, "source", k), line_tokens(t, "target", k))
+        for k, (s, t) in paired_lines(src_lines, tgt_lines)
+    )
 
 
 def corpus_lines(corpus: ParallelCorpus) -> tuple[list[str], list[str]]:
@@ -168,6 +166,11 @@ def read_alignments(lines: Iterable[str], corpus: ParallelCorpus) -> list[Alignm
 def read_lines(path: str | Path) -> list[str]:
     """Read a UTF-8 text file as a list of lines without terminators."""
     return Path(path).read_text(encoding="utf-8").splitlines()
+
+
+def token_lines(path: str | Path) -> list[Tokens]:
+    """Read a UTF-8 text file as one token tuple per line; blank lines give ()."""
+    return [tuple(line.split()) for line in read_lines(path)]
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

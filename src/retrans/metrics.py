@@ -18,8 +18,6 @@ from .corpus import Tokens
 
 MAX_ORDER = 4
 
-_INF = 1 << 60
-
 
 def ngram_counts(tokens: Sequence[str], max_order: int = MAX_ORDER) -> Counter:
     """Occurrence counts of all n-grams with 1 <= n <= max_order."""
@@ -130,18 +128,32 @@ def corrected_words(prev: Tokens, new: Tokens) -> int:
 
 @dataclass(frozen=True)
 class CorrectionReport:
-    """Rewrite totals over the displayed translations of one or more streams."""
+    """Rewrite totals over the displayed translations of one or more streams.
+
+    bleu is the final-output score when references were given, else None.
+    """
 
     words_updated: int
     messages_updated: int
     updates_total: int
+    bleu: float | None = None
 
     def __add__(self, other: "CorrectionReport") -> "CorrectionReport":
+        """Sum of the rewrite counts; the sum carries no BLEU."""
         return CorrectionReport(
             self.words_updated + other.words_updated,
             self.messages_updated + other.messages_updated,
             self.updates_total + other.updates_total,
         )
+
+    def lines(self) -> list[str]:
+        """The report as "key: value" lines, bleu first when present."""
+        head = [] if self.bleu is None else [f"bleu: {self.bleu:.4f}"]
+        return head + [
+            f"word_up: {self.words_updated}",
+            f"mssg_up: {self.messages_updated}",
+            f"updates_total: {self.updates_total}",
+        ]
 
 
 def correction_report(translations: Sequence[Tokens]) -> CorrectionReport:
@@ -160,21 +172,7 @@ def correction_report(translations: Sequence[Tokens]) -> CorrectionReport:
 
 def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
     """Levenshtein distance over tokens with unit costs."""
-    if len(a) < len(b):
-        a, b = b, a
-    row = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        prev_diag = row[0]
-        row[0] = i
-        for j, y in enumerate(b, start=1):
-            cur = row[j]
-            row[j] = min(
-                prev_diag + (0 if x == y else 1),
-                row[j] + 1,
-                row[j - 1] + 1,
-            )
-            prev_diag = cur
-    return row[-1]
+    return _min_cost_row(list(range(len(a) + 1)), a, b, 1)[-1]
 
 
 def wer(hyp: Tokens, ref: Tokens) -> tuple[int, float]:
@@ -185,43 +183,30 @@ def wer(hyp: Tokens, ref: Tokens) -> tuple[int, float]:
     return edits, edits / len(ref)
 
 
-def _min_cost_row(prev: list[int], stream: Sequence[str], ref: Sequence[str]) -> list[int]:
-    """new[p] = min over q <= p of prev[q] + edit_distance(stream[q:p], ref)."""
+def _min_cost_row(
+    prev: list[int], stream: Sequence[str], ref: Sequence[str], step: int
+) -> list[int]:
+    """new[p] = min over q <= p of prev[q] + step * edit_distance(stream[q:p], ref).
+
+    The one edit-distance kernel of this module. With prev[q] = q * step the
+    row holds the distances of every prefix of stream to ref.
+    """
     n = len(stream)
     row = list(prev)
     for p in range(1, n + 1):
-        if row[p - 1] + 1 < row[p]:
-            row[p] = row[p - 1] + 1
-    for r in range(1, len(ref) + 1):
-        y = ref[r - 1]
-        new_row = [row[0] + 1]
+        if row[p - 1] + step < row[p]:
+            row[p] = row[p - 1] + step
+    for y in ref:
+        new_row = [row[0] + step]
         for p in range(1, n + 1):
-            best = row[p - 1] + (0 if stream[p - 1] == y else 1)
-            if row[p] + 1 < best:
-                best = row[p] + 1
-            if new_row[p - 1] + 1 < best:
-                best = new_row[p - 1] + 1
+            best = row[p - 1] + (0 if stream[p - 1] == y else step)
+            if row[p] + step < best:
+                best = row[p] + step
+            if new_row[p - 1] + step < best:
+                best = new_row[p - 1] + step
             new_row.append(best)
         row = new_row
     return row
-
-
-def _prefix_distances(stream: Sequence[str], ref: Sequence[str]) -> list[int]:
-    """costs[p] = edit_distance(stream[:p], ref) for every prefix of stream."""
-    row = list(range(len(ref) + 1))
-    out = [row[-1]]
-    for x in stream:
-        new_row = [row[0] + 1]
-        for r in range(1, len(ref) + 1):
-            best = row[r - 1] + (0 if x == ref[r - 1] else 1)
-            if row[r] + 1 < best:
-                best = row[r] + 1
-            if new_row[r - 1] + 1 < best:
-                best = new_row[r - 1] + 1
-            new_row.append(best)
-        row = new_row
-        out.append(row[-1])
-    return out
 
 
 def resegment(hyp_stream: Tokens, ref_segments: Sequence[Tokens]) -> list[Tokens]:
@@ -235,28 +220,25 @@ def resegment(hyp_stream: Tokens, ref_segments: Sequence[Tokens]) -> list[Tokens
     if not ref_segments:
         raise ValueError("need at least one reference segment")
     n = len(hyp_stream)
-    m = len(ref_segments)
-
-    # suffix[k][p] = min cost of splitting hyp_stream[p:] over references k..m-1,
-    # built by running the forward recurrence on the reversed problem.
+    step = n + 1
+    # One pass over the reversed problem, last reference first. A cell at
+    # reversed position p covers hyp_stream[n - p:] and holds
+    # cost * step + end, where end is the forward position at which the
+    # current piece stops; min then prefers the lower cost, then the earlier
+    # end. The last piece always ends at n.
     rev_stream = hyp_stream[::-1]
-    rev_row = [0] + [_INF] * n
-    rev_rows = [rev_row]
+    row = [q * step + n for q in range(n + 1)]
+    ends = []
     for ref in reversed(ref_segments):
-        rev_row = _min_cost_row(rev_row, rev_stream, ref[::-1])
-        rev_rows.append(rev_row)
-    suffix = [
-        [rev_rows[m - k][n - p] for p in range(n + 1)] for k in range(m + 1)
-    ]
+        row = _min_cost_row(row, rev_stream, ref[::-1], step)
+        ends.append([cell % step for cell in row])
+        row = [cell - cell % step + n - q for q, cell in enumerate(row)]
+    ends.reverse()
 
     segments = []
     cursor = 0
-    for k, ref in enumerate(ref_segments):
-        remaining = suffix[k][cursor]
-        costs = _prefix_distances(hyp_stream[cursor:], ref)
-        for end in range(cursor, n + 1):
-            if costs[end - cursor] + suffix[k + 1][end] == remaining:
-                break
+    for piece_ends in ends:
+        end = piece_ends[n - cursor]
         segments.append(hyp_stream[cursor:end])
         cursor = end
     return segments

@@ -32,7 +32,7 @@ def _sample(partial: PartialCorpus, n: int, rng: random.Random) -> PartialCorpus
     if n >= len(partial):
         return partial
     picked = sorted(rng.sample(range(len(partial)), n))
-    return PartialCorpus(tuple(partial[k] for k in picked))
+    return tuple(partial[k] for k in picked)
 
 
 def subsample(partial: PartialCorpus, n: int, seed: int) -> PartialCorpus:
@@ -58,4 +58,4 @@ def mix(
     rng.shuffle(rows)
     pairs = tuple(SentencePair(k, s, t) for k, (s, t) in enumerate(rows))
     manifest = MixManifest(len(full), len(partial), len(sampled), seed)
-    return ParallelCorpus(pairs), manifest
+    return pairs, manifest

@@ -10,11 +10,11 @@ system trained on these rows never has to retract words as input grows.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .corpus import Alignment, ParallelCorpus, Tokens, detokenize, tokenize
-from .errors import AlignmentMissingError, CorpusMismatchError, EmptySentenceError
+from .corpus import Alignment, ParallelCorpus, Tokens, detokenize, line_tokens, paired_lines
+from .errors import AlignmentMissingError
 
 
 class Method(enum.Enum):
@@ -43,20 +43,8 @@ class PartialPair:
         return len(self.target_prefix)
 
 
-@dataclass(frozen=True)
-class PartialCorpus:
-    """Generated prefix rows, grouped by parent pair in increasing i."""
-
-    items: tuple[PartialPair, ...]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[PartialPair]:
-        return iter(self.items)
-
-    def __getitem__(self, index: int) -> PartialPair:
-        return self.items[index]
+PartialCorpus = tuple[PartialPair, ...]
+"""Prefix rows, grouped by parent pair in increasing i."""
 
 
 def ratio_prefix_len(src_len: int, i: int, tgt_len: int) -> int:
@@ -137,7 +125,7 @@ def generate_partial(
             items.append(
                 PartialPair(pair.id, i, pair.source[:i], pair.target[:j], method)
             )
-    return PartialCorpus(tuple(items))
+    return tuple(items)
 
 
 def partial_lines(partial: PartialCorpus) -> tuple[list[str], list[str]]:
@@ -164,16 +152,8 @@ def read_partial(src_lines: Iterable[str], tgt_lines: Iterable[str]) -> PartialC
     lines may not. Provenance fields are reconstructed from line order and
     token counts, with method unknown.
     """
-    src = list(src_lines)
-    tgt = list(tgt_lines)
-    if len(src) != len(tgt):
-        raise CorpusMismatchError(len(src), len(tgt))
-    items = []
-    for k, (s, t) in enumerate(zip(src, tgt)):
-        try:
-            source = tokenize(s)
-        except EmptySentenceError:
-            raise EmptySentenceError(f"source line {k + 1}") from None
-        target = tuple(t.split())
-        items.append(PartialPair(k, len(source), source, target, None))
-    return PartialCorpus(tuple(items))
+    rows = []
+    for k, (s, t) in paired_lines(src_lines, tgt_lines):
+        source = line_tokens(s, "source", k)
+        rows.append(PartialPair(k, len(source), source, tuple(t.split()), None))
+    return tuple(rows)

@@ -16,7 +16,7 @@ import subprocess
 import threading
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .corpus import Tokens, detokenize, tokenize
 from .errors import (
@@ -61,16 +61,6 @@ class SessionLog:
     @property
     def translations(self) -> list[Tokens]:
         return [translation for _, translation in self.steps]
-
-
-@dataclass(frozen=True)
-class SessionReport:
-    """Aggregated rewrite counts plus final-output BLEU for a document."""
-
-    bleu: float
-    words_updated: int
-    messages_updated: int
-    updates_total: int
 
 
 def apply_event(current: Tokens, event: UpdateEvent) -> Tokens:
@@ -130,29 +120,25 @@ def run_session(events: Sequence[UpdateEvent], translator: Translator) -> list[S
 
 
 def evaluate_sessions(
-    logs: Sequence[SessionLog], ref_segments: Sequence[Tokens]
-) -> SessionReport:
-    """Score a batch of session logs against one reference stream.
+    logs: Sequence[SessionLog], ref_segments: Sequence[Tokens] | None = None
+) -> CorrectionReport:
+    """Sum the rewrite counts of a batch of session logs, and score them.
 
-    Rewrite counts are summed over all logs. The final translations are
-    concatenated into one stream, re-split against the references to undo
-    any segmentation mismatch, and scored with corpus BLEU.
+    Without references only the counts are returned (bleu is None). With
+    references the final translations are concatenated into one stream,
+    re-split against the references to undo any segmentation mismatch, and
+    scored with corpus BLEU; that needs at least one log.
     """
+    totals = sum(
+        (correction_report(log.translations) for log in logs), CorrectionReport(0, 0, 0)
+    )
+    if ref_segments is None:
+        return totals
     if not logs:
         raise ValueError("need at least one session log")
-    totals = CorrectionReport(0, 0, 0)
-    stream: Tokens = ()
-    for log in logs:
-        totals = totals + correction_report(log.translations)
-        stream = stream + log.final_translation
+    stream = tuple(token for log in logs for token in log.final_translation)
     segments = resegment(stream, ref_segments)
-    score = bleu(segments, ref_segments)
-    return SessionReport(
-        bleu=score,
-        words_updated=totals.words_updated,
-        messages_updated=totals.messages_updated,
-        updates_total=totals.updates_total,
-    )
+    return replace(totals, bleu=bleu(segments, ref_segments))
 
 
 def identity_translator(source: Tokens) -> Tokens:

@@ -7,6 +7,7 @@ as usual.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from collections import Counter
@@ -319,3 +320,31 @@ def test_criterion_9_pipeline_determinism(tmp_path, fixtures):
     assert first == second
     assert elapsed < 30.0
     verdict(9, f"two full pipeline runs are byte-identical ({elapsed:.2f}s)")
+
+
+# sha256 of every fixture-pipeline artifact, by file name, plus the captured
+# stdout. Recorded before the resegmenter, report and corpus types were
+# consolidated; a change that alters any output byte fails here.
+GOLDEN_DIGESTS = {
+    "mixed.manifest.txt": "27b5862c30f4ade26c29b0d82a063c20834eea01e240bf7dbec56a24073a9181",
+    "mixed.src": "269733cf41875399c0ddef659a40827b26d975bd52fd322cd4e4da2ae20ec5cc",
+    "mixed.tgt": "90afdf664fe3aebd96acc4de60741a05c984ec2786b2d96c0157465b4c324af4",
+    "partial.manifest.tsv": "8149b144ec1caa1bf53f5c714a0f6230cfe9684d8cffa237c0f544db9a543f0f",
+    "partial.src": "9e7404a9887608cbbdea5c88cba5d286065511093e9949f07a903245a2f9ba5d",
+    "partial.tgt": "9909e9e87408a99800e9e98c01c0cd223698e692ff1ef0bc825fd38500b1c331",
+    "report.txt": "c87c037f98ed283994556d6b45ae72b9ebbd41d4321824a8382ab7c031e5e66d",
+    "resegmented.txt": "df9ddd5c53ede13058da71d9fc7689729559fb31d6224250f75e47675709a210",
+    "session.jsonl": "f9424b7b12774a1f2a2f1bf396651cf9d29cf091666ab844049fd6fe0b37cdb0",
+    "table.tsv": "7b68b19958de5a97a22805ec3e5142e16e929e18f7bba67d412f4006a5236ac2",
+    "tiny.align": "b1149b1e0d0b676c8aaf1543dc12317ce6d6f68fa9ec3106fa1a42e9d8cc265e",
+    "<stdout>": "4a03dfb889e25f7552fde04d79e9f8d2ec11642f2a61cf1b5019b3b73da75207",
+}
+
+
+def test_criterion_9_pipeline_golden_digests(tmp_path, fixtures):
+    workdir = tmp_path / "run"
+    artifacts = run_pipeline(workdir, fixtures)
+    names = sorted(p.name for p in workdir.iterdir()) + ["<stdout>"]
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in zip(names, artifacts)}
+    assert got == GOLDEN_DIGESTS
+    verdict(9, f"all {len(got)} pipeline outputs match their recorded sha256 digests")

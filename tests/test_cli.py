@@ -265,6 +265,27 @@ class TestSimulate:
         assert keys["word_up"] == "18"
         assert keys["mssg_up"] == "6"
 
+    def test_empty_events_without_refs_reports_zeros(self, capsys, tmp_path):
+        events = write(tmp_path / "events.jsonl", "")
+        code, out, _ = run(
+            capsys, "simulate", "--events", str(events), "--translator", "identity"
+        )
+        assert code == 0
+        assert out.splitlines() == ["word_up: 0", "mssg_up: 0", "updates_total: 0"]
+
+    def test_empty_events_with_refs_is_data_error(self, capsys, tmp_path, fixtures):
+        events = write(tmp_path / "events.jsonl", "")
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--events", str(events),
+            "--translator", "identity",
+            "--refs", str(fixtures / "tiny.refs.txt"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "need at least one session log" in err
+
     def test_word_to_word_lexicon_enforced(self, capsys, tmp_path, fixtures):
         bad = write(tmp_path / "bad.tsv", "source\ttwo words\n")
         code, _, err = run(

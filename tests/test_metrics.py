@@ -158,6 +158,11 @@ class TestCorrectionReport:
         b = CorrectionReport(2, 2, 4)
         assert a + b == CorrectionReport(5, 3, 6)
 
+    def test_lines_render_bleu_only_when_present(self):
+        counts = ["word_up: 3", "mssg_up: 1", "updates_total: 2"]
+        assert CorrectionReport(3, 1, 2).lines() == counts
+        assert CorrectionReport(3, 1, 2, bleu=0.5).lines() == ["bleu: 0.5000"] + counts
+
     @given(st.lists(sentence_st, min_size=1, max_size=6))
     def test_invariants(self, stream):
         report = correction_report(stream)
@@ -242,6 +247,19 @@ class TestResegment:
             assert got == [tuple(w) for w in want], (stream, refs)
             got_cost = sum(edit_distance(s, r) for s, r in zip(got, refs))
             assert got_cost == want_cost
+
+    @given(
+        st.lists(st.sampled_from("ab"), max_size=8).map(tuple),
+        st.lists(
+            st.lists(st.sampled_from("ab"), max_size=4).map(tuple), min_size=1, max_size=4
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bruteforce_on_tie_heavy_inputs(self, stream, refs):
+        # Two symbols and empty sides make many splits tie at the optimum, so
+        # this pins the lexicographically earliest tie-break as well as the cost.
+        want, _ = resegment_bruteforce(stream, refs)
+        assert resegment(stream, refs) == [tuple(w) for w in want]
 
     def test_beats_proportional_split(self):
         rng = random.Random(77)

@@ -250,6 +250,14 @@ class TestEvaluateSessions:
         with pytest.raises(ValueError):
             evaluate_sessions([], [tokenize("a")])
 
+    def test_without_references_counts_only(self):
+        logs = run_session(EXAMPLE_EVENTS, scripted_translator(EXAMPLE_SCRIPT))
+        report = evaluate_sessions(logs)
+        assert (report.words_updated, report.messages_updated, report.updates_total) == (3, 1, 2)
+        assert report.bleu is None
+        assert evaluate_sessions([]) == evaluate_sessions([], None)
+        assert evaluate_sessions([]).lines() == ["word_up: 0", "mssg_up: 0", "updates_total: 0"]
+
     def test_bleu_invariant_to_simulator_segmentation(self):
         refs = [tokenize("yo animo"), tokenize("a todos ustedes")]
         split_logs = [
