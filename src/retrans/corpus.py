@@ -164,8 +164,21 @@ def read_alignments(lines: Iterable[str], corpus: ParallelCorpus) -> list[Alignm
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """Read a UTF-8 text file as a list of lines without terminators."""
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a UTF-8 text file as a list of lines without terminators.
+
+    Lines end at "\n" only, so form feeds, U+2028 and the other characters
+    str.splitlines() also breaks on stay inside their line; one "\r" before
+    the "\n" (a CRLF file) is dropped. The inverse of write_lines for lines
+    that hold no "\n" and do not end in "\r".
+    """
+    with open(path, encoding="utf-8", newline="") as f:
+        text = f.read()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines
 
 
 def token_lines(path: str | Path) -> list[Tokens]:

@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .corpus import Tokens
 
@@ -197,16 +198,94 @@ def _min_cost_row(
         if row[p - 1] + step < row[p]:
             row[p] = row[p - 1] + step
     for y in ref:
-        new_row = [row[0] + step]
-        for p in range(1, n + 1):
-            best = row[p - 1] + (0 if stream[p - 1] == y else step)
-            if row[p] + step < best:
-                best = row[p] + step
-            if new_row[p - 1] + step < best:
-                best = new_row[p - 1] + step
-            new_row.append(best)
+        # cell runs along new_row; diag and up are row[p - 1] and row[p].
+        diag = row[0]
+        cell = diag + step
+        new_row = [cell]
+        for token, up in zip(stream, islice(row, 1, None)):
+            if up < cell:
+                cell = up
+            cell += step
+            if token != y:
+                diag += step
+            if diag < cell:
+                cell = diag
+            new_row.append(cell)
+            diag = up
         row = new_row
     return row
+
+
+# Tokens of length gap that the first probe band allows beyond the
+# unavoidable |n - R|.
+_PROBE_SLACK = 8
+# The probe band doubles while the bound it gives is at least this many times
+# its budget: local drift between stream and references can keep a narrow
+# band far from the optimum, while the exact pass's windows grow with the
+# bound, so a wider probe pays for itself there and is skipped elsewhere.
+_PROBE_WIDEN = 16
+
+
+def _banded_pass(
+    rev_stream: Tokens, ref_segments: Sequence[Tokens], budget: int, prune: bool
+) -> tuple[int, list[tuple[int, list[int]]]]:
+    """One pass over the reversed resegmentation problem, inside a length band.
+
+    The references are run through _min_cost_row last first, each on a
+    window of reversed positions only. A cell at reversed position p covers
+    rev_stream[:p], the last p stream tokens, and holds cost * (n + 1) + end,
+    where end is the forward position at which the current piece stops; min
+    then prefers the lower cost, then the earlier end. The last piece always
+    ends at n.
+
+    Every piece costs at least the gap between its length and its
+    reference's, so a split with a boundary at p before reference k, with
+    `before` reference tokens ahead of it and total - before behind, costs at
+    least |n - p - before| + |p - (total - before)|; boundaries where that
+    exceeds budget are never computed. With prune, a boundary is also dropped
+    when its exact suffix cost plus |n - p - before| exceeds budget, and each
+    window stops where even the cheapest suffix cost it could reach would
+    exceed budget. budget must be at least the optimal cost for the pruned
+    pass to stay exact, and at least |n - total| for the band to hold a split.
+
+    Returns the cost of the best split inside the band and, per reference in
+    forward order, its end pointers as (first reversed position, window).
+    """
+    n = len(rev_stream)
+    step = n + 1
+    total = sum(len(ref) for ref in ref_segments)
+    never = (n + total + 1) * step  # above every reachable cell
+    before = total
+    lo, row = 0, [n]
+    ends = []
+    for ref in reversed(ref_segments):
+        before -= len(ref)
+        centre = n + total - 2 * before
+        hi = min(n, (centre + budget) // 2)
+        if prune:
+            # A piece from q to p costs at least p - q - len(ref), so a
+            # boundary at p >= n - before costs at least
+            # least + p - len(ref) + p - (n - before).
+            least = min(cell // step - q for q, cell in enumerate(row, lo))
+            hi = min(hi, (budget - least + len(ref) + n - before) // 2)
+        row += [never] * (hi - lo + 1 - len(row))
+        row = _min_cost_row(row, rev_stream[lo:hi], ref[::-1], step)
+        first = max(lo, (centre - budget + 1) // 2)
+        if prune:
+            kept = [
+                p
+                for p, cell in enumerate(row[first - lo :], first)
+                if cell // step + abs(n - p - before) <= budget
+            ]
+            row = row[kept[0] - lo : kept[-1] - lo + 1]
+            lo = kept[0]
+        else:
+            row = row[first - lo :]
+            lo = first
+        ends.append((lo, [cell % step for cell in row]))
+        row = [cell - cell % step + n - p for p, cell in enumerate(row, lo)]
+    ends.reverse()
+    return row[-1] // step, ends
 
 
 def resegment(hyp_stream: Tokens, ref_segments: Sequence[Tokens]) -> list[Tokens]:
@@ -216,29 +295,31 @@ def resegment(hyp_stream: Tokens, ref_segments: Sequence[Tokens]) -> list[Tokens
     reference k; pieces may be empty. Among minimal splits the one with the
     lexicographically earliest boundary vector is returned, which makes the
     output deterministic.
+
+    The result is that of the full dynamic program (as in mwerSegmenter), but
+    only the cells an optimal split can pass through are filled. A probe pass
+    over the narrow band of boundaries whose length gaps add up to at most
+    |n - R| plus a small slack (n stream tokens, R reference tokens), widened
+    while that stays cheap, yields the cost U of a feasible split. The exact
+    pass then keeps only the boundaries whose exact suffix cost plus prefix
+    length gap is at most U. With m references the work is about
+    (U + the longest reference) * (R + m) cells instead of (n + 1) * (R + m).
     """
     if not ref_segments:
         raise ValueError("need at least one reference segment")
     n = len(hyp_stream)
-    step = n + 1
-    # One pass over the reversed problem, last reference first. A cell at
-    # reversed position p covers hyp_stream[n - p:] and holds
-    # cost * step + end, where end is the forward position at which the
-    # current piece stops; min then prefers the lower cost, then the earlier
-    # end. The last piece always ends at n.
     rev_stream = hyp_stream[::-1]
-    row = [q * step + n for q in range(n + 1)]
-    ends = []
-    for ref in reversed(ref_segments):
-        row = _min_cost_row(row, rev_stream, ref[::-1], step)
-        ends.append([cell % step for cell in row])
-        row = [cell - cell % step + n - q for q, cell in enumerate(row)]
-    ends.reverse()
+    budget = abs(n - sum(len(ref) for ref in ref_segments)) + _PROBE_SLACK
+    bound, _ = _banded_pass(rev_stream, ref_segments, budget, prune=False)
+    while _PROBE_WIDEN * budget <= bound:
+        budget *= 2
+        bound, _ = _banded_pass(rev_stream, ref_segments, budget, prune=False)
+    _, ends = _banded_pass(rev_stream, ref_segments, bound, prune=True)
 
     segments = []
     cursor = 0
-    for piece_ends in ends:
-        end = piece_ends[n - cursor]
+    for offset, window in ends:
+        end = window[n - cursor - offset]
         segments.append(hyp_stream[cursor:end])
         cursor = end
     return segments

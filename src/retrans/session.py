@@ -179,7 +179,9 @@ class CommandTranslator:
 
     Protocol: one detokenized source per line on stdin, one translation per
     line on stdout, flushed per line. A per-line timeout guards against a
-    hung child. Close (or use as a context manager) to terminate the child.
+    hung child. After a timeout every later call raises at once: a reply
+    that arrives late would otherwise be taken for the next source's.
+    Close (or use as a context manager) to terminate the child.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 30.0) -> None:
@@ -194,6 +196,7 @@ class CommandTranslator:
             bufsize=1,
         )
         self._lines: queue.Queue[str | None] = queue.Queue()
+        self._timed_out: str | None = None
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
 
@@ -204,15 +207,19 @@ class CommandTranslator:
         self._lines.put(None)
 
     def __call__(self, source: Tokens) -> Tokens:
+        if self._timed_out is not None:
+            raise RuntimeError(
+                f"translator is out of step since an earlier call timed out "
+                f"({self._timed_out})"
+            )
         assert self._proc.stdin is not None
         self._proc.stdin.write(detokenize(source) + "\n")
         self._proc.stdin.flush()
         try:
             line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
-            raise TimeoutError(
-                f"translator produced no output within {self.timeout}s"
-            ) from None
+            self._timed_out = f"translator produced no output within {self.timeout}s"
+            raise TimeoutError(self._timed_out) from None
         if line is None:
             raise RuntimeError("translator process closed its output")
         return tuple(line.split())

@@ -103,3 +103,50 @@ def resegment_bruteforce(stream, refs):
             best_cost = cost
             best_segments = segments
     return best_segments, best_cost
+
+
+def resegment_dp(stream, refs):
+    """Unpruned O(m * n^2) dynamic program with the earliest-boundary tie-break.
+
+    best[k][b] is the least cost of splitting stream[b:] against refs[k:].
+    Walking forward from b = 0, each piece takes the smallest end that stays
+    optimal, which yields the lexicographically earliest boundary vector.
+    Returns (segments, total cost) like resegment_bruteforce.
+    """
+    n = len(stream)
+    m = len(refs)
+    inf = float("inf")
+    # dist[k][b][e - b] = levenshtein(stream[b:e], refs[k]) for every b <= e.
+    dist = []
+    for ref in refs:
+        per_start = []
+        for b in range(n + 1):
+            row = list(range(len(ref) + 1))
+            last = [row[-1]]
+            for e in range(b, n):
+                new = [row[0] + 1]
+                for c in range(1, len(ref) + 1):
+                    sub = row[c - 1] + (0 if stream[e] == ref[c - 1] else 1)
+                    new.append(min(sub, row[c] + 1, new[c - 1] + 1))
+                row = new
+                last.append(row[-1])
+            per_start.append(last)
+        dist.append(per_start)
+    best = [[inf] * (n + 1) for _ in range(m + 1)]
+    best[m][n] = 0
+    for k in range(m - 1, -1, -1):
+        for b in range(n + 1):
+            best[k][b] = min(
+                dist[k][b][e - b] + best[k + 1][e] for e in range(b, n + 1)
+            )
+    segments = []
+    b = 0
+    for k in range(m):
+        e = next(
+            e
+            for e in range(b, n + 1)
+            if dist[k][b][e - b] + best[k + 1][e] == best[k][b]
+        )
+        segments.append(tuple(stream[b:e]))
+        b = e
+    return segments, best[0][0]

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +12,13 @@ from retrans.corpus import (
     corpus_lines,
     detokenize,
     format_alignment,
+    load_corpus,
     read_alignment_line,
     read_alignments,
+    read_lines,
     read_parallel,
     tokenize,
+    write_lines,
 )
 from retrans.errors import AlignmentParseError, CorpusMismatchError, EmptySentenceError
 
@@ -131,3 +137,39 @@ def test_read_alignments_count_mismatch():
     corpus = read_parallel(["a"], ["x"])
     with pytest.raises(CorpusMismatchError):
         read_alignments(["", ""], corpus)
+
+
+class TestLineIO:
+    # Any text UTF-8 can encode, without "\n" and not ending in "\r":
+    # form feeds, U+2028 and the like included.
+    line_st = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n")).filter(
+        lambda line: not line.endswith("\r")
+    )
+
+    @given(st.lists(line_st))
+    def test_round_trip(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lines.txt"
+            write_lines(path, lines)
+            assert read_lines(path) == lines
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(b"a b\r\n\r\nc\r\r\n")
+        assert read_lines(path) == ["a b", "", "c\r"]
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "open.txt"
+        path.write_bytes(b"a\nb")
+        assert read_lines(path) == ["a", "b"]
+
+    def test_line_separator_keeps_pairs_aligned(self, tmp_path):
+        src = tmp_path / "corpus.src"
+        tgt = tmp_path / "corpus.tgt"
+        src.write_text("uno\u2028dos\x85tres\ncuatro\n", encoding="utf-8")
+        tgt.write_text("one two three\nfour\n", encoding="utf-8")
+        corpus = load_corpus(src, tgt)
+        assert [(p.source, p.target) for p in corpus] == [
+            (("uno", "dos", "tres"), ("one", "two", "three")),
+            (("cuatro",), ("four",)),
+        ]

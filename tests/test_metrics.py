@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retrans import metrics
 from retrans.corpus import tokenize
 from retrans.metrics import (
     CorrectionReport,
@@ -22,11 +23,35 @@ from retrans.metrics import (
     wer,
 )
 
-from oracles import levenshtein_full, resegment_bruteforce
+from oracles import levenshtein_full, resegment_bruteforce, resegment_dp
 
 sentence_st = st.lists(
     st.text(alphabet="abcd", min_size=1, max_size=3), min_size=1, max_size=10
 ).map(tuple)
+
+token_st = st.sampled_from("abcd")
+
+
+@st.composite
+def drifted_resegment_inputs(draw):
+    """Up to 10 references and a stream of at most 60 tokens drifting from them.
+
+    The stream starts as the references' concatenation and then loses runs,
+    gains inserted runs and has tokens replaced, so the stream and reference
+    lengths can differ by far more than the probe band's slack.
+    """
+    refs = draw(st.lists(st.lists(token_st, max_size=8).map(tuple), min_size=1, max_size=10))
+    stream = [token for ref in refs for token in ref]
+    edits = st.lists(st.sampled_from(["cut", "insert", "replace"]), min_size=1, max_size=4)
+    for kind in draw(edits):
+        at = draw(st.integers(0, len(stream)))
+        if kind == "cut":
+            del stream[at : at + draw(st.integers(1, 30))]
+        elif kind == "insert":
+            stream[at:at] = draw(st.lists(token_st, min_size=1, max_size=30))
+        elif at < len(stream):
+            stream[at] = draw(token_st)
+    return tuple(stream[:60]), refs
 
 
 class TestBleu:
@@ -260,6 +285,82 @@ class TestResegment:
         # this pins the lexicographically earliest tie-break as well as the cost.
         want, _ = resegment_bruteforce(stream, refs)
         assert resegment(stream, refs) == [tuple(w) for w in want]
+
+    def test_dp_oracle_matches_bruteforce(self):
+        rng = random.Random(99)
+        for _ in range(200):
+            stream = tuple(rng.choice("ab") for _ in range(rng.randint(0, 9)))
+            refs = [
+                tuple(rng.choice("ab") for _ in range(rng.randint(0, 4)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            want, want_cost = resegment_bruteforce(stream, refs)
+            assert resegment_dp(stream, refs) == ([tuple(w) for w in want], want_cost)
+
+    @given(drifted_resegment_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_dp_under_drift(self, inputs):
+        # Truncated streams, inserted runs and |n - R| >> 0 make the length
+        # bound prune most boundaries, so this checks that pruning never drops
+        # a state of the earliest optimal split.
+        stream, refs = inputs
+        want, _ = resegment_dp(stream, refs)
+        assert resegment(stream, refs) == want
+
+    def test_all_empty_references_put_everything_last(self):
+        stream = tokenize("a b c")
+        assert resegment(stream, [(), (), ()]) == [(), (), stream]
+        assert resegment((), [(), ()]) == [(), ()]
+
+    @pytest.mark.parametrize(
+        "n, ref_lengths",
+        [(200, [2, 1, 3]), (150, [0, 5]), (3, [40, 30, 30]), (0, [25, 25]), (1, [0, 60])],
+        ids=["n>>R", "n>>R-empty-ref", "n<<R", "empty-stream-long-refs", "n<<R-empty-ref"],
+    )
+    def test_extreme_length_gaps(self, n, ref_lengths):
+        rng = random.Random(n * 1000 + sum(ref_lengths))
+        stream = tuple(rng.choice("abc") for _ in range(n))
+        refs = [tuple(rng.choice("abc") for _ in range(k)) for k in ref_lengths]
+        want, want_cost = resegment_dp(stream, refs)
+        assert resegment(stream, refs) == want
+        # The probe band alone must hold a split, and its cost bounds the
+        # optimum from above.
+        total = sum(ref_lengths)
+        bound, ends = metrics._banded_pass(
+            stream[::-1], refs, abs(n - total) + metrics._PROBE_SLACK, prune=False
+        )
+        probe, cursor = [], 0
+        for offset, window in ends:
+            end = window[n - cursor - offset]
+            probe.append(stream[cursor:end])
+            cursor = end
+        assert cursor == n
+        assert sum(edit_distance(p, r) for p, r in zip(probe, refs)) == bound >= want_cost
+
+    def test_probe_band_widens_when_far_from_optimal(self, monkeypatch):
+        # Most tokens are replaced, a run is inserted early and another cut
+        # late: the lengths agree overall, so the first probe band is narrow,
+        # but its bound is many times its width and the probe must widen.
+        rng = random.Random(3)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        refs = [tuple(rng.choice(letters) for _ in range(10)) for _ in range(16)]
+        stream = [t if rng.random() < 0.1 else rng.choice(letters) for r in refs for t in r]
+        stream[20:20] = rng.choices(letters, k=20)
+        del stream[120:140]
+        stream = tuple(stream)
+        passes = []
+        banded_pass = metrics._banded_pass
+
+        def recording_pass(rev_stream, ref_segments, budget, prune):
+            passes.append((budget, prune))
+            return banded_pass(rev_stream, ref_segments, budget, prune)
+
+        monkeypatch.setattr(metrics, "_banded_pass", recording_pass)
+        want, _ = resegment_dp(stream, refs)
+        assert resegment(stream, refs) == want
+        probes = [budget for budget, prune in passes if not prune]
+        assert len(probes) > 1
+        assert probes == [metrics._PROBE_SLACK * 2**k for k in range(len(probes))]
 
     def test_beats_proportional_split(self):
         rng = random.Random(77)

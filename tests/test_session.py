@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,21 @@ class TestCommandTranslator:
             with pytest.raises(TimeoutError):
                 translate(("a",))
 
+    def test_timeout_poisons_later_calls(self):
+        # The child answers its first source late, then echoes at once; the
+        # late reply must never be returned for the second source.
+        with CommandTranslator(
+            [sys.executable, "-u", "-c", _LATE_FIRST_CHILD], timeout=0.2
+        ) as translate:
+            with pytest.raises(TimeoutError):
+                translate(("a",))
+            time.sleep(0.8)
+            with pytest.raises(RuntimeError, match="earlier call timed out") as err:
+                translate(("b",))
+            assert "no output within 0.2s" in str(err.value)
+            with pytest.raises(RuntimeError, match="earlier call timed out"):
+                translate(("c",))
+
     def test_dead_process_raises(self):
         with CommandTranslator(
             [sys.executable, "-c", "pass"], timeout=5
@@ -223,6 +239,12 @@ class TestCommandTranslator:
 _ECHO_CHILD = "import sys\nfor line in sys.stdin: print(line.rstrip())"
 _UPPER_CHILD = "import sys\nfor line in sys.stdin: print(line.rstrip().upper())"
 _SILENT_CHILD = "import time\ntime.sleep(60)"
+_LATE_FIRST_CHILD = (
+    "import sys, time\n"
+    "for k, line in enumerate(sys.stdin):\n"
+    "    time.sleep(0.5 if k == 0 else 0)\n"
+    "    print(line.rstrip())"
+)
 
 
 class TestEvaluateSessions:
