@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 from . import aligner, metrics, mixing, partials, session
@@ -42,29 +41,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, self.format_usage())
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation, echoed to stderr for reproducibility."""
-
-    command: str
-    seed: int
-    verbose: int
-    options: dict[str, object]
-
-    def render(self) -> str:
-        parts = [f"command={self.command}", f"seed={self.seed}", f"verbose={self.verbose}"]
-        parts += [f"{k}={v}" for k, v in sorted(self.options.items())]
-        return "config: " + " ".join(parts)
-
-
 def _echo_config(args: argparse.Namespace) -> None:
-    options = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in {"func", "parser", "command", "seed", "verbose"} and v is not None
-    }
-    config = RunConfig(args.command, args.seed, args.verbose, options)
-    print(config.render(), file=sys.stderr)
+    """Echo the resolved invocation to stderr, so a run can be reproduced."""
+    head = ["command", "seed", "verbose"]
+    options = sorted(
+        k for k, v in vars(args).items() if k not in {*head, "func", "parser"} and v is not None
+    )
+    print("config:", *(f"{k}={getattr(args, k)}" for k in head + options), file=sys.stderr)
 
 
 def _note(args: argparse.Namespace, message: str) -> None:
@@ -74,7 +57,7 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 def cmd_align(args: argparse.Namespace) -> int:
     if args.iterations < 1:
-        raise UsageError("--iterations must be >= 1", args.parser.format_usage())
+        args.parser.error("--iterations must be >= 1")
     corpus = load_corpus(args.src, args.tgt)
     table = aligner.train_model1(corpus, args.iterations)
     _note(args, f"trained on {len(corpus)} pairs, {args.iterations} iterations")
@@ -91,12 +74,9 @@ def cmd_align(args: argparse.Namespace) -> int:
 def cmd_gen_partial(args: argparse.Namespace) -> int:
     method = partials.Method(args.method)
     if args.min_i < 1:
-        raise UsageError("--min-i must be >= 1", args.parser.format_usage())
+        args.parser.error("--min-i must be >= 1")
     if method is partials.Method.ALIGNMENT and not args.alignments:
-        raise UsageError(
-            "--alignments is required with --method alignment",
-            args.parser.format_usage(),
-        )
+        args.parser.error("--alignments is required with --method alignment")
     corpus = load_corpus(args.src, args.tgt)
     alignments = None
     if method is partials.Method.ALIGNMENT:
@@ -140,6 +120,12 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise CorpusMismatchError(len(hyps), len(refs))
     if not hyps:
         raise DataError("nothing to score: both files are empty")
+    if args.metric != "bleu":
+        for k, (hyp, ref) in enumerate(zip(hyps, refs), start=1):
+            if not ref:
+                raise DataError(f"{args.ref} line {k}: {args.metric} requires a non-empty reference")
+            if not hyp and args.metric == "gleu":
+                raise DataError(f"{args.hyp} line {k}: gleu requires a non-empty hypothesis")
     if args.metric == "bleu":
         value = metrics.bleu(hyps, refs, smooth=args.smooth)
         print(f"bleu\t{value:.4f}")
@@ -165,10 +151,10 @@ def cmd_reseg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_translator(spec: str, timeout: float):
+def _build_translator(spec: str, timeout: float) -> session.Translator:
     name, _, rest = spec.partition(":")
     if name == "identity":
-        return session.identity_translator, None
+        return session.identity_translator
     if name == "dict":
         if not rest:
             raise UsageError("dict translator needs a file: dict:FILE")
@@ -176,29 +162,26 @@ def _build_translator(spec: str, timeout: float):
         for src, tgt in lexicon.items():
             if len(src.split()) != 1 or len(tgt.split()) != 1:
                 raise DataError(f"lexicon entry {src!r} -> {tgt!r} is not word-to-word")
-        return session.dictionary_translator(lexicon), None
+        return session.dictionary_translator(lexicon)
     if name == "script":
         if not rest:
             raise UsageError("script translator needs a file: script:FILE")
-        return session.scripted_translator(
-            session.load_tsv_map(read_lines(rest), what="script")
-        ), None
+        return session.scripted_translator(session.load_tsv_map(read_lines(rest), what="script"))
     if name == "cmd":
         if not rest:
             raise UsageError("cmd translator needs a command: cmd:\"...\"")
-        adapter = session.CommandTranslator(rest, timeout=timeout)
-        return adapter, adapter
+        return session.CommandTranslator(rest, timeout=timeout)
     raise UsageError(f"unknown translator {spec!r}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     events = session.read_events(read_lines(args.events))
-    translator, adapter = _build_translator(args.translator, args.timeout)
+    translator = _build_translator(args.translator, args.timeout)
     try:
         logs = session.run_session(events, translator)
     finally:
-        if adapter is not None:
-            adapter.close()
+        if isinstance(translator, session.CommandTranslator):
+            translator.close()
     if args.log_out:
         lines = []
         for log in logs:
@@ -289,21 +272,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        if err.usage:
-            print(err.usage, file=sys.stderr, end="")
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    _echo_config(args)
-    try:
+        args = build_parser().parse_args(argv)
+        _echo_config(args)
         return args.func(args)
     except UsageError as err:
-        if err.usage:
-            print(err.usage, file=sys.stderr, end="")
-        print(f"error: {err}", file=sys.stderr)
+        print(f"{err.usage}error: {err}", file=sys.stderr)
         return 1
     except (DataError, TranslatorError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

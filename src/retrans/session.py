@@ -17,6 +17,8 @@ import threading
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
 
 from .corpus import Tokens, detokenize, tokenize
 from .errors import (
@@ -90,32 +92,20 @@ def run_session(events: Sequence[UpdateEvent], translator: Translator) -> list[S
     """
     logs: list[SessionLog] = []
     seen: set[int] = set()
-    current_id: int | None = None
-    current: Tokens = ()
-    steps: list[tuple[Tokens, Tokens]] = []
-
-    def close_current() -> None:
-        if current_id is not None:
-            logs.append(SessionLog(current_id, tuple(steps)))
-
-    for event in events:
-        if event.utterance_id != current_id:
-            if event.utterance_id in seen:
-                raise EventOrderError(
-                    f"utterance {event.utterance_id} reappears after other events"
-                )
-            close_current()
-            seen.add(event.utterance_id)
-            current_id = event.utterance_id
-            current = ()
-            steps = []
-        current = apply_event(current, event)
-        try:
-            translation = tuple(translator(current))
-        except Exception as exc:
-            raise TranslatorError(event.utterance_id, len(steps), str(exc)) from exc
-        steps.append((current, translation))
-    close_current()
+    for utterance_id, group in groupby(events, key=attrgetter("utterance_id")):
+        if utterance_id in seen:
+            raise EventOrderError(f"utterance {utterance_id} reappears after other events")
+        seen.add(utterance_id)
+        current: Tokens = ()
+        steps: list[tuple[Tokens, Tokens]] = []
+        for event in group:
+            current = apply_event(current, event)
+            try:
+                translation = tuple(translator(current))
+            except Exception as exc:
+                raise TranslatorError(utterance_id, len(steps), str(exc)) from exc
+            steps.append((current, translation))
+        logs.append(SessionLog(utterance_id, tuple(steps)))
     return logs
 
 
@@ -178,51 +168,53 @@ class CommandTranslator:
     """Adapter for an external translator child process.
 
     Protocol: one detokenized source per line on stdin, one translation per
-    line on stdout, flushed per line. A per-line timeout guards against a
-    hung child. After a timeout every later call raises at once: a reply
-    that arrives late would otherwise be taken for the next source's.
-    Close (or use as a context manager) to terminate the child.
+    line on stdout, flushed per line. Replies are UTF-8 lines that end at
+    "\n" only, as in corpus.read_lines, so a lone "\r" never splits a reply;
+    invalid UTF-8 raises at once. A per-line timeout guards against a hung
+    child. After a timeout, a closed output or a reply line nobody asked for,
+    every later call raises at once: a stray reply would otherwise be taken
+    for the next source's. Close (or use as a context manager) to terminate
+    the child.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 30.0) -> None:
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.timeout = timeout
-        self._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            encoding="utf-8",
-            bufsize=1,
-        )
-        self._lines: queue.Queue[str | None] = queue.Queue()
-        self._timed_out: str | None = None
+        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self._lines: queue.Queue[bytes | None] = queue.Queue()
+        self._broken: str | None = None
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
 
     def _pump(self) -> None:
         assert self._proc.stdout is not None
         for line in self._proc.stdout:
-            self._lines.put(line.rstrip("\n"))
+            self._lines.put(line)
         self._lines.put(None)
 
     def __call__(self, source: Tokens) -> Tokens:
-        if self._timed_out is not None:
-            raise RuntimeError(
-                f"translator is out of step since an earlier call timed out "
-                f"({self._timed_out})"
+        if self._broken is None and not self._lines.empty():
+            extra = self._lines.get()
+            self._broken = (
+                "its process closed its output" if extra is None
+                else f"it printed an extra line {extra!r}"
             )
+        if self._broken is not None:
+            raise RuntimeError(f"translator is out of step since {self._broken}")
         assert self._proc.stdin is not None
-        self._proc.stdin.write(detokenize(source) + "\n")
+        self._proc.stdin.write(detokenize(source).encode("utf-8") + b"\n")
         self._proc.stdin.flush()
         try:
             line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
-            self._timed_out = f"translator produced no output within {self.timeout}s"
-            raise TimeoutError(self._timed_out) from None
+            message = f"translator produced no output within {self.timeout}s"
+            self._broken = f"an earlier call timed out ({message})"
+            raise TimeoutError(message) from None
         if line is None:
+            self._broken = "its process closed its output"
             raise RuntimeError("translator process closed its output")
-        return tuple(line.split())
+        # str.split() drops the "\n" and a "\r" before it with the other blanks.
+        return tuple(line.decode("utf-8").split())
 
     def close(self) -> None:
         if self._proc.poll() is None:

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import os
+import shlex
+import signal
+import sys
 from pathlib import Path
 
+import pytest
 
 from retrans.cli import main
 from retrans.corpus import read_lines
@@ -51,6 +57,96 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "magic" in err
+
+
+_ALIGN_USAGE = (
+    "usage: retrans align [-h] [--seed SEED] [-v] --src SRC --tgt TGT\n"
+    "                     [--iterations ITERATIONS] --out OUT\n"
+    "                     [--table-out TABLE_OUT]\n"
+)
+_GEN_PARTIAL_USAGE = (
+    "usage: retrans gen-partial [-h] [--seed SEED] [-v] --src SRC --tgt TGT\n"
+    "                           --method {ratio,alignment}\n"
+    "                           [--alignments ALIGNMENTS] [--min-i MIN_I]\n"
+    "                           --out-prefix OUT_PREFIX\n"
+)
+
+
+class TestStderrContract:
+    """The exact stderr and exit code of in-command usage errors and the config echo."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_width(self, monkeypatch):
+        # argparse wraps usage text to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_align_iterations_below_one(self, capsys, tmp_path, fixtures):
+        src, tgt, out = fixtures / "tiny.en", fixtures / "tiny.es", tmp_path / "a.align"
+        code, stdout, err = run(
+            capsys, "align", "--src", str(src), "--tgt", str(tgt),
+            "--iterations", "0", "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"config: command=align seed=17 verbose=0 iterations=0 out={out} "
+            f"src={src} tgt={tgt}\n"
+            + _ALIGN_USAGE
+            + "error: --iterations must be >= 1\n"
+        )
+
+    def test_gen_partial_min_i_below_one(self, capsys, tmp_path, fixtures):
+        src, tgt, prefix = fixtures / "tiny.en", fixtures / "tiny.es", tmp_path / "p"
+        code, stdout, err = run(
+            capsys, "gen-partial", "--src", str(src), "--tgt", str(tgt),
+            "--method", "ratio", "--min-i", "0", "--out-prefix", str(prefix),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"config: command=gen-partial seed=17 verbose=0 method=ratio min_i=0 "
+            f"out_prefix={prefix} src={src} tgt={tgt}\n"
+            + _GEN_PARTIAL_USAGE
+            + "error: --min-i must be >= 1\n"
+        )
+
+    def test_gen_partial_alignment_without_alignments(self, capsys, tmp_path, fixtures):
+        src, tgt, prefix = fixtures / "tiny.en", fixtures / "tiny.es", tmp_path / "p"
+        code, stdout, err = run(
+            capsys, "gen-partial", "--src", str(src), "--tgt", str(tgt),
+            "--method", "alignment", "--out-prefix", str(prefix),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"config: command=gen-partial seed=17 verbose=0 method=alignment min_i=1 "
+            f"out_prefix={prefix} src={src} tgt={tgt}\n"
+            + _GEN_PARTIAL_USAGE
+            + "error: --alignments is required with --method alignment\n"
+        )
+
+    def test_dict_translator_without_file(self, capsys, fixtures):
+        events = fixtures / "tiny.events.jsonl"
+        code, stdout, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", "dict:"
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"config: command=simulate seed=17 verbose=0 events={events} "
+            f"timeout=30.0 translator=dict:\n"
+            "error: dict translator needs a file: dict:FILE\n"
+        )
+
+    def test_successful_run_echoes_config_and_notes(self, capsys, tmp_path, fixtures):
+        src, tgt, out = fixtures / "tiny.en", fixtures / "tiny.es", tmp_path / "a.align"
+        table = tmp_path / "table.tsv"
+        code, stdout, err = run(
+            capsys, "align", "--src", str(src), "--tgt", str(tgt), "--out", str(out),
+            "--table-out", str(table), "--seed", "5", "-vv",
+        )
+        assert (code, stdout) == (0, "")
+        assert err == (
+            f"config: command=align seed=5 verbose=2 iterations=5 out={out} "
+            f"src={src} table_out={table} tgt={tgt}\n"
+            "trained on 20 pairs, 5 iterations\n"
+        )
 
 
 class TestDataErrors:
@@ -137,6 +233,38 @@ class TestScore:
         )
         assert code == 0
         assert err.startswith("config: command=score seed=17 verbose=0")
+
+    @pytest.mark.parametrize(
+        "metric, hyp_text, ref_text, bad_file, message",
+        [
+            ("gleu", "a b\n\nc\n", "a b\nx\nc\n", "hyp", "line 2: gleu requires a non-empty hypothesis"),
+            ("gleu", "a b\ny\nc\n", "a b\nx\n\n", "ref", "line 3: gleu requires a non-empty reference"),
+            ("wer", "a b\n\nc\n", "a b\n \nc\n", "ref", "line 2: wer requires a non-empty reference"),
+        ],
+        ids=["gleu-empty-hyp", "gleu-empty-ref", "wer-empty-ref"],
+    )
+    def test_empty_line_names_file_and_line(
+        self, capsys, tmp_path, metric, hyp_text, ref_text, bad_file, message
+    ):
+        hyp = write(tmp_path / "hyp.txt", hyp_text)
+        ref = write(tmp_path / "ref.txt", ref_text)
+        code, out, err = run(
+            capsys, "score", "--hyp", str(hyp), "--ref", str(ref), "--metric", metric
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: {tmp_path / bad_file}.txt {message}"
+
+    @pytest.mark.parametrize(
+        "metric, expected", [("bleu", "bleu\t0.7788"), ("wer", "wer\t0.2000")], ids=["bleu", "wer"]
+    )
+    def test_empty_hypothesis_line_still_scores(self, capsys, tmp_path, metric, expected):
+        hyp = write(tmp_path / "hyp.txt", "a b\n\nc d\n")
+        ref = write(tmp_path / "ref.txt", "a b\nx\nc d\n")
+        code, out, _ = run(
+            capsys, "score", "--hyp", str(hyp), "--ref", str(ref), "--metric", metric
+        )
+        assert code == 0
+        assert out.splitlines()[0] == expected
 
 
 class TestAlign:
@@ -327,3 +455,52 @@ def test_determinism_across_runs(capsys, tmp_path, fixtures):
             [(d / name).read_bytes() for name in ("m.src", "m.tgt", "m.manifest.txt")]
         )
     assert outputs[0] == outputs[1]
+
+
+def _cmd_spec(code: str) -> str:
+    return f"cmd:{shlex.quote(sys.executable)} -u -c {shlex.quote(code)}"
+
+
+class TestSimulateCommandFaults:
+    def test_child_exiting_after_first_line(self, capsys, tmp_path):
+        events = write(
+            tmp_path / "events.jsonl",
+            '{"utterance_id": 0, "kind": "replace", "text": "a"}\n'
+            '{"utterance_id": 0, "kind": "extend", "text": "b"}\n',
+        )
+        child = "import sys\nprint(sys.stdin.readline().rstrip(), flush=True)"
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events),
+            "--translator", _cmd_spec(child), "--timeout", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(
+            "error: translator failed on utterance 0, step 1"
+        )
+
+    def test_child_terminated_when_events_are_out_of_order(self, capsys, tmp_path):
+        events = write(
+            tmp_path / "events.jsonl",
+            '{"utterance_id": 0, "kind": "replace", "text": "a"}\n'
+            '{"utterance_id": 1, "kind": "replace", "text": "b"}\n'
+            '{"utterance_id": 0, "kind": "extend", "text": "c"}\n',
+        )
+        pid_file = tmp_path / "child.pid"
+        child = (
+            "import os, sys\n"
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "for line in sys.stdin: print(line.rstrip(), flush=True)"
+        )
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events),
+            "--translator", _cmd_spec(child), "--timeout", "10",
+        )
+        pid = int(pid_file.read_text())
+        try:
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == "error: utterance 0 reappears after other events"
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)

@@ -228,6 +228,43 @@ class TestCommandTranslator:
         ) as translate:
             assert translate(("x",)) == ("x",)
 
+    def test_lone_carriage_return_stays_inside_the_reply(self):
+        with CommandTranslator(
+            [sys.executable, "-u", "-c", _CR_INSIDE_CHILD], timeout=10
+        ) as translate:
+            assert translate(("x",)) == ("A", "B", "x")
+            assert translate(("y",)) == ("A", "B", "y")
+
+    def test_crlf_replies(self):
+        with CommandTranslator(
+            [sys.executable, "-u", "-c", _CRLF_CHILD], timeout=10
+        ) as translate:
+            assert translate(("x",)) == ("x",)
+            assert translate(("y", "z")) == ("y", "z")
+
+    def test_invalid_utf8_raises_at_once(self):
+        with CommandTranslator(
+            [sys.executable, "-u", "-c", _BAD_UTF8_CHILD], timeout=10
+        ) as translate:
+            start = time.monotonic()
+            with pytest.raises(UnicodeDecodeError):
+                translate(("x",))
+            assert time.monotonic() - start < 5
+
+    def test_extra_line_poisons_later_calls(self):
+        # The reply and the extra line arrive in one flush; the extra line
+        # must never be returned for the second source.
+        with CommandTranslator(
+            [sys.executable, "-u", "-c", _EXTRA_LINE_CHILD], timeout=10
+        ) as translate:
+            assert translate(("a",)) == ("a",)
+            time.sleep(0.3)
+            with pytest.raises(RuntimeError, match="extra line") as err:
+                translate(("b",))
+            assert "EXTRA" in str(err.value)
+            with pytest.raises(RuntimeError, match="extra line"):
+                translate(("c",))
+
     def test_run_session_wraps_failures(self):
         with CommandTranslator(
             [sys.executable, "-u", "-c", _SILENT_CHILD], timeout=0.3
@@ -244,6 +281,30 @@ _LATE_FIRST_CHILD = (
     "for k, line in enumerate(sys.stdin):\n"
     "    time.sleep(0.5 if k == 0 else 0)\n"
     "    print(line.rstrip())"
+)
+_CR_INSIDE_CHILD = (
+    "import sys\n"
+    "for line in sys.stdin.buffer:\n"
+    "    sys.stdout.buffer.write(b'A\\rB ' + line)\n"
+    "    sys.stdout.buffer.flush()"
+)
+_CRLF_CHILD = (
+    "import sys\n"
+    "for line in sys.stdin.buffer:\n"
+    "    sys.stdout.buffer.write(line.rstrip(b'\\n') + b'\\r\\n')\n"
+    "    sys.stdout.buffer.flush()"
+)
+_BAD_UTF8_CHILD = (
+    "import sys\n"
+    "for line in sys.stdin.buffer:\n"
+    "    sys.stdout.buffer.write(b'\\xff ' + line)\n"
+    "    sys.stdout.buffer.flush()"
+)
+_EXTRA_LINE_CHILD = (
+    "import sys\n"
+    "for k, line in enumerate(sys.stdin):\n"
+    "    sys.stdout.write(line + ('EXTRA\\n' if k == 0 else ''))\n"
+    "    sys.stdout.flush()"
 )
 
 
