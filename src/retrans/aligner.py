@@ -10,8 +10,10 @@ fixed corpus.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .corpus import Alignment, ParallelCorpus, SentencePair
 
@@ -65,34 +67,56 @@ def train_model1(
     if not len(corpus):
         raise ValueError("cannot train on an empty corpus")
 
-    # Uniform init over the target types each source token co-occurs with.
-    cooc: dict[str | None, set[str]] = defaultdict(set)
+    # Intern each co-occurring (source, target) type pair as a cell index, in
+    # first-visit order of the E-step loop, with NULL as source row 0. Every
+    # target token becomes the tuple of its cells in (NULL, *source) order,
+    # so the sums and divisions below run in the order of the plain
+    # dict-of-dicts EM and every float comes out bit-equal. Denominators add
+    # strictly left to right: sum() compensates its rounding on Python 3.12+,
+    # which would make the table depend on the interpreter version.
+    row_of: dict[str | None, int] = {NULL: 0}
+    column: dict[str, dict[int, int]] = {}
+    cell_row: list[int] = []
+    cell_target: list[str] = []
+    plan: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
     for pair in corpus:
-        targets = set(pair.target)
-        cooc[NULL].update(targets)
-        for e in pair.source:
-            cooc[e].update(targets)
-    probs: dict[str | None, dict[str, float]] = {
-        e: {f: 1.0 / len(fs) for f in fs} for e, fs in cooc.items()
-    }
+        rows = (0, *(row_of.setdefault(e, len(row_of)) for e in pair.source))
+        token_cells = []
+        for f in pair.target:
+            col = column.setdefault(f, {})
+            cells = []
+            for r in rows:
+                c = col.get(r)
+                if c is None:
+                    c = col[r] = len(cell_row)
+                    cell_row.append(r)
+                    cell_target.append(f)
+                cells.append(c)
+            token_cells.append(tuple(cells))
+        plan.append((rows, token_cells))
+
+    # Uniform init over the target types each source token co-occurs with.
+    row_size = Counter(cell_row)
+    probs = [1.0 / row_size[r] for r in cell_row]
 
     for _ in range(iterations):
-        counts: dict[str | None, dict[str, float]] = defaultdict(lambda: defaultdict(float))
-        totals: dict[str | None, float] = defaultdict(float)
-        for pair in corpus:
-            sources = (NULL, *pair.source)
-            for f in pair.target:
-                denom = sum(probs[e][f] for e in sources)
-                for e in sources:
-                    w = probs[e][f] / denom
-                    counts[e][f] += w
-                    totals[e] += w
-        probs = {
-            e: {f: c / totals[e] for f, c in row.items()}
-            for e, row in counts.items()
-        }
+        counts = [0.0] * len(cell_row)
+        totals = [0.0] * len(row_of)
+        for rows, token_cells in plan:
+            for cells in token_cells:
+                ps = [probs[c] for c in cells]
+                denom = reduce(add, ps)
+                for c, r, p in zip(cells, rows, ps):
+                    w = p / denom
+                    counts[c] += w
+                    totals[r] += w
+        probs = [c / totals[r] for c, r in zip(counts, cell_row)]
 
-    return TranslationTable(probs, epsilon)
+    names = list(row_of)
+    table: dict[str | None, dict[str, float]] = {}
+    for r, f, p in zip(cell_row, cell_target, probs):
+        table.setdefault(names[r], {})[f] = p
+    return TranslationTable(table, epsilon)
 
 
 def log_likelihood(table: TranslationTable, corpus: ParallelCorpus) -> float:
@@ -112,16 +136,19 @@ def viterbi_align(table: TranslationTable, pair: SentencePair) -> Alignment:
     target position is left unaligned only when the null token strictly
     beats every source position.
     """
+    eps = table.epsilon
+    null_row = table.probs.get(NULL, {})
+    rows = [table.probs.get(e, {}) for e in pair.source]
     links = set()
     for j, f in enumerate(pair.target, start=1):
         best_i = 0
         best_p = -1.0
-        for i, e in enumerate(pair.source, start=1):
-            p = table.prob(e, f)
+        for i, row in enumerate(rows, start=1):
+            p = row.get(f, eps)
             if p > best_p:
                 best_p = p
                 best_i = i
-        if table.prob(NULL, f) <= best_p:
+        if null_row.get(f, eps) <= best_p:
             links.add((best_i, j))
     return Alignment(len(pair.source), len(pair.target), frozenset(links))
 

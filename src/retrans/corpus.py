@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AlignmentParseError, CorpusMismatchError, EmptySentenceError
+from .errors import AlignmentParseError, CorpusMismatchError, DataError, EmptySentenceError
 
 _LINK_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
@@ -169,10 +169,20 @@ def read_lines(path: str | Path) -> list[str]:
     Lines end at "\n" only, so form feeds, U+2028 and the other characters
     str.splitlines() also breaks on stay inside their line; one "\r" before
     the "\n" (a CRLF file) is dropped. The inverse of write_lines for lines
-    that hold no "\n" and do not end in "\r".
+    that hold no "\n" and do not end in "\r". Invalid UTF-8 raises
+    DataError naming the path, the 1-based line and the byte column.
     """
-    with open(path, encoding="utf-8", newline="") as f:
-        text = f.read()
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        column = err.start - data.rfind(b"\n", 0, err.start)
+        raise DataError(
+            f"{path} line {line}: invalid UTF-8 byte 0x{data[err.start]:02x} "
+            f"at column {column} ({err.reason})"
+        ) from None
+    del data  # not held while the lines are split
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()

@@ -71,16 +71,26 @@ def alignment_prefix_len(alignment: Alignment, i: int) -> int:
         raise ValueError(
             f"need 1 <= i <= src_len, got i={i}, src_len={alignment.src_len}"
         )
+    return _prefix_lens(alignment)[i - 1]
+
+
+def _prefix_lens(alignment: Alignment) -> list[int]:
+    """alignment_prefix_len for every i in [1, src_len], in one pass.
+
+    The answer never shrinks as i grows, so one pointer walks the target
+    positions while each source prefix length admits them.
+    """
     max_link = [0] * (alignment.tgt_len + 1)
     for si, tj in alignment.links:
         if si > max_link[tj]:
             max_link[tj] = si
+    lens = []
     j = 0
-    for j_prime in range(1, alignment.tgt_len + 1):
-        if max_link[j_prime] > i:
-            break
-        j = j_prime
-    return j
+    for i in range(1, alignment.src_len + 1):
+        while j < alignment.tgt_len and max_link[j + 1] <= i:
+            j += 1
+        lens.append(j)
+    return lens
 
 
 def generate_partial(
@@ -104,7 +114,7 @@ def generate_partial(
     items = []
     for idx, pair in enumerate(corpus):
         src_len, tgt_len = len(pair.source), len(pair.target)
-        alignment = None
+        lens = None
         if method is Method.ALIGNMENT:
             assert alignments is not None
             if idx >= len(alignments):
@@ -116,12 +126,13 @@ def generate_partial(
                     f"alignment is ({alignment.src_len},{alignment.tgt_len}), "
                     f"pair is ({src_len},{tgt_len})",
                 )
+            lens = _prefix_lens(alignment)
         for i in range(min_i, src_len + 1):
             if method is Method.RATIO:
                 j = ratio_prefix_len(src_len, i, tgt_len)
             else:
-                assert alignment is not None
-                j = alignment_prefix_len(alignment, i)
+                assert lens is not None
+                j = lens[i - 1]
             items.append(
                 PartialPair(pair.id, i, pair.source[:i], pair.target[:j], method)
             )

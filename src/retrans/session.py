@@ -9,6 +9,7 @@ would experience them.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import queue
 import shlex
@@ -174,7 +175,9 @@ class CommandTranslator:
     child. After a timeout, a closed output or a reply line nobody asked for,
     every later call raises at once: a stray reply would otherwise be taken
     for the next source's. Close (or use as a context manager) to terminate
-    the child.
+    the child and close its input; the reader closes the output once it
+    ends, which a grandchild holding the pipe may delay but never blocks
+    close().
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 30.0) -> None:
@@ -188,8 +191,11 @@ class CommandTranslator:
 
     def _pump(self) -> None:
         assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line)
+        # The reader closes stdout itself: a close from another thread would
+        # wait for this read, which a grandchild holding the pipe keeps open.
+        with self._proc.stdout as stdout:
+            for line in stdout:
+                self._lines.put(line)
         self._lines.put(None)
 
     def __call__(self, source: Tokens) -> Tokens:
@@ -224,6 +230,9 @@ class CommandTranslator:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        assert self._proc.stdin is not None
+        with contextlib.suppress(BrokenPipeError):
+            self._proc.stdin.close()
 
     def __enter__(self) -> "CommandTranslator":
         return self

@@ -40,6 +40,28 @@ def random_corpus(rng: random.Random, max_pairs=8, vocab=6) -> ParallelCorpus:
     return ParallelCorpus(tuple(pairs))
 
 
+@st.composite
+def small_corpora(draw, vocab: int) -> ParallelCorpus:
+    """1-6 pairs, 1-5 tokens a side over a few types, so tokens repeat."""
+    source = st.lists(st.sampled_from([f"s{k}" for k in range(vocab)]), min_size=1, max_size=5)
+    target = st.lists(st.sampled_from([f"t{k}" for k in range(vocab)]), min_size=1, max_size=5)
+    sides = draw(st.lists(st.tuples(source, target), min_size=1, max_size=6))
+    return tuple(SentencePair(k, tuple(s), tuple(t)) for k, (s, t) in enumerate(sides))
+
+
+def reference_probs(corpus: ParallelCorpus, iterations: int) -> dict:
+    """oracles.em_reference on a package corpus, keyed like flat_probs."""
+    return em_reference([(list(p.source), list(p.target)) for p in corpus], iterations)
+
+
+def flat_probs(table: TranslationTable) -> dict:
+    return {
+        (NULL_MARK if e is NULL else e, f): p
+        for e, row in table.probs.items()
+        for f, p in row.items()
+    }
+
+
 def assert_rows_normalized(table: TranslationTable, tol=1e-6):
     for source, row in table.probs.items():
         assert all(p >= 0 for p in row.values()), source
@@ -64,6 +86,13 @@ class TestTrainModel1:
             for (e, f), p in reference.items():
                 source = NULL if e == NULL_MARK else e
                 assert table.prob(source, f) == pytest.approx(p, abs=1e-10)
+
+    @given(st.integers(1, 4).flatmap(small_corpora), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_em_exactly(self, corpus, iterations):
+        # ==, not approx: the interned EM adds and divides in the oracle's order.
+        table = train_model1(corpus, iterations)
+        assert flat_probs(table) == reference_probs(corpus, iterations)
 
     def test_single_pair_single_iteration(self):
         table = train_model1(read_parallel(["a"], ["x"]), 1)
@@ -117,6 +146,19 @@ class TestViterbiAlign:
             for pair in corpus:
                 want = viterbi_reference(reference, pair.source, pair.target)
                 assert viterbi_align(table, pair).links == want
+
+    @given(st.integers(1, 4).flatmap(small_corpora), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_viterbi_exactly(self, corpus, data):
+        # Held-out pairs draw from one more type than any training corpus, so
+        # some of their types are unseen and fall back to the epsilon floor.
+        iterations = data.draw(st.integers(1, 6))
+        table = train_model1(corpus, iterations)
+        reference = reference_probs(corpus, iterations)
+        held_out = data.draw(small_corpora(5))
+        for pair in (*corpus, *held_out):
+            want = viterbi_reference(reference, pair.source, pair.target)
+            assert viterbi_align(table, pair).links == want
 
     def test_null_dominance_leaves_unaligned(self):
         table = TranslationTable(

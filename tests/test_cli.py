@@ -266,6 +266,17 @@ class TestScore:
         assert code == 0
         assert out.splitlines()[0] == expected
 
+    def test_invalid_utf8_names_file_and_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b\n\xffc d\n")
+        code, out, err = run(
+            capsys, "score", "--hyp", str(bad), "--ref", str(bad), "--metric", "bleu"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: {bad} line 2: invalid UTF-8 byte 0xff at column 1 (invalid start byte)"
+        )
+
 
 class TestAlign:
     def test_writes_alignments_and_table(self, capsys, tmp_path, fixtures):

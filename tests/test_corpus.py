@@ -20,7 +20,12 @@ from retrans.corpus import (
     tokenize,
     write_lines,
 )
-from retrans.errors import AlignmentParseError, CorpusMismatchError, EmptySentenceError
+from retrans.errors import (
+    AlignmentParseError,
+    CorpusMismatchError,
+    DataError,
+    EmptySentenceError,
+)
 
 tokens_st = st.lists(
     st.text(alphabet="abcdefg", min_size=1, max_size=4), min_size=1, max_size=8
@@ -162,6 +167,22 @@ class TestLineIO:
         path = tmp_path / "open.txt"
         path.write_bytes(b"a\nb")
         assert read_lines(path) == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"\xffa\n", "line 1: invalid UTF-8 byte 0xff at column 1 (invalid start byte)"),
+            (b"a\r\nb \xc3(\n", "line 2: invalid UTF-8 byte 0xc3 at column 3"),
+            (b"\xe2\x82\xac\na\nb\xe2\x82", "line 3: invalid UTF-8 byte 0xe2 at column 2"),
+        ],
+        ids=["first-byte", "crlf-second-line", "truncated-at-end"],
+    )
+    def test_invalid_utf8_names_path_and_line(self, tmp_path, data, where):
+        path = tmp_path / "text.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as err:
+            read_lines(path)
+        assert str(err.value).startswith(f"{path} {where}")
 
     def test_line_separator_keeps_pairs_aligned(self, tmp_path):
         src = tmp_path / "corpus.src"

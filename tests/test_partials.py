@@ -10,6 +10,7 @@ from retrans.corpus import Alignment, ParallelCorpus, SentencePair, read_paralle
 from retrans.errors import AlignmentMissingError
 from retrans.partials import (
     Method,
+    _prefix_lens,
     alignment_prefix_len,
     generate_partial,
     manifest_lines,
@@ -99,6 +100,16 @@ class TestAlignmentPrefixLen:
             a = random_alignment(rng)
             i = rng.randint(1, a.src_len)
             assert alignment_prefix_len(a, i) == prefix_len_bruteforce(a.links, i, a.tgt_len)
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.data())
+    @settings(max_examples=300)
+    def test_one_pass_matches_bruteforce_at_every_i(self, src_len, tgt_len, data):
+        # Many-to-many links, unaligned positions and empty link sets included.
+        cells = st.tuples(st.integers(1, src_len), st.integers(1, tgt_len))
+        a = Alignment(src_len, tgt_len, data.draw(st.frozensets(cells)))
+        assert _prefix_lens(a) == [
+            prefix_len_bruteforce(a.links, i, tgt_len) for i in range(1, src_len + 1)
+        ]
 
 
 def corpus_of(src: str, tgt: str) -> ParallelCorpus:

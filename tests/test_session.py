@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import signal
 import sys
 import time
 
@@ -265,6 +267,24 @@ class TestCommandTranslator:
             with pytest.raises(RuntimeError, match="extra line"):
                 translate(("c",))
 
+    def test_close_returns_while_a_grandchild_holds_the_pipe(self, tmp_path):
+        pid_file = tmp_path / "grandchild.pid"
+        translate = CommandTranslator(
+            [sys.executable, "-u", "-c", _GRANDCHILD_CHILD, str(pid_file)], timeout=10
+        )
+        try:
+            assert translate(("a",)) == ("a",)
+            start = time.monotonic()
+            translate.close()
+            assert time.monotonic() - start < 5
+        finally:
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+        # Once the grandchild is gone the reader sees the end of the output
+        # and closes it.
+        translate._reader.join(timeout=5)
+        assert not translate._reader.is_alive()
+        assert translate._proc.stdin.closed and translate._proc.stdout.closed
+
     def test_run_session_wraps_failures(self):
         with CommandTranslator(
             [sys.executable, "-u", "-c", _SILENT_CHILD], timeout=0.3
@@ -299,6 +319,12 @@ _BAD_UTF8_CHILD = (
     "for line in sys.stdin.buffer:\n"
     "    sys.stdout.buffer.write(b'\\xff ' + line)\n"
     "    sys.stdout.buffer.flush()"
+)
+_GRANDCHILD_CHILD = (
+    "import subprocess, sys\n"
+    "sleeper = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+    "with open(sys.argv[1], 'w') as f: f.write(str(sleeper.pid))\n"
+    "for line in sys.stdin: print(line.rstrip())"
 )
 _EXTRA_LINE_CHILD = (
     "import sys\n"
