@@ -26,27 +26,22 @@ def run(argv: list[str]) -> None:
         sys.exit(code)
 
 
-def pipeline(workdir: Path, seed: int) -> None:
-    workdir.mkdir(parents=True, exist_ok=True)
-    src = str(FIXTURES / "tiny.en")
-    tgt = str(FIXTURES / "tiny.es")
-
-    run(
+def steps(fixtures: Path, workdir: Path, seed: int) -> list[list[str]]:
+    """The argv of each subcommand of the walk, in order."""
+    src = str(fixtures / "tiny.en")
+    tgt = str(fixtures / "tiny.es")
+    return [
         [
             "align", "--src", src, "--tgt", tgt, "--iterations", "5",
             "--out", str(workdir / "tiny.align"),
             "--table-out", str(workdir / "table.tsv"),
-        ]
-    )
-    run(
+        ],
         [
             "gen-partial", "--src", src, "--tgt", tgt,
             "--method", "alignment",
             "--alignments", str(workdir / "tiny.align"),
             "--out-prefix", str(workdir / "partial"),
-        ]
-    )
-    run(
+        ],
         [
             "mix",
             "--full-src", src, "--full-tgt", tgt,
@@ -54,34 +49,34 @@ def pipeline(workdir: Path, seed: int) -> None:
             "--partial-tgt", str(workdir / "partial.tgt"),
             "--out-prefix", str(workdir / "mixed"),
             "--seed", str(seed),
-        ]
-    )
-    run(
+        ],
         [
             "simulate",
-            "--events", str(FIXTURES / "tiny.events.jsonl"),
-            "--translator", f"dict:{FIXTURES / 'tiny.lexicon.tsv'}",
-            "--refs", str(FIXTURES / "tiny.refs.txt"),
+            "--events", str(fixtures / "tiny.events.jsonl"),
+            "--translator", f"dict:{fixtures / 'tiny.lexicon.tsv'}",
+            "--refs", str(fixtures / "tiny.refs.txt"),
             "--log-out", str(workdir / "session.jsonl"),
             "--report-out", str(workdir / "report.txt"),
-        ]
-    )
-    run(
+        ],
         [
             "reseg",
-            "--hyp-stream", str(FIXTURES / "tiny.hyp.es"),
+            "--hyp-stream", str(fixtures / "tiny.hyp.es"),
             "--refs", tgt,
             "--out", str(workdir / "resegmented.txt"),
-        ]
-    )
-    run(
+        ],
         [
             "score",
             "--hyp", str(workdir / "resegmented.txt"),
             "--ref", tgt,
             "--metric", "bleu",
-        ]
-    )
+        ],
+    ]
+
+
+def pipeline(workdir: Path, seed: int) -> None:
+    workdir.mkdir(parents=True, exist_ok=True)
+    for argv in steps(FIXTURES, workdir, seed):
+        run(argv)
     print(f"\nartifacts in {workdir}:")
     for path in sorted(workdir.iterdir()):
         print(f"  {path.name}")

@@ -158,15 +158,21 @@ def _build_translator(spec: str, timeout: float) -> session.Translator:
     if name == "dict":
         if not rest:
             raise UsageError("dict translator needs a file: dict:FILE")
-        lexicon = session.load_tsv_map(read_lines(rest), what="lexicon")
-        for src, tgt in lexicon.items():
-            if len(src.split()) != 1 or len(tgt.split()) != 1:
-                raise DataError(f"lexicon entry {src!r} -> {tgt!r} is not word-to-word")
+        lines = read_lines(rest)
+        lexicon = session.load_tsv_map(lines, what=rest)
+        for no, line in enumerate(lines, start=1):
+            # load_tsv_map has checked the tab, so two tokens mean one a side.
+            if len(line.split()) not in (0, 2):
+                src, _, tgt = line.partition("\t")
+                raise DataError(
+                    f"{rest} line {no}: lexicon entry {src.strip()!r} -> {tgt.strip()!r}"
+                    " is not word-to-word"
+                )
         return session.dictionary_translator(lexicon)
     if name == "script":
         if not rest:
             raise UsageError("script translator needs a file: script:FILE")
-        return session.scripted_translator(session.load_tsv_map(read_lines(rest), what="script"))
+        return session.scripted_translator(session.load_tsv_map(read_lines(rest), what=rest))
     if name == "cmd":
         if not rest:
             raise UsageError("cmd translator needs a command: cmd:\"...\"")
@@ -175,7 +181,7 @@ def _build_translator(spec: str, timeout: float) -> session.Translator:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    events = session.read_events(read_lines(args.events))
+    events = session.read_events(read_lines(args.events), what=args.events)
     translator = _build_translator(args.translator, args.timeout)
     try:
         logs = session.run_session(events, translator)

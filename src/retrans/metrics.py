@@ -5,6 +5,10 @@ which punishes over-long output), rewrite counting between consecutive
 displayed translations, token-level word error rate, and the repartitioning
 of an unsegmented hypothesis stream against reference segments so that
 segmentation mismatches do not distort BLEU.
+
+Word error rate and the resegmenter share one edit-distance kernel,
+_columns, which advances the whole column of the dynamic program over the
+stream with a few big-integer operations per reference token.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 from .corpus import Tokens
 
@@ -173,7 +176,7 @@ def correction_report(translations: Sequence[Tokens]) -> CorrectionReport:
 
 def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:
     """Levenshtein distance over tokens with unit costs."""
-    return _min_cost_row(list(range(len(a) + 1)), a, b, 1)[-1]
+    return _cell(_columns(a, [b])[-1], len(b), len(a))
 
 
 def wer(hyp: Tokens, ref: Tokens) -> tuple[int, float]:
@@ -184,108 +187,43 @@ def wer(hyp: Tokens, ref: Tokens) -> tuple[int, float]:
     return edits, edits / len(ref)
 
 
-def _min_cost_row(
-    prev: list[int], stream: Sequence[str], ref: Sequence[str], step: int
-) -> list[int]:
-    """new[p] = min over q <= p of prev[q] + step * edit_distance(stream[q:p], ref).
+def _columns(stream: Sequence[str], refs: Sequence[Sequence[str]]) -> list[tuple[int, int]]:
+    """Edit-distance columns of stream against the concatenation of refs.
 
-    The one edit-distance kernel of this module. With prev[q] = q * step the
-    row holds the distances of every prefix of stream to ref.
+    The one edit-distance kernel of this module: the dynamic program
+    D[p][j] = edit_distance(stream[:p], text[:j]), text being the references
+    joined, advanced one text token at a time with the bit-parallel step of
+    Myers (1999) in the global form of Hyyrö (2001). Column j is a pair
+    (pv, mv) of ints whose bit p - 1 is set when D[p][j] - D[p - 1][j] is +1
+    (pv) or -1 (mv); _cell reads D[p][j] back from it.
+
+    Returns the column before any reference and the column after each one.
     """
-    n = len(stream)
-    row = list(prev)
-    for p in range(1, n + 1):
-        if row[p - 1] + step < row[p]:
-            row[p] = row[p - 1] + step
-    for y in ref:
-        # cell runs along new_row; diag and up are row[p - 1] and row[p].
-        diag = row[0]
-        cell = diag + step
-        new_row = [cell]
-        for token, up in zip(stream, islice(row, 1, None)):
-            if up < cell:
-                cell = up
-            cell += step
-            if token != y:
-                diag += step
-            if diag < cell:
-                cell = diag
-            new_row.append(cell)
-            diag = up
-        row = new_row
-    return row
+    full = (1 << len(stream)) - 1
+    peq: dict[str, int] = {}
+    for p, token in enumerate(stream):
+        peq[token] = peq.get(token, 0) | 1 << p
+    pv, mv = full, 0
+    columns = [(pv, mv)]
+    for ref in refs:
+        for token in ref:
+            eq = peq.get(token, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            # Horizontal deltas; row 0 holds D[0][j] = j, so +1 enters at bit 0.
+            ph = (mv | ~(xh | pv)) << 1 | 1
+            mh = (pv & xh) << 1
+            pv = (mh | ~(xv | ph)) & full
+            mv = ph & xv & full
+        columns.append((pv, mv))
+    return columns
 
 
-# Tokens of length gap that the first probe band allows beyond the
-# unavoidable |n - R|.
-_PROBE_SLACK = 8
-# The probe band doubles while the bound it gives is at least this many times
-# its budget: local drift between stream and references can keep a narrow
-# band far from the optimum, while the exact pass's windows grow with the
-# bound, so a wider probe pays for itself there and is skipped elsewhere.
-_PROBE_WIDEN = 16
-
-
-def _banded_pass(
-    rev_stream: Tokens, ref_segments: Sequence[Tokens], budget: int, prune: bool
-) -> tuple[int, list[tuple[int, list[int]]]]:
-    """One pass over the reversed resegmentation problem, inside a length band.
-
-    The references are run through _min_cost_row last first, each on a
-    window of reversed positions only. A cell at reversed position p covers
-    rev_stream[:p], the last p stream tokens, and holds cost * (n + 1) + end,
-    where end is the forward position at which the current piece stops; min
-    then prefers the lower cost, then the earlier end. The last piece always
-    ends at n.
-
-    Every piece costs at least the gap between its length and its
-    reference's, so a split with a boundary at p before reference k, with
-    `before` reference tokens ahead of it and total - before behind, costs at
-    least |n - p - before| + |p - (total - before)|; boundaries where that
-    exceeds budget are never computed. With prune, a boundary is also dropped
-    when its exact suffix cost plus |n - p - before| exceeds budget, and each
-    window stops where even the cheapest suffix cost it could reach would
-    exceed budget. budget must be at least the optimal cost for the pruned
-    pass to stay exact, and at least |n - total| for the band to hold a split.
-
-    Returns the cost of the best split inside the band and, per reference in
-    forward order, its end pointers as (first reversed position, window).
-    """
-    n = len(rev_stream)
-    step = n + 1
-    total = sum(len(ref) for ref in ref_segments)
-    never = (n + total + 1) * step  # above every reachable cell
-    before = total
-    lo, row = 0, [n]
-    ends = []
-    for ref in reversed(ref_segments):
-        before -= len(ref)
-        centre = n + total - 2 * before
-        hi = min(n, (centre + budget) // 2)
-        if prune:
-            # A piece from q to p costs at least p - q - len(ref), so a
-            # boundary at p >= n - before costs at least
-            # least + p - len(ref) + p - (n - before).
-            least = min(cell // step - q for q, cell in enumerate(row, lo))
-            hi = min(hi, (budget - least + len(ref) + n - before) // 2)
-        row += [never] * (hi - lo + 1 - len(row))
-        row = _min_cost_row(row, rev_stream[lo:hi], ref[::-1], step)
-        first = max(lo, (centre - budget + 1) // 2)
-        if prune:
-            kept = [
-                p
-                for p, cell in enumerate(row[first - lo :], first)
-                if cell // step + abs(n - p - before) <= budget
-            ]
-            row = row[kept[0] - lo : kept[-1] - lo + 1]
-            lo = kept[0]
-        else:
-            row = row[first - lo :]
-            lo = first
-        ends.append((lo, [cell % step for cell in row]))
-        row = [cell - cell % step + n - p for p, cell in enumerate(row, lo)]
-    ends.reverse()
-    return row[-1] // step, ends
+def _cell(column: tuple[int, int], j: int, p: int) -> int:
+    """D[p][j] from column j of _columns: j plus the first p vertical deltas."""
+    pv, mv = column
+    mask = (1 << p) - 1
+    return j + (pv & mask).bit_count() - (mv & mask).bit_count()
 
 
 def resegment(hyp_stream: Tokens, ref_segments: Sequence[Tokens]) -> list[Tokens]:
@@ -296,30 +234,36 @@ def resegment(hyp_stream: Tokens, ref_segments: Sequence[Tokens]) -> list[Tokens
     lexicographically earliest boundary vector is returned, which makes the
     output deterministic.
 
-    The result is that of the full dynamic program (as in mwerSegmenter), but
-    only the cells an optimal split can pass through are filled. A probe pass
-    over the narrow band of boundaries whose length gaps add up to at most
-    |n - R| plus a small slack (n stream tokens, R reference tokens), widened
-    while that stays cheap, yields the cost U of a feasible split. The exact
-    pass then keeps only the boundaries whose exact suffix cost plus prefix
-    length gap is at most U. With m references the work is about
-    (U + the longest reference) * (R + m) cells instead of (n + 1) * (R + m).
+    The result is that of the full dynamic program (as in mwerSegmenter). The
+    least cost of splitting stream[p:] against refs[k:] is the edit distance
+    between stream[p:] and the concatenation of refs[k:], since an alignment
+    path crosses each reference boundary at some stream position. One pass of
+    _columns over the reversed stream and the reversed references gives that
+    suffix cost at every boundary. The walk forward from p = 0 then gives
+    each piece the smallest width whose own cost plus the suffix cost after
+    it keeps the total optimal; the last piece takes the rest of the stream.
     """
     if not ref_segments:
         raise ValueError("need at least one reference segment")
     n = len(hyp_stream)
-    rev_stream = hyp_stream[::-1]
-    budget = abs(n - sum(len(ref) for ref in ref_segments)) + _PROBE_SLACK
-    bound, _ = _banded_pass(rev_stream, ref_segments, budget, prune=False)
-    while _PROBE_WIDEN * budget <= bound:
-        budget *= 2
-        bound, _ = _banded_pass(rev_stream, ref_segments, budget, prune=False)
-    _, ends = _banded_pass(rev_stream, ref_segments, bound, prune=True)
-
+    # after[k] is the column of the reversed stream against the reversed
+    # refs[k:], which hold `rest` tokens.
+    after = _columns(hyp_stream[::-1], [ref[::-1] for ref in reversed(ref_segments)])[::-1]
+    rest = sum(len(ref) for ref in ref_segments)
     segments = []
-    cursor = 0
-    for offset, window in ends:
-        end = window[n - cursor - offset]
-        segments.append(hyp_stream[cursor:end])
-        cursor = end
+    start = 0
+    remaining = _cell(after[0], rest, n)
+    for k, ref in enumerate(ref_segments[:-1]):
+        rest -= len(ref)
+        # A piece costs at least its length minus len(ref), so none is wider.
+        window = hyp_stream[start : start + len(ref) + remaining]
+        column = _columns(window, [ref])[-1]
+        for width in range(len(window) + 1):
+            cost = _cell(column, len(ref), width)
+            if cost + _cell(after[k + 1], rest, n - start - width) == remaining:
+                break
+        segments.append(window[:width])
+        start += width
+        remaining -= cost
+    segments.append(hyp_stream[start:])
     return segments

@@ -241,8 +241,11 @@ class CommandTranslator:
         self.close()
 
 
-def read_events(lines: Iterable[str]) -> list[UpdateEvent]:
-    """Parse update events from JSON-lines text; blank lines are skipped."""
+def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEvent]:
+    """Parse update events from JSON-lines text; blank lines are skipped.
+
+    what names the lines in error messages, such as the path they came from.
+    """
     events = []
     for no, line in enumerate(lines, start=1):
         if not line.strip():
@@ -250,19 +253,19 @@ def read_events(lines: Iterable[str]) -> list[UpdateEvent]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise EventParseError(f"line {no}: invalid JSON: {exc}") from None
+            raise EventParseError(f"{what} line {no}: invalid JSON: {exc}") from None
         if not isinstance(record, dict):
-            raise EventParseError(f"line {no}: expected an object")
+            raise EventParseError(f"{what} line {no}: expected an object")
         try:
             utterance_id = record["utterance_id"]
             kind = record["kind"]
             text = record["text"]
         except KeyError as exc:
-            raise EventParseError(f"line {no}: missing key {exc}") from None
+            raise EventParseError(f"{what} line {no}: missing key {exc}") from None
         if not isinstance(utterance_id, int) or isinstance(utterance_id, bool):
-            raise EventParseError(f"line {no}: utterance_id must be an integer")
+            raise EventParseError(f"{what} line {no}: utterance_id must be an integer")
         if kind not in KINDS or not isinstance(text, str):
-            raise EventParseError(f"line {no}: bad kind or text")
+            raise EventParseError(f"{what} line {no}: bad kind or text")
         events.append(UpdateEvent(utterance_id, kind, text))
     return events
 
@@ -279,7 +282,10 @@ def event_lines(events: Sequence[UpdateEvent]) -> list[str]:
 
 
 def load_tsv_map(lines: Iterable[str], *, what: str) -> dict[str, str]:
-    """Load a two-column tab-separated mapping (lexicon or replay script)."""
+    """Load a two-column tab-separated mapping (lexicon or replay script).
+
+    what names the lines in error messages, such as the path they came from.
+    """
     mapping: dict[str, str] = {}
     for no, line in enumerate(lines, start=1):
         if not line.strip():

@@ -38,6 +38,7 @@ from retrans.session import (
 )
 
 from oracles import prefix_len_bruteforce, resegment_bruteforce
+from run_pipeline import steps
 
 
 def verdict(number: int, description: str) -> None:
@@ -256,51 +257,8 @@ def run_pipeline(workdir: Path, fixtures: Path) -> list[bytes]:
     import io
 
     workdir.mkdir(parents=True, exist_ok=True)
-    src = str(fixtures / "tiny.en")
-    tgt = str(fixtures / "tiny.es")
-    steps = [
-        [
-            "align", "--src", src, "--tgt", tgt, "--iterations", "5",
-            "--out", str(workdir / "tiny.align"),
-            "--table-out", str(workdir / "table.tsv"),
-        ],
-        [
-            "gen-partial", "--src", src, "--tgt", tgt,
-            "--method", "alignment",
-            "--alignments", str(workdir / "tiny.align"),
-            "--out-prefix", str(workdir / "partial"),
-        ],
-        [
-            "mix",
-            "--full-src", src, "--full-tgt", tgt,
-            "--partial-src", str(workdir / "partial.src"),
-            "--partial-tgt", str(workdir / "partial.tgt"),
-            "--out-prefix", str(workdir / "mixed"),
-            "--seed", "17",
-        ],
-        [
-            "simulate",
-            "--events", str(fixtures / "tiny.events.jsonl"),
-            "--translator", f"dict:{fixtures / 'tiny.lexicon.tsv'}",
-            "--refs", str(fixtures / "tiny.refs.txt"),
-            "--log-out", str(workdir / "session.jsonl"),
-            "--report-out", str(workdir / "report.txt"),
-        ],
-        [
-            "reseg",
-            "--hyp-stream", str(fixtures / "tiny.hyp.es"),
-            "--refs", tgt,
-            "--out", str(workdir / "resegmented.txt"),
-        ],
-        [
-            "score",
-            "--hyp", str(workdir / "resegmented.txt"),
-            "--ref", tgt,
-            "--metric", "bleu",
-        ],
-    ]
     captured = io.StringIO()
-    for argv in steps:
+    for argv in steps(fixtures, workdir, 17):
         with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code == 0, argv

@@ -436,6 +436,43 @@ class TestSimulate:
         assert code == 2
         assert "word-to-word" in err
 
+    def test_bad_events_line_names_file_and_line(self, capsys, tmp_path):
+        events = write(
+            tmp_path / "bad.jsonl", '{"utterance_id": 0, "kind": "replace", "text": "a"}\nnot json\n'
+        )
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", "identity"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: {events} line 2: invalid JSON: Expecting value: line 1 column 1 (char 0)"
+        )
+
+    @pytest.mark.parametrize("kind", ["dict", "script"])
+    def test_bad_tsv_line_names_file_and_line(self, capsys, tmp_path, fixtures, kind):
+        bad = write(tmp_path / "bad.tsv", "a\tb\nno tab here\n")
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--events", str(fixtures / "tiny.events.jsonl"),
+            "--translator", f"{kind}:{bad}",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: {bad} line 2: expected 'source<TAB>target'"
+
+    def test_multiword_lexicon_entry_names_file_and_line(self, capsys, tmp_path, fixtures):
+        bad = write(tmp_path / "bad.tsv", "a\tb\n\nsource\ttwo words\n")
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--events", str(fixtures / "tiny.events.jsonl"),
+            "--translator", f"dict:{bad}",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: {bad} line 3: lexicon entry 'source' -> 'two words' is not word-to-word"
+        )
+
 
 def test_determinism_across_runs(capsys, tmp_path, fixtures):
     outputs = []
