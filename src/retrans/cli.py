@@ -80,7 +80,7 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.src, args.tgt)
     alignments = None
     if method is partials.Method.ALIGNMENT:
-        alignments = read_alignments(read_lines(args.alignments), corpus)
+        alignments = read_alignments(read_lines(args.alignments), corpus, what=args.alignments)
     partial = partials.generate_partial(corpus, method, alignments, args.min_i)
     _note(args, f"generated {len(partial)} prefix rows from {len(corpus)} pairs")
     src_lines, tgt_lines = partials.partial_lines(partial)
@@ -93,7 +93,7 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
 def cmd_mix(args: argparse.Namespace) -> int:
     full = load_corpus(args.full_src, args.full_tgt)
     partial = partials.read_partial(
-        read_lines(args.partial_src), read_lines(args.partial_tgt)
+        read_lines(args.partial_src), read_lines(args.partial_tgt), what=args.partial_src
     )
     mixed, manifest = mixing.mix(full, partial, args.seed)
     _note(args, f"mixed {manifest.full_count} full + {manifest.partial_sampled} partial rows")

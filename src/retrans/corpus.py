@@ -84,12 +84,12 @@ class Alignment:
                 )
 
 
-def line_tokens(line: str, side: str, k: int) -> Tokens:
-    """tokenize() for line k (0-based), naming side and line number on error."""
+def line_tokens(line: str, what: str, k: int) -> Tokens:
+    """tokenize() for line k (0-based) of what, naming both on error."""
     try:
         return tokenize(line)
     except EmptySentenceError:
-        raise EmptySentenceError(f"{side} line {k + 1}") from None
+        raise EmptySentenceError(f"{what} line {k + 1}") from None
 
 
 def paired_lines(
@@ -106,14 +106,21 @@ def paired_lines(
     return enumerate(zip(src, tgt))
 
 
-def read_parallel(src_lines: Iterable[str], tgt_lines: Iterable[str]) -> ParallelCorpus:
+def read_parallel(
+    src_lines: Iterable[str],
+    tgt_lines: Iterable[str],
+    *,
+    what: tuple[str, str] = ("source", "target"),
+) -> ParallelCorpus:
     """Build a corpus from two aligned line streams; pair k gets id k.
 
     Raises CorpusMismatchError on unequal lengths and EmptySentenceError
-    (with side and line number) on blank lines.
+    (naming the stream and line) on blank lines. what names the two streams,
+    such as the paths they came from.
     """
+    src_what, tgt_what = what
     return tuple(
-        SentencePair(k, line_tokens(s, "source", k), line_tokens(t, "target", k))
+        SentencePair(k, line_tokens(s, src_what, k), line_tokens(t, tgt_what, k))
         for k, (s, t) in paired_lines(src_lines, tgt_lines)
     )
 
@@ -152,15 +159,23 @@ def format_alignment(alignment: Alignment) -> str:
     return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(alignment.links))
 
 
-def read_alignments(lines: Iterable[str], corpus: ParallelCorpus) -> list[Alignment]:
-    """Parse one alignment line per corpus pair, in corpus order."""
+def read_alignments(
+    lines: Iterable[str], corpus: ParallelCorpus, *, what: str = "alignments"
+) -> list[Alignment]:
+    """Parse one alignment line per corpus pair, in corpus order.
+
+    what names the lines in error messages, such as the path they came from.
+    """
     lines = list(lines)
     if len(lines) != len(corpus):
         raise CorpusMismatchError(len(corpus), len(lines))
-    return [
-        read_alignment_line(line, len(pair.source), len(pair.target))
-        for line, pair in zip(lines, corpus)
-    ]
+    alignments = []
+    for no, (line, pair) in enumerate(zip(lines, corpus), start=1):
+        try:
+            alignments.append(read_alignment_line(line, len(pair.source), len(pair.target)))
+        except AlignmentParseError as err:
+            raise AlignmentParseError(err.token, err.detail, f"{what} line {no}") from None
+    return alignments
 
 
 def read_lines(path: str | Path) -> list[str]:
@@ -205,4 +220,6 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
 
 def load_corpus(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:
     """Read a parallel corpus from two one-sentence-per-line files."""
-    return read_parallel(read_lines(src_path), read_lines(tgt_path))
+    return read_parallel(
+        read_lines(src_path), read_lines(tgt_path), what=(str(src_path), str(tgt_path))
+    )

@@ -8,11 +8,14 @@ class DataError(Exception):
 
 
 class EmptySentenceError(DataError):
-    """A sentence line was empty or whitespace-only."""
+    """A sentence line was empty or whitespace-only.
 
-    def __init__(self, context: str = "") -> None:
-        self.context = context
-        super().__init__(f"empty sentence{f' ({context})' if context else ''}")
+    where names the line, such as "PATH line K", and leads the message.
+    """
+
+    def __init__(self, where: str = "") -> None:
+        self.where = where
+        super().__init__(f"{f'{where}: ' if where else ''}empty sentence")
 
 
 class CorpusMismatchError(DataError):
@@ -28,12 +31,17 @@ class CorpusMismatchError(DataError):
 
 
 class AlignmentParseError(DataError):
-    """An alignment line contained a malformed or out-of-range link token."""
+    """An alignment line contained a malformed or out-of-range link token.
 
-    def __init__(self, token: str, detail: str = "") -> None:
+    where names the line, such as "PATH line K", and leads the message.
+    """
+
+    def __init__(self, token: str, detail: str = "", where: str = "") -> None:
         self.token = token
+        self.detail = detail
         super().__init__(
-            f"bad alignment token {token!r}{f': {detail}' if detail else ''}"
+            f"{f'{where}: ' if where else ''}bad alignment token {token!r}"
+            f"{f': {detail}' if detail else ''}"
         )
 
 

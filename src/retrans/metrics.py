@@ -234,36 +234,32 @@ def resegment(hyp_stream: Tokens, ref_segments: Sequence[Tokens]) -> list[Tokens
     lexicographically earliest boundary vector is returned, which makes the
     output deterministic.
 
-    The result is that of the full dynamic program (as in mwerSegmenter). The
-    least cost of splitting stream[p:] against refs[k:] is the edit distance
-    between stream[p:] and the concatenation of refs[k:], since an alignment
-    path crosses each reference boundary at some stream position. One pass of
-    _columns over the reversed stream and the reversed references gives that
-    suffix cost at every boundary. The walk forward from p = 0 then gives
-    each piece the smallest width whose own cost plus the suffix cost after
-    it keeps the total optimal; the last piece takes the rest of the stream.
+    The result is that of the full dynamic program (as in mwerSegmenter). An
+    alignment path of the stream against the joined references crosses each
+    reference boundary at some stream position, so the least cost of
+    splitting stream[:p] against refs[:k] is F_k[p], the edit distance of the
+    two joined, and that of stream[p:] against refs[k:] is B_k[p]. One
+    _columns pass gives every F, one over the reversed stream and references
+    every B, and boundary k may sit at p exactly when F_k[p] + B_k[p] is the
+    optimum. Two optimal paths that cross share a grid point, so their lower
+    envelope is optimal too: the least such p for every k, found by one scan
+    that never moves back, form the earliest optimal split.
     """
     if not ref_segments:
         raise ValueError("need at least one reference segment")
     n = len(hyp_stream)
-    # after[k] is the column of the reversed stream against the reversed
-    # refs[k:], which hold `rest` tokens.
+    total = sum(len(ref) for ref in ref_segments)
+    before = _columns(hyp_stream, ref_segments)
+    # after[k] is the column of the reversed stream against the reversed refs[k:].
     after = _columns(hyp_stream[::-1], [ref[::-1] for ref in reversed(ref_segments)])[::-1]
-    rest = sum(len(ref) for ref in ref_segments)
+    best = _cell(before[-1], total, n)
     segments = []
-    start = 0
-    remaining = _cell(after[0], rest, n)
-    for k, ref in enumerate(ref_segments[:-1]):
-        rest -= len(ref)
-        # A piece costs at least its length minus len(ref), so none is wider.
-        window = hyp_stream[start : start + len(ref) + remaining]
-        column = _columns(window, [ref])[-1]
-        for width in range(len(window) + 1):
-            cost = _cell(column, len(ref), width)
-            if cost + _cell(after[k + 1], rest, n - start - width) == remaining:
-                break
-        segments.append(window[:width])
-        start += width
-        remaining -= cost
+    start = end = done = 0
+    for k, ref in enumerate(ref_segments[:-1], start=1):
+        done += len(ref)
+        while _cell(before[k], done, end) + _cell(after[k], total - done, n - end) != best:
+            end += 1
+        segments.append(hyp_stream[start:end])
+        start = end
     segments.append(hyp_stream[start:])
     return segments

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .corpus import Alignment, ParallelCorpus, Tokens, detokenize, line_tokens, paired_lines
-from .errors import AlignmentMissingError
+from .errors import AlignmentMissingError, DataError
 
 
 class Method(enum.Enum):
@@ -103,7 +103,9 @@ def generate_partial(
 
     Rows whose target prefix is empty are kept: the empty translation is the
     correct label for such prefixes. The alignment method requires one
-    alignment per pair with matching sentence lengths.
+    alignment per pair with matching sentence lengths: a short list raises
+    AlignmentMissingError for the first pair without one, a long list
+    DataError.
     """
     if min_i < 1:
         raise ValueError(f"min_i must be >= 1, got {min_i}")
@@ -111,14 +113,17 @@ def generate_partial(
         if alignments is None:
             first = corpus[0].id if len(corpus) else 0
             raise AlignmentMissingError(first, "no alignments supplied")
+        if len(alignments) != len(corpus):
+            counts = f"{len(alignments)} alignments for {len(corpus)} pairs"
+            if len(alignments) < len(corpus):
+                raise AlignmentMissingError(corpus[len(alignments)].id, counts)
+            raise DataError(f"too many alignments: {counts}")
     items = []
     for idx, pair in enumerate(corpus):
         src_len, tgt_len = len(pair.source), len(pair.target)
         lens = None
         if method is Method.ALIGNMENT:
             assert alignments is not None
-            if idx >= len(alignments):
-                raise AlignmentMissingError(pair.id, "alignment list too short")
             alignment = alignments[idx]
             if alignment.src_len != src_len or alignment.tgt_len != tgt_len:
                 raise AlignmentMissingError(
@@ -156,15 +161,18 @@ def manifest_lines(partial: PartialCorpus) -> list[str]:
     return lines
 
 
-def read_partial(src_lines: Iterable[str], tgt_lines: Iterable[str]) -> PartialCorpus:
+def read_partial(
+    src_lines: Iterable[str], tgt_lines: Iterable[str], *, what: str = "source"
+) -> PartialCorpus:
     """Load prefix rows from parallel prefix files.
 
     Target lines may be empty (empty translations are legal rows); source
     lines may not. Provenance fields are reconstructed from line order and
-    token counts, with method unknown.
+    token counts, with method unknown. what names the source lines in error
+    messages, such as the path they came from.
     """
     rows = []
     for k, (s, t) in paired_lines(src_lines, tgt_lines):
-        source = line_tokens(s, "source", k)
+        source = line_tokens(s, what, k)
         rows.append(PartialPair(k, len(source), source, tuple(t.split()), None))
     return tuple(rows)

@@ -244,7 +244,9 @@ class CommandTranslator:
 def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEvent]:
     """Parse update events from JSON-lines text; blank lines are skipped.
 
-    what names the lines in error messages, such as the path they came from.
+    A replace event must carry at least one token, since it becomes the
+    whole source. what names the lines in error messages, such as the path
+    they came from.
     """
     events = []
     for no, line in enumerate(lines, start=1):
@@ -266,6 +268,10 @@ def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEve
             raise EventParseError(f"{what} line {no}: utterance_id must be an integer")
         if kind not in KINDS or not isinstance(text, str):
             raise EventParseError(f"{what} line {no}: bad kind or text")
+        if kind == "replace" and not text.split():
+            raise EventParseError(
+                f"{what} line {no}: replace event for utterance {utterance_id} has no tokens"
+            )
         events.append(UpdateEvent(utterance_id, kind, text))
     return events
 

@@ -171,6 +171,25 @@ class TestDataErrors:
         )
         assert code == 2
         assert "line 2" in err
+        assert err.splitlines()[-1] == f"error: {src} line 2: empty sentence"
+
+    @pytest.mark.parametrize("side", ["full", "partial"])
+    def test_mix_empty_source_line_names_file_and_line(self, capsys, tmp_path, side):
+        good = write(tmp_path / "good.src", "a\nb\nc\n")
+        bad = write(tmp_path / "bad.src", "a\n \nc\n")
+        tgt = write(tmp_path / "t.txt", "x\ny\nz\n")
+        full, partial = (bad, good) if side == "full" else (good, bad)
+        code, out, err = run(
+            capsys,
+            "mix",
+            "--full-src", str(full),
+            "--full-tgt", str(tgt),
+            "--partial-src", str(partial),
+            "--partial-tgt", str(tgt),
+            "--out-prefix", str(tmp_path / "m"),
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: {bad} line 2: empty sentence"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -194,6 +213,10 @@ class TestDataErrors:
             "--out-prefix", str(tmp_path / "p"),
         )
         assert code == 2
+        assert err.splitlines()[-1] == (
+            f"error: {bad} line 1: bad alignment token '9-9': "
+            "index out of range for lengths (4,4)"
+        )
 
 
 class TestScore:
@@ -446,6 +469,20 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == (
             f"error: {events} line 2: invalid JSON: Expecting value: line 1 column 1 (char 0)"
+        )
+
+    def test_empty_replace_event_names_file_and_line(self, capsys, tmp_path):
+        events = write(
+            tmp_path / "ev.jsonl",
+            '{"utterance_id": 0, "kind": "replace", "text": "a"}\n'
+            '{"utterance_id": 0, "kind": "replace", "text": "  "}\n',
+        )
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", "identity"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: {events} line 2: replace event for utterance 0 has no tokens"
         )
 
     @pytest.mark.parametrize("kind", ["dict", "script"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from retrans import metrics
 from retrans.corpus import tokenize
 from retrans.metrics import (
     CorrectionReport,
@@ -354,6 +355,22 @@ class TestResegment:
         joined = sum(refs, ())
         cost = sum(edit_distance(s, r) for s, r in zip(segments, refs))
         assert cost == edit_distance(stream, joined) == levenshtein_full(stream, joined)
+
+    def test_two_kernel_passes(self, monkeypatch):
+        # One forward and one reversed pass over all references, whatever
+        # their number: no kernel call per reference.
+        calls = []
+        kernel = metrics._columns
+
+        def counting(stream, refs):
+            calls.append(len(refs))
+            return kernel(stream, refs)
+
+        monkeypatch.setattr(metrics, "_columns", counting)
+        refs = [tokenize("a b c"), tokenize("d e"), tokenize("f"), tokenize("g h i j")]
+        segments = resegment(tokenize("a b x d e f g h j"), refs)
+        assert segments == [("a", "b", "x"), ("d", "e"), ("f",), ("g", "h", "j")]
+        assert calls == [4, 4]
 
     def test_beats_proportional_split(self):
         rng = random.Random(77)

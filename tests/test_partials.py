@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retrans.corpus import Alignment, ParallelCorpus, SentencePair, read_parallel
-from retrans.errors import AlignmentMissingError
+from retrans.errors import AlignmentMissingError, DataError
 from retrans.partials import (
     Method,
     _prefix_lens,
@@ -148,6 +148,14 @@ class TestGeneratePartial:
         with pytest.raises(AlignmentMissingError) as err:
             generate_partial(corpus, Method.ALIGNMENT, [Alignment(1, 1, frozenset())])
         assert err.value.pair_id == 1
+
+    def test_alignment_list_too_long(self):
+        # A surplus alignment means the list belongs to another corpus; it is
+        # not cut off silently.
+        corpus = read_parallel(["a"], ["x"])
+        alignment = Alignment(1, 1, frozenset({(1, 1)}))
+        with pytest.raises(DataError, match="^too many alignments: 2 alignments for 1 pairs$"):
+            generate_partial(corpus, Method.ALIGNMENT, [alignment, alignment])
 
     def test_alignment_dimension_mismatch(self):
         with pytest.raises(AlignmentMissingError):
