@@ -80,20 +80,34 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.src, args.tgt)
     alignments = None
     if method is partials.Method.ALIGNMENT:
-        alignments = read_alignments(read_lines(args.alignments), corpus, what=args.alignments)
-    partial = partials.generate_partial(corpus, method, alignments, args.min_i)
-    _note(args, f"generated {len(partial)} prefix rows from {len(corpus)} pairs")
-    src_lines, tgt_lines = partials.partial_lines(partial)
-    write_lines(f"{args.out_prefix}.src", src_lines)
-    write_lines(f"{args.out_prefix}.tgt", tgt_lines)
-    write_lines(f"{args.out_prefix}.manifest.tsv", partials.manifest_lines(partial))
+        alignments = read_alignments(
+            read_lines(args.alignments), corpus, what=(args.src, args.alignments)
+        )
+    rows = partials.partial_rows(corpus, method, alignments, args.min_i)
+    out, count = args.out_prefix, 0
+    # Rows are written as they are made, so no more than one is held at a time.
+    with (
+        open(f"{out}.src", "w", encoding="utf-8", newline="\n") as src_out,
+        open(f"{out}.tgt", "w", encoding="utf-8", newline="\n") as tgt_out,
+        open(f"{out}.manifest.tsv", "w", encoding="utf-8", newline="\n") as manifest_out,
+    ):
+        manifest_out.write(partials.MANIFEST_HEADER + "\n")
+        for row in rows:
+            source, target = partials.row_text(row)
+            src_out.write(source + "\n")
+            tgt_out.write(target + "\n")
+            manifest_out.write(partials.manifest_row(row) + "\n")
+            count += 1
+    _note(args, f"generated {count} prefix rows from {len(corpus)} pairs")
     return 0
 
 
 def cmd_mix(args: argparse.Namespace) -> int:
     full = load_corpus(args.full_src, args.full_tgt)
     partial = partials.read_partial(
-        read_lines(args.partial_src), read_lines(args.partial_tgt), what=args.partial_src
+        read_lines(args.partial_src),
+        read_lines(args.partial_tgt),
+        what=(args.partial_src, args.partial_tgt),
     )
     mixed, manifest = mixing.mix(full, partial, args.seed)
     _note(args, f"mixed {manifest.full_count} full + {manifest.partial_sampled} partial rows")
@@ -117,7 +131,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     hyps = token_lines(args.hyp)
     refs = token_lines(args.ref)
     if len(hyps) != len(refs):
-        raise CorpusMismatchError(len(hyps), len(refs))
+        raise CorpusMismatchError(len(hyps), len(refs), (args.hyp, args.ref))
     if not hyps:
         raise DataError("nothing to score: both files are empty")
     if args.metric != "bleu":

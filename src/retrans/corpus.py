@@ -8,7 +8,7 @@ converted at the I/O boundary only.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,17 +93,20 @@ def line_tokens(line: str, what: str, k: int) -> Tokens:
 
 
 def paired_lines(
-    src_lines: Iterable[str], tgt_lines: Iterable[str]
-) -> Iterator[tuple[int, tuple[str, str]]]:
-    """Enumerate the line pairs of two aligned streams.
+    src_lines: Iterable[str],
+    tgt_lines: Iterable[str],
+    what: tuple[str, str] = ("source", "target"),
+) -> tuple[list[str], list[str]]:
+    """The lines of two aligned streams, as two lists of equal length.
 
-    Raises CorpusMismatchError when the streams differ in length.
+    Raises CorpusMismatchError, naming the streams by what, when they differ
+    in length.
     """
     src = list(src_lines)
     tgt = list(tgt_lines)
     if len(src) != len(tgt):
-        raise CorpusMismatchError(len(src), len(tgt))
-    return enumerate(zip(src, tgt))
+        raise CorpusMismatchError(len(src), len(tgt), what)
+    return src, tgt
 
 
 def read_parallel(
@@ -121,7 +124,7 @@ def read_parallel(
     src_what, tgt_what = what
     return tuple(
         SentencePair(k, line_tokens(s, src_what, k), line_tokens(t, tgt_what, k))
-        for k, (s, t) in paired_lines(src_lines, tgt_lines)
+        for k, (s, t) in enumerate(zip(*paired_lines(src_lines, tgt_lines, what)))
     )
 
 
@@ -160,21 +163,25 @@ def format_alignment(alignment: Alignment) -> str:
 
 
 def read_alignments(
-    lines: Iterable[str], corpus: ParallelCorpus, *, what: str = "alignments"
+    lines: Iterable[str],
+    corpus: ParallelCorpus,
+    *,
+    what: tuple[str, str] = ("corpus", "alignments"),
 ) -> list[Alignment]:
     """Parse one alignment line per corpus pair, in corpus order.
 
-    what names the lines in error messages, such as the path they came from.
+    what names the corpus and the alignment lines in error messages, such
+    as the paths they came from.
     """
     lines = list(lines)
     if len(lines) != len(corpus):
-        raise CorpusMismatchError(len(corpus), len(lines))
+        raise CorpusMismatchError(len(corpus), len(lines), what)
     alignments = []
     for no, (line, pair) in enumerate(zip(lines, corpus), start=1):
         try:
             alignments.append(read_alignment_line(line, len(pair.source), len(pair.target)))
         except AlignmentParseError as err:
-            raise AlignmentParseError(err.token, err.detail, f"{what} line {no}") from None
+            raise AlignmentParseError(err.token, err.detail, f"{what[1]} line {no}") from None
     return alignments
 
 

@@ -19,15 +19,20 @@ class EmptySentenceError(DataError):
 
 
 class CorpusMismatchError(DataError):
-    """Two parallel line streams had different lengths."""
+    """Two parallel line streams had different lengths.
 
-    def __init__(self, src_count: int, tgt_count: int) -> None:
+    what names the two streams, such as the paths they came from. The
+    message names the second stream first, as the one checked against the
+    first: "a.txt has 1 lines but s.txt has 2".
+    """
+
+    def __init__(
+        self, src_count: int, tgt_count: int, what: tuple[str, str] = ("source", "target")
+    ) -> None:
         self.src_count = src_count
         self.tgt_count = tgt_count
-        super().__init__(
-            f"parallel streams differ in length: {src_count} source lines vs "
-            f"{tgt_count} target lines"
-        )
+        src_what, tgt_what = what
+        super().__init__(f"{tgt_what} has {tgt_count} lines but {src_what} has {src_count}")
 
 
 class AlignmentParseError(DataError):

@@ -8,10 +8,11 @@ shuffled once into a static training file. All randomness flows from one seed.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, SentencePair
-from .partials import PartialCorpus
+from .partials import PartialPair
 
 
 @dataclass(frozen=True)
@@ -28,14 +29,17 @@ class MixManifest:
         return self.full_count + self.partial_sampled
 
 
-def _sample(partial: PartialCorpus, n: int, rng: random.Random) -> PartialCorpus:
+def _sample(
+    partial: Sequence[PartialPair], n: int, rng: random.Random
+) -> Sequence[PartialPair]:
+    # The draw needs only the count, so a lazy partial is read at the picked rows alone.
     if n >= len(partial):
         return partial
     picked = sorted(rng.sample(range(len(partial)), n))
     return tuple(partial[k] for k in picked)
 
 
-def subsample(partial: PartialCorpus, n: int, seed: int) -> PartialCorpus:
+def subsample(partial: Sequence[PartialPair], n: int, seed: int) -> Sequence[PartialPair]:
     """Uniform sample of min(n, size) rows without replacement, order kept."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -43,7 +47,7 @@ def subsample(partial: PartialCorpus, n: int, seed: int) -> PartialCorpus:
 
 
 def mix(
-    full: ParallelCorpus, partial: PartialCorpus, seed: int
+    full: ParallelCorpus, partial: Sequence[PartialPair], seed: int
 ) -> tuple[ParallelCorpus, MixManifest]:
     """Union of the full corpus with an equal-size prefix subsample, shuffled.
 

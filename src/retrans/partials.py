@@ -10,11 +10,11 @@ system trained on these rows never has to retract words as input grows.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .corpus import Alignment, ParallelCorpus, Tokens, detokenize, line_tokens, paired_lines
-from .errors import AlignmentMissingError, DataError
+from .corpus import Alignment, ParallelCorpus, Tokens, detokenize, paired_lines
+from .errors import AlignmentMissingError, DataError, EmptySentenceError
 
 
 class Method(enum.Enum):
@@ -93,6 +93,57 @@ def _prefix_lens(alignment: Alignment) -> list[int]:
     return lens
 
 
+def partial_rows(
+    corpus: ParallelCorpus,
+    method: Method,
+    alignments: Sequence[Alignment] | None = None,
+    min_i: int = 1,
+) -> Iterator[PartialPair]:
+    """generate_partial's rows one at a time, pair by pair, in the same order.
+
+    Every check runs before this returns, so a caller that writes the rows
+    as they come never stops half-way through its output.
+    """
+    if min_i < 1:
+        raise ValueError(f"min_i must be >= 1, got {min_i}")
+    if method is Method.RATIO:
+        for pair in corpus:
+            if not pair.target and len(pair.source) >= min_i:
+                raise ValueError(f"pair {pair.id}: the ratio method needs a non-empty target")
+        return _rows(corpus, method, None, min_i)
+    if alignments is None:
+        first = corpus[0].id if len(corpus) else 0
+        raise AlignmentMissingError(first, "no alignments supplied")
+    if len(alignments) != len(corpus):
+        counts = f"{len(alignments)} alignments for {len(corpus)} pairs"
+        if len(alignments) < len(corpus):
+            raise AlignmentMissingError(corpus[len(alignments)].id, counts)
+        raise DataError(f"too many alignments: {counts}")
+    for pair, alignment in zip(corpus, alignments):
+        src_len, tgt_len = len(pair.source), len(pair.target)
+        if alignment.src_len != src_len or alignment.tgt_len != tgt_len:
+            raise AlignmentMissingError(
+                pair.id,
+                f"alignment is ({alignment.src_len},{alignment.tgt_len}), "
+                f"pair is ({src_len},{tgt_len})",
+            )
+    return _rows(corpus, method, alignments, min_i)
+
+
+def _rows(
+    corpus: ParallelCorpus,
+    method: Method,
+    alignments: Sequence[Alignment] | None,
+    min_i: int,
+) -> Iterator[PartialPair]:
+    for idx, pair in enumerate(corpus):
+        src_len, tgt_len = len(pair.source), len(pair.target)
+        lens = None if alignments is None else _prefix_lens(alignments[idx])
+        for i in range(min_i, src_len + 1):
+            j = ratio_prefix_len(src_len, i, tgt_len) if lens is None else lens[i - 1]
+            yield PartialPair(pair.id, i, pair.source[:i], pair.target[:j], method)
+
+
 def generate_partial(
     corpus: ParallelCorpus,
     method: Method,
@@ -102,77 +153,75 @@ def generate_partial(
     """Emit one prefix row per pair and per source prefix length in [min_i, I].
 
     Rows whose target prefix is empty are kept: the empty translation is the
-    correct label for such prefixes. The alignment method requires one
-    alignment per pair with matching sentence lengths: a short list raises
-    AlignmentMissingError for the first pair without one, a long list
-    DataError.
+    correct label for such prefixes. The ratio method requires a non-empty
+    target for every pair that yields rows (ValueError otherwise). The
+    alignment method requires one alignment per pair with matching sentence
+    lengths: a short list raises AlignmentMissingError for the first pair
+    without one, a long list DataError.
     """
-    if min_i < 1:
-        raise ValueError(f"min_i must be >= 1, got {min_i}")
-    if method is Method.ALIGNMENT:
-        if alignments is None:
-            first = corpus[0].id if len(corpus) else 0
-            raise AlignmentMissingError(first, "no alignments supplied")
-        if len(alignments) != len(corpus):
-            counts = f"{len(alignments)} alignments for {len(corpus)} pairs"
-            if len(alignments) < len(corpus):
-                raise AlignmentMissingError(corpus[len(alignments)].id, counts)
-            raise DataError(f"too many alignments: {counts}")
-    items = []
-    for idx, pair in enumerate(corpus):
-        src_len, tgt_len = len(pair.source), len(pair.target)
-        lens = None
-        if method is Method.ALIGNMENT:
-            assert alignments is not None
-            alignment = alignments[idx]
-            if alignment.src_len != src_len or alignment.tgt_len != tgt_len:
-                raise AlignmentMissingError(
-                    pair.id,
-                    f"alignment is ({alignment.src_len},{alignment.tgt_len}), "
-                    f"pair is ({src_len},{tgt_len})",
-                )
-            lens = _prefix_lens(alignment)
-        for i in range(min_i, src_len + 1):
-            if method is Method.RATIO:
-                j = ratio_prefix_len(src_len, i, tgt_len)
-            else:
-                assert lens is not None
-                j = lens[i - 1]
-            items.append(
-                PartialPair(pair.id, i, pair.source[:i], pair.target[:j], method)
-            )
-    return tuple(items)
+    return tuple(partial_rows(corpus, method, alignments, min_i))
+
+
+MANIFEST_HEADER = "parent_id\ti\tj\tmethod"
+"""First line of a prefix manifest; manifest_row gives the lines after it."""
+
+
+def row_text(row: PartialPair) -> tuple[str, str]:
+    """A prefix row as its source line and its target line (maybe empty)."""
+    return detokenize(row.source_prefix), detokenize(row.target_prefix)
+
+
+def manifest_row(row: PartialPair) -> str:
+    """A prefix row's manifest line: parent_id, i, j, method, tab-separated."""
+    name = row.method.value if row.method is not None else "unknown"
+    return f"{row.parent_id}\t{row.i}\t{row.j}\t{name}"
 
 
 def partial_lines(partial: PartialCorpus) -> tuple[list[str], list[str]]:
     """Render prefix rows to (source lines, target lines); targets may be empty."""
-    return (
-        [detokenize(p.source_prefix) for p in partial],
-        [detokenize(p.target_prefix) for p in partial],
-    )
+    texts = [row_text(p) for p in partial]
+    return [s for s, _ in texts], [t for _, t in texts]
 
 
 def manifest_lines(partial: PartialCorpus) -> list[str]:
     """Tab-separated manifest rows: parent_id, i, j, method (with header)."""
-    lines = ["parent_id\ti\tj\tmethod"]
-    for p in partial:
-        name = p.method.value if p.method is not None else "unknown"
-        lines.append(f"{p.parent_id}\t{p.i}\t{p.j}\t{name}")
-    return lines
+    return [MANIFEST_HEADER, *map(manifest_row, partial)]
+
+
+class _PartialLines(Sequence[PartialPair]):
+    """Prefix rows over two line lists; row k is tokenised when it is read."""
+
+    def __init__(self, src: list[str], tgt: list[str]) -> None:
+        self._src = src
+        self._tgt = tgt
+
+    def __len__(self) -> int:
+        return len(self._src)
+
+    def __getitem__(self, index: int) -> PartialPair:
+        k = range(len(self._src))[index]  # parent_id k for a negative index too
+        source = tuple(self._src[k].split())
+        return PartialPair(k, len(source), source, tuple(self._tgt[k].split()), None)
 
 
 def read_partial(
-    src_lines: Iterable[str], tgt_lines: Iterable[str], *, what: str = "source"
-) -> PartialCorpus:
+    src_lines: Iterable[str],
+    tgt_lines: Iterable[str],
+    *,
+    what: tuple[str, str] = ("source", "target"),
+) -> Sequence[PartialPair]:
     """Load prefix rows from parallel prefix files.
 
     Target lines may be empty (empty translations are legal rows); source
-    lines may not. Provenance fields are reconstructed from line order and
-    token counts, with method unknown. what names the source lines in error
-    messages, such as the path they came from.
+    lines may not. The line counts and every source line are checked here,
+    but a row is tokenised only when it is read, so a caller that samples
+    rows pays for those alone. Provenance fields are reconstructed from line
+    order and token counts, with method unknown. what names the two streams
+    in error messages, such as the paths they came from.
     """
-    rows = []
-    for k, (s, t) in paired_lines(src_lines, tgt_lines):
-        source = line_tokens(s, what, k)
-        rows.append(PartialPair(k, len(source), source, tuple(t.split()), None))
-    return tuple(rows)
+    src, tgt = paired_lines(src_lines, tgt_lines, what)
+    for k, line in enumerate(src):
+        # The same test as "no tokens": str.split() splits where isspace() holds.
+        if not line or line.isspace():
+            raise EmptySentenceError(f"{what[0]} line {k + 1}")
+    return _PartialLines(src, tgt)

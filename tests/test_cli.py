@@ -159,6 +159,27 @@ class TestDataErrors:
         assert code == 2
         assert "2" in err and "1" in err
 
+    @pytest.mark.parametrize("command", ["align", "gen-partial", "mix", "score"])
+    def test_line_count_mismatch_names_both_files(self, capsys, tmp_path, command):
+        two = write(tmp_path / "s.txt", "a b\nc\n")
+        one = write(tmp_path / "t.txt", "x\n")
+        out = str(tmp_path / "out")
+        if command == "align":
+            argv = ["--src", str(two), "--tgt", str(one), "--out", out]
+        elif command == "gen-partial":
+            tgt = write(tmp_path / "u.txt", "x\ny\n")
+            argv = ["--src", str(two), "--tgt", str(tgt), "--method", "alignment",
+                    "--alignments", str(one), "--out-prefix", out]
+        elif command == "mix":
+            argv = ["--full-src", str(two), "--full-tgt", str(two), "--partial-src", str(two),
+                    "--partial-tgt", str(one), "--out-prefix", out]
+        else:
+            argv = ["--hyp", str(two), "--ref", str(one), "--metric", "bleu"]
+        code, stdout, err = run(capsys, command, *argv)
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == f"error: {one} has 1 lines but {two} has 2"
+        assert not list(tmp_path.glob("out*"))
+
     def test_empty_corpus_line_names_position(self, capsys, tmp_path):
         src = write(tmp_path / "s.txt", "a\n\nb\n")
         tgt = write(tmp_path / "t.txt", "x\ny\nz\n")

@@ -68,6 +68,11 @@ class TestReadParallel:
             read_parallel(["a"], [])
         assert err.value.src_count == 1
         assert err.value.tgt_count == 0
+        assert str(err.value) == "target has 0 lines but source has 1"
+
+    def test_length_mismatch_names_the_streams(self):
+        with pytest.raises(CorpusMismatchError, match="^t.txt has 2 lines but s.txt has 1$"):
+            read_parallel(["a"], ["x", "y"], what=("s.txt", "t.txt"))
 
     def test_ids_follow_file_order(self):
         corpus = read_parallel(["a", "b"], ["x", "y"])
@@ -140,8 +145,9 @@ def test_read_alignments_matches_corpus_order():
 
 def test_read_alignments_count_mismatch():
     corpus = read_parallel(["a"], ["x"])
-    with pytest.raises(CorpusMismatchError):
-        read_alignments(["", ""], corpus)
+    with pytest.raises(CorpusMismatchError, match="^a.txt has 2 lines but s.txt has 1$") as err:
+        read_alignments(["", ""], corpus, what=("s.txt", "a.txt"))
+    assert (err.value.src_count, err.value.tgt_count) == (1, 2)
 
 
 class TestLineIO:

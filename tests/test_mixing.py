@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from retrans.corpus import ParallelCorpus, SentencePair
 from retrans.mixing import MixManifest, mix, subsample
-from retrans.partials import PartialCorpus, PartialPair
+from retrans.partials import PartialCorpus, PartialPair, read_partial
 
 
 def full_corpus(n: int) -> ParallelCorpus:
@@ -112,3 +112,32 @@ class TestMix:
         out_partial = Counter(p.source for p in mixed if p.source[0].startswith("p"))
         partial_rows = Counter((f"p{k}",) for k in range(n_partial))
         assert all(out_partial[row] <= partial_rows[row] for row in out_partial)
+
+
+def prefix_lines(n: int) -> tuple[list[str], list[str]]:
+    """n prefix rows as read_partial's input; every fifth target is empty."""
+    return [f"p{k} r{k % 3}" for k in range(n)], ["" if k % 5 == 0 else f"q{k}" for k in range(n)]
+
+
+class TestMixOverLazyRows:
+    def test_tokenises_only_the_sampled_rows(self, monkeypatch):
+        rows = read_partial(*prefix_lines(10_000))
+        read = []
+        lazy_getitem = type(rows).__getitem__
+
+        def counting_getitem(self, index):
+            read.append(index)
+            return lazy_getitem(self, index)
+
+        monkeypatch.setattr(type(rows), "__getitem__", counting_getitem)
+        mixed, manifest = mix(full_corpus(10), rows, seed=3)
+        assert manifest == MixManifest(10, 10_000, 10, 3)
+        assert len(mixed) == 20
+        assert 0 < len(read) <= 10
+
+    @given(st.integers(0, 30), st.integers(0, 60), st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_same_output_as_over_a_tuple(self, n_full, n_partial, seed):
+        rows = read_partial(*prefix_lines(n_partial))
+        assert mix(full_corpus(n_full), rows, seed) == mix(full_corpus(n_full), tuple(rows), seed)
+        assert tuple(subsample(rows, n_full, seed)) == subsample(tuple(rows), n_full, seed)

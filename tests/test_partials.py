@@ -1,20 +1,35 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+import tempfile
+from collections.abc import Iterator
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retrans.corpus import Alignment, ParallelCorpus, SentencePair, read_parallel
-from retrans.errors import AlignmentMissingError, DataError
+from retrans.cli import main
+from retrans.corpus import (
+    Alignment,
+    ParallelCorpus,
+    SentencePair,
+    format_alignment,
+    read_parallel,
+    write_lines,
+)
+from retrans.errors import AlignmentMissingError, CorpusMismatchError, DataError, EmptySentenceError
 from retrans.partials import (
     Method,
+    PartialPair,
     _prefix_lens,
     alignment_prefix_len,
     generate_partial,
     manifest_lines,
     partial_lines,
+    partial_rows,
     ratio_prefix_len,
     read_partial,
 )
@@ -167,6 +182,48 @@ class TestGeneratePartial:
         with pytest.raises(ValueError):
             generate_partial(corpus_of("a", "x"), Method.RATIO, min_i=0)
 
+    def test_ratio_needs_a_target_only_where_rows_are_made(self):
+        corpus = (SentencePair(0, ("a", "b"), ()),)
+        with pytest.raises(ValueError, match="^pair 0: the ratio method needs a non-empty target$"):
+            partial_rows(corpus, Method.RATIO)
+        assert generate_partial(corpus, Method.RATIO, min_i=3) == ()
+
+
+class TestPartialRows:
+    """Every check runs when partial_rows is called, before any row is asked for."""
+
+    @pytest.mark.parametrize(
+        "alignments,error",
+        [
+            ([], AlignmentMissingError),
+            ([Alignment(1, 1, frozenset())] * 3, DataError),
+            ([Alignment(1, 1, frozenset()), Alignment(2, 1, frozenset())], AlignmentMissingError),
+            (None, AlignmentMissingError),
+        ],
+        ids=["short-list", "long-list", "length-mismatch", "no-list"],
+    )
+    def test_bad_alignments_raise_on_call(self, alignments, error):
+        corpus = read_parallel(["a", "b"], ["x", "y"])
+        with pytest.raises(error):
+            partial_rows(corpus, Method.ALIGNMENT, alignments)
+
+    def test_length_mismatch_after_good_pairs_raises_on_call(self):
+        corpus = read_parallel(["a b", "c"], ["x", "y"])
+        alignments = [Alignment(2, 1, frozenset()), Alignment(1, 2, frozenset())]
+        with pytest.raises(AlignmentMissingError) as err:
+            partial_rows(corpus, Method.ALIGNMENT, alignments)
+        assert err.value.pair_id == 1
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_bad_min_i_raises_on_call(self, method):
+        with pytest.raises(ValueError, match="min_i"):
+            partial_rows(corpus_of("a", "x"), method, [Alignment(1, 1, frozenset())], min_i=0)
+
+    def test_rows_come_one_at_a_time(self):
+        rows = partial_rows(corpus_of("a b c", "x y"), Method.RATIO)
+        assert isinstance(rows, Iterator)
+        assert next(rows) == PartialPair(0, 1, ("a",), ("x",), Method.RATIO)
+
 
 sentence_st = st.lists(
     st.text(alphabet="abc", min_size=1, max_size=3), min_size=1, max_size=10
@@ -211,3 +268,88 @@ def test_manifest_lines_layout():
     assert lines[0] == "parent_id\ti\tj\tmethod"
     assert lines[1] == "0\t1\t1\tratio"
     assert lines[2] == "0\t2\t2\tratio"
+
+
+# Lines with every kind of blank that str.split() splits on, and the
+# characters that only look like line ends ("\n" never occurs in a line).
+blank_line_st = st.text(
+    alphabet=st.sampled_from(
+        [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+         "\u2028", "\u2029", "\u3000", "\xa0", "\u200b", "a", "b", "é"]
+    ),
+    max_size=6,
+)
+
+
+@given(st.lists(st.tuples(blank_line_st, blank_line_st), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_lazy_read_partial_matches_eager_tokenisation(pairs):
+    src = [s for s, _ in pairs]
+    tgt = [t for _, t in pairs]
+    empty = next((k for k, s in enumerate(src) if not s.split()), None)
+    if empty is not None:
+        with pytest.raises(EmptySentenceError) as err:
+            read_partial(src, tgt, what=("p.src", "p.tgt"))
+        assert str(err.value) == f"p.src line {empty + 1}: empty sentence"
+        return
+    rows = read_partial(src, tgt, what=("p.src", "p.tgt"))
+    assert not isinstance(rows, Iterator)
+    assert len(rows) == len(pairs)
+    expected = [
+        PartialPair(k, len(s.split()), tuple(s.split()), tuple(t.split()), None)
+        for k, (s, t) in enumerate(pairs)
+    ]
+    assert [rows[k] for k in range(len(rows))] == expected
+    assert list(rows) == expected
+    assert [rows[k] for k in range(-len(rows), 0)] == expected
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+
+
+def test_read_partial_count_mismatch_names_both_files():
+    with pytest.raises(CorpusMismatchError, match="^p.tgt has 1 lines but p.src has 2$"):
+        read_partial(["a", "b"], ["x"], what=("p.src", "p.tgt"))
+
+
+corpus_line_st = st.lists(st.sampled_from(["a", "b", "c", "dé"]), min_size=1, max_size=7).map(" ".join)
+
+
+@given(
+    st.lists(st.tuples(corpus_line_st, corpus_line_st), min_size=1, max_size=6),
+    st.sampled_from(list(Method)),
+    st.integers(1, 4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, min_i, rng):
+    corpus = read_parallel([s for s, _ in pairs], [t for _, t in pairs])
+    alignments = [
+        Alignment(len(p.source), len(p.target), frozenset(
+            (rng.randint(1, len(p.source)), rng.randint(1, len(p.target)))
+            for _ in range(rng.randint(0, 4))
+        ))
+        for p in corpus
+    ]
+    partial = generate_partial(corpus, method, alignments, min_i)
+    src_lines, tgt_lines = partial_lines(partial)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_lines(d / "c.src", [s for s, _ in pairs])
+        write_lines(d / "c.tgt", [t for _, t in pairs])
+        write_lines(d / "c.align", [format_alignment(a) for a in alignments])
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([
+                "gen-partial", "--src", str(d / "c.src"), "--tgt", str(d / "c.tgt"),
+                "--method", method.value, "--alignments", str(d / "c.align"),
+                "--min-i", str(min_i), "--out-prefix", str(d / "p"), "-v",
+            ])
+        assert code == 0
+        for suffix, lines in (
+            ("src", src_lines), ("tgt", tgt_lines), ("manifest.tsv", manifest_lines(partial))
+        ):
+            written = (d / f"p.{suffix}").read_bytes()
+            assert written == "".join(line + "\n" for line in lines).encode("utf-8")
+    assert stderr.getvalue().splitlines()[-1] == (
+        f"generated {len(partial)} prefix rows from {len(corpus)} pairs"
+    )
