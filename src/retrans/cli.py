@@ -14,6 +14,7 @@ from typing import NoReturn
 
 from . import aligner, metrics, mixing, partials, session
 from .corpus import (
+    Tokens,
     corpus_lines,
     detokenize,
     format_alignment,
@@ -133,7 +134,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if len(hyps) != len(refs):
         raise CorpusMismatchError(len(hyps), len(refs), (args.hyp, args.ref))
     if not hyps:
-        raise DataError("nothing to score: both files are empty")
+        raise DataError(f"nothing to score: {args.hyp} and {args.ref} are both empty")
     if args.metric != "bleu":
         for k, (hyp, ref) in enumerate(zip(hyps, refs), start=1):
             if not ref:
@@ -158,9 +159,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_refs(path: str) -> list[Tokens]:
+    """Reference segments of a file, one per line; a file without any is a data error."""
+    refs = token_lines(path)
+    if not refs:
+        raise DataError(f"{path}: need at least one reference segment")
+    return refs
+
+
 def cmd_reseg(args: argparse.Namespace) -> int:
     stream = tuple(token for line in token_lines(args.hyp_stream) for token in line)
-    segments = metrics.resegment(stream, token_lines(args.refs))
+    segments = metrics.resegment(stream, _read_refs(args.refs))
     write_lines(args.out, [detokenize(s) for s in segments])
     return 0
 
@@ -196,6 +205,8 @@ def _build_translator(spec: str, timeout: float) -> session.Translator:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     events = session.read_events(read_lines(args.events), what=args.events)
+    # The references are checked before any translator work is done.
+    refs = _read_refs(args.refs) if args.refs else None
     translator = _build_translator(args.translator, args.timeout)
     try:
         logs = session.run_session(events, translator)
@@ -218,7 +229,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     )
                 )
         write_lines(args.log_out, lines)
-    refs = token_lines(args.refs) if args.refs else None
     report_lines = session.evaluate_sessions(logs, refs).lines()
     for line in report_lines:
         print(line)

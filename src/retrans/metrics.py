@@ -6,6 +6,9 @@ displayed translations, token-level word error rate, and the repartitioning
 of an unsegmented hypothesis stream against reference segments so that
 segmentation mismatches do not distort BLEU.
 
+BLEU and GLEU share one n-gram profile per sentence (ngram_counts), walk
+only the clipped overlap of two profiles, and take n-gram totals from lengths.
+
 Word error rate and the resegmenter share one edit-distance kernel,
 _columns, which advances the whole column of the dynamic program over the
 stream with a few big-integer operations per reference token.
@@ -23,12 +26,11 @@ from .corpus import Tokens
 MAX_ORDER = 4
 
 
-def ngram_counts(tokens: Sequence[str], max_order: int = MAX_ORDER) -> Counter:
-    """Occurrence counts of all n-grams with 1 <= n <= max_order."""
+def ngram_counts(tokens: Sequence[str]) -> Counter:
+    """Occurrence counts of all n-grams with 1 <= n <= MAX_ORDER, keyed by token tuples."""
     counts: Counter = Counter()
-    for n in range(1, max_order + 1):
-        for k in range(len(tokens) - n + 1):
-            counts[tuple(tokens[k : k + n])] += 1
+    for n in range(1, MAX_ORDER + 1):
+        counts.update(zip(*(tokens[k:] for k in range(n))))
     return counts
 
 
@@ -49,37 +51,26 @@ def bleu(
 ) -> float:
     """Corpus BLEU in [0, 1] with orders 1..4 and the brevity penalty.
 
-    Precisions are clipped counts aggregated over the whole corpus; the
-    score is their geometric mean times exp(min(0, 1 - ref_len/hyp_len)).
+    Precisions are clipped counts aggregated over the whole corpus, over
+    hypothesis n-gram totals taken from the sentence lengths; the score is
+    their geometric mean times exp(min(0, 1 - ref_len/hyp_len)).
     Orders for which the corpus has no hypothesis n-grams at all are skipped
     so that very short corpora still score 1.0 against themselves. Without
     smoothing the score is 0 whenever any remaining aggregate precision is 0;
     smooth=True adds one to numerator and denominator of orders above 1,
     which keeps desk-size corpora away from hard zeros.
     """
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"hypothesis/reference counts differ: {len(hypotheses)} vs {len(references)}"
-        )
-    if not hypotheses:
-        raise ValueError("need at least one sentence pair")
+    _check_pairs(hypotheses, references)
     matched = [0] * (MAX_ORDER + 1)
-    total = [0] * (MAX_ORDER + 1)
-    hyp_len = 0
-    ref_len = 0
     for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        hyp_all = ngram_counts(hyp)
-        ref_all = ngram_counts(ref)
-        overlap = hyp_all & ref_all
-        for gram, c in hyp_all.items():
-            total[len(gram)] += c
-        for gram, c in overlap.items():
+        for gram, c in (ngram_counts(hyp) & ngram_counts(ref)).items():
             matched[len(gram)] += c
+    lengths = [len(hyp) for hyp in hypotheses]
+    hyp_len = sum(lengths)
+    ref_len = sum(len(ref) for ref in references)
     logs = []
     for n in range(1, MAX_ORDER + 1):
-        m, t = matched[n], total[n]
+        m, t = matched[n], sum(max(0, length - n + 1) for length in lengths)
         if t == 0:
             continue
         if smooth and n > 1:
@@ -101,23 +92,26 @@ def gleu(hypothesis: Tokens, reference: Tokens) -> float:
     """
     if not hypothesis or not reference:
         raise ValueError("gleu requires non-empty hypothesis and reference")
-    hyp_counts = ngram_counts(hypothesis)
-    ref_counts = ngram_counts(reference)
-    matched = sum((hyp_counts & ref_counts).values())
-    precision = matched / sum(hyp_counts.values())
-    recall = matched / sum(ref_counts.values())
-    return min(precision, recall)
+    matched = sum((ngram_counts(hypothesis) & ngram_counts(reference)).values())
+    # min(matched / h, matched / r) is matched / max(h, r), and the longer side has more n-grams.
+    longer = max(len(hypothesis), len(reference))
+    return matched / sum(max(0, longer - n + 1) for n in range(1, MAX_ORDER + 1))
 
 
 def mean_gleu(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:
     """Plain average of sentence scores, for corpus-level reporting."""
+    _check_pairs(hypotheses, references)
+    return sum(map(gleu, hypotheses, references)) / len(hypotheses)
+
+
+def _check_pairs(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> None:
+    """Raise ValueError unless there are as many hypotheses as references, and some."""
     if len(hypotheses) != len(references):
         raise ValueError(
             f"hypothesis/reference counts differ: {len(hypotheses)} vs {len(references)}"
         )
     if not hypotheses:
         raise ValueError("need at least one sentence pair")
-    return sum(gleu(h, r) for h, r in zip(hypotheses, references)) / len(hypotheses)
 
 
 def corrected_words(prev: Tokens, new: Tokens) -> int:

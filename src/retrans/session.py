@@ -290,7 +290,9 @@ def event_lines(events: Sequence[UpdateEvent]) -> list[str]:
 def load_tsv_map(lines: Iterable[str], *, what: str) -> dict[str, str]:
     """Load a two-column tab-separated mapping (lexicon or replay script).
 
-    what names the lines in error messages, such as the path they came from.
+    Keys are whitespace-normalised as input lines are tokenised, so a key
+    with inner runs of spaces matches the detokenized source. what names the
+    lines in error messages, such as the path they came from.
     """
     mapping: dict[str, str] = {}
     for no, line in enumerate(lines, start=1):
@@ -299,5 +301,5 @@ def load_tsv_map(lines: Iterable[str], *, what: str) -> dict[str, str]:
         left, sep, right = line.partition("\t")
         if not sep or not left.strip() or not right.strip():
             raise DataError(f"{what} line {no}: expected 'source<TAB>target'")
-        mapping[left.strip()] = right.strip()
+        mapping[" ".join(left.split())] = right.strip()
     return mapping

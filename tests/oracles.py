@@ -8,6 +8,7 @@ with the package, so a bug in the package cannot hide in its own oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 
 NULL_MARK = "<null-source>"
@@ -150,3 +151,59 @@ def resegment_dp(stream, refs):
         segments.append(tuple(stream[b:e]))
         b = e
     return segments, best[0][0]
+
+
+def _ngram_list(tokens, n):
+    """Every n-gram of tokens, in order, as a list of tuples."""
+    return [tuple(tokens[k : k + n]) for k in range(len(tokens) - n + 1)]
+
+
+def _clipped_matches(hyp_grams, ref_grams):
+    """Hypothesis n-grams found in the reference, each counted at most as often as there."""
+    return sum(min(hyp_grams.count(g), ref_grams.count(g)) for g in set(hyp_grams))
+
+
+def bleu_reference(hypotheses, references, smooth=False):
+    """Corpus BLEU (Papineni et al., 2002) with orders 1..4, from its definition.
+
+    For each order n the clipped matches and the hypothesis n-grams are summed
+    over the corpus; orders without hypothesis n-grams are skipped, smooth adds
+    one to both sums above unigrams, and a zero precision gives 0. The result
+    is the brevity penalty times the geometric mean of the precisions.
+    """
+    precisions = []
+    for n in range(1, 5):
+        matched = total = 0
+        for hyp, ref in zip(hypotheses, references):
+            hyp_grams = _ngram_list(hyp, n)
+            matched += _clipped_matches(hyp_grams, _ngram_list(ref, n))
+            total += len(hyp_grams)
+        if total == 0:
+            continue
+        if smooth and n > 1:
+            matched, total = matched + 1, total + 1
+        if matched == 0:
+            return 0.0
+        precisions.append(matched / total)
+    if not precisions:
+        return 0.0
+    hyp_len = sum(len(hyp) for hyp in hypotheses)
+    ref_len = sum(len(ref) for ref in references)
+    penalty = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return penalty * math.exp(sum(math.log(p) for p in precisions) / len(precisions))
+
+
+def gleu_reference(hypothesis, reference):
+    """Sentence GLEU (Wu et al., 2016): min of n-gram precision and recall.
+
+    Clipped matches, hypothesis n-grams and reference n-grams are each summed
+    over orders 1..4.
+    """
+    matched = hyp_total = ref_total = 0
+    for n in range(1, 5):
+        hyp_grams = _ngram_list(hypothesis, n)
+        ref_grams = _ngram_list(reference, n)
+        matched += _clipped_matches(hyp_grams, ref_grams)
+        hyp_total += len(hyp_grams)
+        ref_total += len(ref_grams)
+    return min(matched / hyp_total, matched / ref_total)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import shlex
 import signal
@@ -310,6 +311,17 @@ class TestScore:
         assert code == 0
         assert out.splitlines()[0] == expected
 
+    def test_two_empty_files_are_named(self, capsys, tmp_path):
+        hyp = write(tmp_path / "hyp.txt", "")
+        ref = write(tmp_path / "ref.txt", "")
+        code, out, err = run(
+            capsys, "score", "--hyp", str(hyp), "--ref", str(ref), "--metric", "bleu"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: nothing to score: {hyp} and {ref} are both empty"
+        )
+
     def test_invalid_utf8_names_file_and_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"a b\n\xffc d\n")
@@ -397,6 +409,20 @@ class TestReseg:
         segments = Path(out).read_text(encoding="utf-8").splitlines()
         assert len(segments) == 20
 
+    def test_empty_refs_names_the_file(self, capsys, tmp_path, fixtures):
+        refs = write(tmp_path / "refs.txt", "")
+        out = tmp_path / "segments.txt"
+        code, stdout, err = run(
+            capsys,
+            "reseg",
+            "--hyp-stream", str(fixtures / "tiny.hyp.es"),
+            "--refs", str(refs),
+            "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == f"error: {refs}: need at least one reference segment"
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_dict_translator_full_report(self, capsys, tmp_path, fixtures):
@@ -468,6 +494,51 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "need at least one session log" in err
+
+    def test_script_key_with_inner_spaces_matches(self, capsys, tmp_path):
+        events = write(
+            tmp_path / "events.jsonl", '{"utterance_id": 0, "kind": "replace", "text": "i encourage"}\n'
+        )
+        script = write(tmp_path / "script.tsv", "i  encourage\tyo animo\n")
+        log = tmp_path / "log.jsonl"
+        code, _, _ = run(
+            capsys,
+            "simulate",
+            "--events", str(events),
+            "--translator", f"script:{script}",
+            "--log-out", str(log),
+        )
+        assert code == 0
+        assert json.loads(read_lines(log)[0])["translation"] == "yo animo"
+
+    @pytest.mark.parametrize("refs_text", [None, ""], ids=["missing", "empty"])
+    def test_refs_checked_before_the_translator_starts(self, capsys, tmp_path, fixtures, refs_text):
+        refs = tmp_path / "refs.txt"
+        if refs_text is not None:
+            write(refs, refs_text)
+        started = tmp_path / "started"
+        log = tmp_path / "log.jsonl"
+        child = (
+            "import sys\n"
+            f"open({str(started)!r}, 'w').close()\n"
+            "for line in sys.stdin: print(line.rstrip(), flush=True)"
+        )
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--events", str(fixtures / "tiny.events.jsonl"),
+            "--translator", _cmd_spec(child),
+            "--timeout", "10",
+            "--refs", str(refs),
+            "--log-out", str(log),
+        )
+        assert (code, out) == (2, "")
+        if refs_text is None:
+            assert str(refs) in err.splitlines()[-1]
+        else:
+            assert err.splitlines()[-1] == f"error: {refs}: need at least one reference segment"
+        assert not started.exists()
+        assert not log.exists()
 
     def test_word_to_word_lexicon_enforced(self, capsys, tmp_path, fixtures):
         bad = write(tmp_path / "bad.tsv", "source\ttwo words\n")

@@ -23,7 +23,13 @@ from retrans.metrics import (
     wer,
 )
 
-from oracles import levenshtein_full, resegment_bruteforce, resegment_dp
+from oracles import (
+    bleu_reference,
+    gleu_reference,
+    levenshtein_full,
+    resegment_bruteforce,
+    resegment_dp,
+)
 
 sentence_st = st.lists(
     st.text(alphabet="abcd", min_size=1, max_size=3), min_size=1, max_size=10
@@ -133,6 +139,48 @@ class TestGleu:
         hyps = [tokenize("a b"), tokenize("c")]
         refs = [tokenize("a b"), tokenize("d")]
         assert mean_gleu(hyps, refs) == pytest.approx(0.5)
+
+
+short_sentence_st = st.lists(st.sampled_from("abc"), max_size=7).map(tuple)
+
+
+class TestScoresAgainstOracles:
+    """BLEU and GLEU equal, bit for bit, the oracles written from their definitions.
+
+    Sentences are drawn from three tokens and are often empty or shorter than
+    the highest order, so clipping, skipped orders and the brevity penalty
+    all come up.
+    """
+
+    @given(
+        st.lists(st.tuples(short_sentence_st, short_sentence_st), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    @example([((), ("a", "b"))], False)
+    @example([((), ()), (("a",), ("a", "b", "c"))], True)
+    @example([(("a", "b", "a"), ("a", "a", "b")), (("c",), ("c", "c"))], False)
+    @settings(max_examples=400, deadline=None)
+    def test_bleu_equals_oracle(self, pairs, smooth):
+        hyps = [hyp for hyp, _ in pairs]
+        refs = [ref for _, ref in pairs]
+        assert bleu(hyps, refs, smooth=smooth) == bleu_reference(hyps, refs, smooth=smooth)
+
+    @given(
+        st.lists(
+            st.tuples(short_sentence_st.filter(len), short_sentence_st.filter(len)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @example([(("a",), ("a", "b", "c", "a", "b"))])
+    @example([(("a", "b", "a"), ("a", "a", "b")), (("c", "c"), ("c",))])
+    @settings(max_examples=400, deadline=None)
+    def test_gleu_and_mean_gleu_equal_oracle(self, pairs):
+        hyps = [hyp for hyp, _ in pairs]
+        refs = [ref for _, ref in pairs]
+        scores = [gleu_reference(hyp, ref) for hyp, ref in pairs]
+        assert [gleu(hyp, ref) for hyp, ref in pairs] == scores
+        assert mean_gleu(hyps, refs) == sum(scores) / len(scores)
 
 
 class TestCorrectedWords:
