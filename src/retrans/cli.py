@@ -84,21 +84,20 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
         alignments = read_alignments(
             read_lines(args.alignments), corpus, what=(args.src, args.alignments)
         )
-    rows = partials.partial_rows(corpus, method, alignments, args.min_i)
+    blocks = partials.partial_blocks(corpus, method, alignments, args.min_i)
     out, count = args.out_prefix, 0
-    # Rows are written as they are made, so no more than one is held at a time.
+    # Each pair's rows are written as they are made, so no more than one pair's are held.
     with (
         open(f"{out}.src", "w", encoding="utf-8", newline="\n") as src_out,
         open(f"{out}.tgt", "w", encoding="utf-8", newline="\n") as tgt_out,
         open(f"{out}.manifest.tsv", "w", encoding="utf-8", newline="\n") as manifest_out,
     ):
         manifest_out.write(partials.MANIFEST_HEADER + "\n")
-        for row in rows:
-            source, target = partials.row_text(row)
-            src_out.write(source + "\n")
-            tgt_out.write(target + "\n")
-            manifest_out.write(partials.manifest_row(row) + "\n")
-            count += 1
+        for rows, source, target, manifest in blocks:
+            src_out.write(source)
+            tgt_out.write(target)
+            manifest_out.write(manifest)
+            count += rows
     _note(args, f"generated {count} prefix rows from {len(corpus)} pairs")
     return 0
 
@@ -204,6 +203,8 @@ def _build_translator(spec: str, timeout: float) -> session.Translator:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if not 0 < args.timeout < float("inf"):
+        args.parser.error("--timeout must be a finite number > 0")
     events = session.read_events(read_lines(args.events), what=args.events)
     # The references are checked before any translator work is done.
     refs = _read_refs(args.refs) if args.refs else None

@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .corpus import Tokens
 
@@ -28,10 +29,8 @@ MAX_ORDER = 4
 
 def ngram_counts(tokens: Sequence[str]) -> Counter:
     """Occurrence counts of all n-grams with 1 <= n <= MAX_ORDER, keyed by token tuples."""
-    counts: Counter = Counter()
-    for n in range(1, MAX_ORDER + 1):
-        counts.update(zip(*(tokens[k:] for k in range(n))))
-    return counts
+    tails = [tokens[k:] for k in range(MAX_ORDER)]
+    return Counter(chain.from_iterable(zip(*tails[:n]) for n in range(1, MAX_ORDER + 1)))
 
 
 def common_prefix_len(a: Sequence[str], b: Sequence[str]) -> int:
@@ -61,10 +60,7 @@ def bleu(
     which keeps desk-size corpora away from hard zeros.
     """
     _check_pairs(hypotheses, references)
-    matched = [0] * (MAX_ORDER + 1)
-    for hyp, ref in zip(hypotheses, references):
-        for gram, c in (ngram_counts(hyp) & ngram_counts(ref)).items():
-            matched[len(gram)] += c
+    matched = [sum(m) for m in zip(*map(_clipped_matches, hypotheses, references))]
     lengths = [len(hyp) for hyp in hypotheses]
     hyp_len = sum(lengths)
     ref_len = sum(len(ref) for ref in references)
@@ -92,10 +88,22 @@ def gleu(hypothesis: Tokens, reference: Tokens) -> float:
     """
     if not hypothesis or not reference:
         raise ValueError("gleu requires non-empty hypothesis and reference")
-    matched = sum((ngram_counts(hypothesis) & ngram_counts(reference)).values())
+    matched = sum(_clipped_matches(hypothesis, reference))
     # min(matched / h, matched / r) is matched / max(h, r), and the longer side has more n-grams.
     longer = max(len(hypothesis), len(reference))
     return matched / sum(max(0, longer - n + 1) for n in range(1, MAX_ORDER + 1))
+
+
+def _clipped_matches(hypothesis: Tokens, reference: Tokens) -> list[int]:
+    """Hypothesis n-grams matched in the reference, clipped per n-gram; entry n is order n."""
+    matched = [0] * (MAX_ORDER + 1)
+    rc = ngram_counts(reference)
+    # One dict lookup per hypothesis n-gram; Counter's & would call __missing__ for each miss.
+    for gram, c in ngram_counts(hypothesis).items():
+        if gram in rc:
+            r = rc[gram]
+            matched[len(gram)] += c if c < r else r
+    return matched
 
 
 def mean_gleu(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .corpus import Alignment, ParallelCorpus, Tokens, detokenize, paired_lines
+from .corpus import Alignment, ParallelCorpus, SentencePair, Tokens, detokenize, paired_lines
 from .errors import AlignmentMissingError, DataError, EmptySentenceError
 
 
@@ -57,7 +58,12 @@ def ratio_prefix_len(src_len: int, i: int, tgt_len: int) -> int:
         raise ValueError(f"need 1 <= i <= src_len, got i={i}, src_len={src_len}")
     if tgt_len < 1:
         raise ValueError(f"tgt_len must be >= 1, got {tgt_len}")
-    return (2 * i * tgt_len + src_len) // (2 * src_len)
+    return _ratio_lens(src_len, tgt_len)[i - 1]
+
+
+def _ratio_lens(src_len: int, tgt_len: int) -> list[int]:
+    """ratio_prefix_len for every i in [1, src_len]."""
+    return [(2 * i * tgt_len + src_len) // (2 * src_len) for i in range(1, src_len + 1)]
 
 
 def alignment_prefix_len(alignment: Alignment, i: int) -> int:
@@ -93,6 +99,38 @@ def _prefix_lens(alignment: Alignment) -> list[int]:
     return lens
 
 
+def _target_lens(
+    corpus: ParallelCorpus, method: Method, alignments: Sequence[Alignment] | None, min_i: int
+) -> Iterator[tuple[SentencePair, list[int]]]:
+    """Pairs with rows, each with j for every i in [min_i, I]; every check runs first."""
+    if min_i < 1:
+        raise ValueError(f"min_i must be >= 1, got {min_i}")
+    if method is Method.RATIO:
+        for pair in corpus:
+            if not pair.target and len(pair.source) >= min_i:
+                raise ValueError(f"pair {pair.id}: the ratio method needs a non-empty target")
+        lens = (_ratio_lens(len(pair.source), len(pair.target)) for pair in corpus)
+    elif alignments is None:
+        first = corpus[0].id if len(corpus) else 0
+        raise AlignmentMissingError(first, "no alignments supplied")
+    elif len(alignments) != len(corpus):
+        counts = f"{len(alignments)} alignments for {len(corpus)} pairs"
+        if len(alignments) < len(corpus):
+            raise AlignmentMissingError(corpus[len(alignments)].id, counts)
+        raise DataError(f"too many alignments: {counts}")
+    else:
+        for pair, alignment in zip(corpus, alignments):
+            src_len, tgt_len = len(pair.source), len(pair.target)
+            if alignment.src_len != src_len or alignment.tgt_len != tgt_len:
+                raise AlignmentMissingError(
+                    pair.id,
+                    f"alignment is ({alignment.src_len},{alignment.tgt_len}), "
+                    f"pair is ({src_len},{tgt_len})",
+                )
+        lens = map(_prefix_lens, alignments)
+    return ((pair, js[min_i - 1 :]) for pair, js in zip(corpus, lens) if len(js) >= min_i)
+
+
 def partial_rows(
     corpus: ParallelCorpus,
     method: Method,
@@ -104,44 +142,41 @@ def partial_rows(
     Every check runs before this returns, so a caller that writes the rows
     as they come never stops half-way through its output.
     """
-    if min_i < 1:
-        raise ValueError(f"min_i must be >= 1, got {min_i}")
-    if method is Method.RATIO:
-        for pair in corpus:
-            if not pair.target and len(pair.source) >= min_i:
-                raise ValueError(f"pair {pair.id}: the ratio method needs a non-empty target")
-        return _rows(corpus, method, None, min_i)
-    if alignments is None:
-        first = corpus[0].id if len(corpus) else 0
-        raise AlignmentMissingError(first, "no alignments supplied")
-    if len(alignments) != len(corpus):
-        counts = f"{len(alignments)} alignments for {len(corpus)} pairs"
-        if len(alignments) < len(corpus):
-            raise AlignmentMissingError(corpus[len(alignments)].id, counts)
-        raise DataError(f"too many alignments: {counts}")
-    for pair, alignment in zip(corpus, alignments):
-        src_len, tgt_len = len(pair.source), len(pair.target)
-        if alignment.src_len != src_len or alignment.tgt_len != tgt_len:
-            raise AlignmentMissingError(
-                pair.id,
-                f"alignment is ({alignment.src_len},{alignment.tgt_len}), "
-                f"pair is ({src_len},{tgt_len})",
-            )
-    return _rows(corpus, method, alignments, min_i)
+    return (
+        PartialPair(pair.id, i, pair.source[:i], pair.target[:j], method)
+        for pair, js in _target_lens(corpus, method, alignments, min_i)
+        for i, j in enumerate(js, min_i)
+    )
 
 
-def _rows(
+def partial_blocks(
     corpus: ParallelCorpus,
     method: Method,
-    alignments: Sequence[Alignment] | None,
-    min_i: int,
-) -> Iterator[PartialPair]:
-    for idx, pair in enumerate(corpus):
-        src_len, tgt_len = len(pair.source), len(pair.target)
-        lens = None if alignments is None else _prefix_lens(alignments[idx])
-        for i in range(min_i, src_len + 1):
-            j = ratio_prefix_len(src_len, i, tgt_len) if lens is None else lens[i - 1]
-            yield PartialPair(pair.id, i, pair.source[:i], pair.target[:j], method)
+    alignments: Sequence[Alignment] | None = None,
+    min_i: int = 1,
+) -> Iterator[tuple[int, str, str, str]]:
+    """generate_partial's rows as (count, source, target, manifest) text, a pair at a time.
+
+    Each block is the newline-terminated lines that partial_lines and
+    manifest_lines give for the pair's rows. Every check runs before this returns.
+    """
+    lens = _target_lens(corpus, method, alignments, min_i)
+    return (_block(pair, js, method.value, min_i) for pair, js in lens)
+
+
+def _block(pair: SentencePair, js: list[int], name: str, min_i: int) -> tuple[int, str, str, str]:
+    src, tgt = _running_joins(pair.source), _running_joins(pair.target)
+    return (
+        len(js),
+        "\n".join(src[min_i:]) + "\n",
+        "\n".join([tgt[j] for j in js]) + "\n",
+        "".join([f"{pair.id}\t{i}\t{j}\t{name}\n" for i, j in enumerate(js, min_i)]),
+    )
+
+
+def _running_joins(tokens: Tokens) -> list[str]:
+    """detokenize(tokens[:k]) for every k in [0, len(tokens)], by string addition."""
+    return ["", *accumulate([*tokens[:1], *[" " + t for t in tokens[1:]]])]
 
 
 def generate_partial(
@@ -163,29 +198,20 @@ def generate_partial(
 
 
 MANIFEST_HEADER = "parent_id\ti\tj\tmethod"
-"""First line of a prefix manifest; manifest_row gives the lines after it."""
-
-
-def row_text(row: PartialPair) -> tuple[str, str]:
-    """A prefix row as its source line and its target line (maybe empty)."""
-    return detokenize(row.source_prefix), detokenize(row.target_prefix)
-
-
-def manifest_row(row: PartialPair) -> str:
-    """A prefix row's manifest line: parent_id, i, j, method, tab-separated."""
-    name = row.method.value if row.method is not None else "unknown"
-    return f"{row.parent_id}\t{row.i}\t{row.j}\t{name}"
+"""First line of a prefix manifest; the rows' lines follow it."""
 
 
 def partial_lines(partial: PartialCorpus) -> tuple[list[str], list[str]]:
     """Render prefix rows to (source lines, target lines); targets may be empty."""
-    texts = [row_text(p) for p in partial]
-    return [s for s, _ in texts], [t for _, t in texts]
+    src = [detokenize(p.source_prefix) for p in partial]
+    return src, [detokenize(p.target_prefix) for p in partial]
 
 
 def manifest_lines(partial: PartialCorpus) -> list[str]:
     """Tab-separated manifest rows: parent_id, i, j, method (with header)."""
-    return [MANIFEST_HEADER, *map(manifest_row, partial)]
+    return [MANIFEST_HEADER] + [
+        f"{p.parent_id}\t{p.i}\t{p.j}\t{getattr(p.method, 'value', 'unknown')}" for p in partial
+    ]
 
 
 class _PartialLines(Sequence[PartialPair]):

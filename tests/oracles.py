@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 NULL_MARK = "<null-source>"
 
@@ -69,6 +70,11 @@ def prefix_len_bruteforce(links, i, tgt_len):
         if all(sl <= i for sl, tl in links if tl <= j):
             return j
     raise AssertionError("unreachable: j = 0 always satisfies the condition")
+
+
+def ratio_len_reference(src_len, i, tgt_len):
+    """i * tgt_len / src_len rounded half up, in exact rational arithmetic."""
+    return math.floor(Fraction(i * tgt_len, src_len) + Fraction(1, 2))
 
 
 def levenshtein_full(a, b):

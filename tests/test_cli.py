@@ -135,6 +135,21 @@ class TestStderrContract:
             "error: dict translator needs a file: dict:FILE\n"
         )
 
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_simulate_timeout_not_finite_and_positive(self, capsys, tmp_path, timeout):
+        # The events file does not exist and the child would create `started`:
+        # the timeout is rejected before either is touched.
+        events, started = tmp_path / "missing.jsonl", tmp_path / "started"
+        translator = _cmd_spec(f"open({str(started)!r}, 'w')")
+        code, stdout, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", translator,
+            "--timeout", timeout,
+        )
+        assert (code, stdout) == (1, "")
+        assert err.splitlines()[1].startswith("usage: retrans simulate ")
+        assert err.endswith("error: --timeout must be a finite number > 0\n")
+        assert not started.exists()
+
     def test_successful_run_echoes_config_and_notes(self, capsys, tmp_path, fixtures):
         src, tgt, out = fixtures / "tiny.en", fixtures / "tiny.es", tmp_path / "a.align"
         table = tmp_path / "table.tsv"

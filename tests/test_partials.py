@@ -25,16 +25,18 @@ from retrans.partials import (
     Method,
     PartialPair,
     _prefix_lens,
+    _ratio_lens,
     alignment_prefix_len,
     generate_partial,
     manifest_lines,
+    partial_blocks,
     partial_lines,
     partial_rows,
     ratio_prefix_len,
     read_partial,
 )
 
-from oracles import prefix_len_bruteforce
+from oracles import prefix_len_bruteforce, ratio_len_reference
 
 # The running worked example: source "I encourage all of you" against target
 # "yo animo a todos ustedes" with links (source, target) 1-based.
@@ -85,6 +87,15 @@ class TestRatioPrefixLen:
         if i < src_len:
             assert j <= ratio_prefix_len(src_len, i + 1, tgt_len)
         assert ratio_prefix_len(src_len, src_len, tgt_len) == tgt_len
+
+    @given(st.integers(1, 40), st.integers(1, 40))
+    @settings(max_examples=300)
+    def test_one_list_matches_the_rule_at_every_i(self, src_len, tgt_len):
+        lens = _ratio_lens(src_len, tgt_len)
+        assert lens == [ratio_prefix_len(src_len, i, tgt_len) for i in range(1, src_len + 1)]
+        assert lens == [
+            ratio_len_reference(src_len, i, tgt_len) for i in range(1, src_len + 1)
+        ]
 
 
 class TestAlignmentPrefixLen:
@@ -224,6 +235,23 @@ class TestPartialRows:
         assert isinstance(rows, Iterator)
         assert next(rows) == PartialPair(0, 1, ("a",), ("x",), Method.RATIO)
 
+    @pytest.mark.parametrize(
+        "corpus,method,alignments,min_i,error",
+        [
+            ((SentencePair(0, ("a",), ()),), Method.RATIO, None, 1, ValueError),
+            (corpus_of("a", "x"), Method.RATIO, None, 0, ValueError),
+            (corpus_of("a", "x"), Method.ALIGNMENT, None, 1, AlignmentMissingError),
+            (corpus_of("a", "x"), Method.ALIGNMENT, [Alignment(2, 1, frozenset())], 1,
+             AlignmentMissingError),
+        ],
+        ids=["ratio-empty-target", "min-i", "no-list", "length-mismatch"],
+    )
+    def test_partial_blocks_runs_the_same_checks_on_call(
+        self, corpus, method, alignments, min_i, error
+    ):
+        with pytest.raises(error):
+            partial_blocks(corpus, method, alignments, min_i)
+
 
 sentence_st = st.lists(
     st.text(alphabet="abc", min_size=1, max_size=3), min_size=1, max_size=10
@@ -311,11 +339,22 @@ def test_read_partial_count_mismatch_names_both_files():
         read_partial(["a", "b"], ["x"], what=("p.src", "p.tgt"))
 
 
-corpus_line_st = st.lists(st.sampled_from(["a", "b", "c", "dé"]), min_size=1, max_size=7).map(" ".join)
+# Corpus lines with runs of tabs, spaces, U+3000 and U+00A0 between tokens and
+# at either end: the written rows must come from the tokens, re-joined by
+# single spaces, never from the raw line.
+blank_run_st = st.text(alphabet=" \t\u3000\xa0", min_size=1, max_size=3)
+edge_st = st.one_of(st.just(""), blank_run_st)
+
+
+@st.composite
+def corpus_line_st(draw) -> str:
+    words = draw(st.lists(st.sampled_from(["a", "b", "c", "dé"]), min_size=1, max_size=7))
+    line = words[0] + "".join(draw(blank_run_st) + w for w in words[1:])
+    return draw(edge_st) + line + draw(edge_st)
 
 
 @given(
-    st.lists(st.tuples(corpus_line_st, corpus_line_st), min_size=1, max_size=6),
+    st.lists(st.tuples(corpus_line_st(), corpus_line_st()), min_size=1, max_size=6),
     st.sampled_from(list(Method)),
     st.integers(1, 4),
     st.randoms(use_true_random=False),
