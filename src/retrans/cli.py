@@ -14,12 +14,12 @@ from typing import NoReturn
 
 from . import aligner, metrics, mixing, partials, session
 from .corpus import (
+    LineFile,
     Tokens,
     corpus_lines,
     detokenize,
     format_alignment,
     load_corpus,
-    read_alignments,
     read_lines,
     token_lines,
     write_lines,
@@ -79,12 +79,11 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
     if method is partials.Method.ALIGNMENT and not args.alignments:
         args.parser.error("--alignments is required with --method alignment")
     corpus = load_corpus(args.src, args.tgt)
-    alignments = None
     if method is partials.Method.ALIGNMENT:
-        alignments = read_alignments(
-            read_lines(args.alignments), corpus, what=(args.src, args.alignments)
-        )
-    blocks = partials.partial_blocks(corpus, method, alignments, args.min_i)
+        lines, what = read_lines(args.alignments), (args.src, args.alignments)
+        blocks = partials.alignment_blocks(corpus, lines, args.min_i, what=what)
+    else:
+        blocks = partials.partial_blocks(corpus, method, None, args.min_i)
     out, count = args.out_prefix, 0
     # Each pair's rows are written as they are made, so no more than one pair's are held.
     with (
@@ -105,8 +104,8 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
 def cmd_mix(args: argparse.Namespace) -> int:
     full = load_corpus(args.full_src, args.full_tgt)
     partial = partials.read_partial(
-        read_lines(args.partial_src),
-        read_lines(args.partial_tgt),
+        LineFile(args.partial_src),
+        LineFile(args.partial_tgt),
         what=(args.partial_src, args.partial_tgt),
     )
     mixed, manifest = mixing.mix(full, partial, args.seed)
@@ -114,16 +113,8 @@ def cmd_mix(args: argparse.Namespace) -> int:
     src_lines, tgt_lines = corpus_lines(mixed)
     write_lines(f"{args.out_prefix}.src", src_lines)
     write_lines(f"{args.out_prefix}.tgt", tgt_lines)
-    write_lines(
-        f"{args.out_prefix}.manifest.txt",
-        [
-            f"full_count: {manifest.full_count}",
-            f"partial_total: {manifest.partial_total}",
-            f"partial_sampled: {manifest.partial_sampled}",
-            f"seed: {manifest.seed}",
-            f"output_size: {manifest.output_size}",
-        ],
-    )
+    counts = [*vars(manifest).items(), ("output_size", manifest.output_size)]
+    write_lines(f"{args.out_prefix}.manifest.txt", [f"{k}: {v}" for k, v in counts])
     return 0
 
 
@@ -208,6 +199,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     events = session.read_events(read_lines(args.events), what=args.events)
     # The references are checked before any translator work is done.
     refs = _read_refs(args.refs) if args.refs else None
+    if refs and not events:
+        raise DataError(f"{args.events}: need at least one event when --refs is given")
     translator = _build_translator(args.translator, args.timeout)
     try:
         logs = session.run_session(events, translator)

@@ -7,14 +7,12 @@ converted at the I/O boundary only.
 
 from __future__ import annotations
 
-import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .errors import AlignmentParseError, CorpusMismatchError, DataError, EmptySentenceError
-
-_LINK_RE = re.compile(r"([0-9]+)-([0-9]+)")
 
 Tokens = tuple[str, ...]
 """A sentence as an ordered tuple of non-empty, whitespace-free tokens."""
@@ -84,31 +82,6 @@ class Alignment:
                 )
 
 
-def line_tokens(line: str, what: str, k: int) -> Tokens:
-    """tokenize() for line k (0-based) of what, naming both on error."""
-    try:
-        return tokenize(line)
-    except EmptySentenceError:
-        raise EmptySentenceError(f"{what} line {k + 1}") from None
-
-
-def paired_lines(
-    src_lines: Iterable[str],
-    tgt_lines: Iterable[str],
-    what: tuple[str, str] = ("source", "target"),
-) -> tuple[list[str], list[str]]:
-    """The lines of two aligned streams, as two lists of equal length.
-
-    Raises CorpusMismatchError, naming the streams by what, when they differ
-    in length.
-    """
-    src = list(src_lines)
-    tgt = list(tgt_lines)
-    if len(src) != len(tgt):
-        raise CorpusMismatchError(len(src), len(tgt), what)
-    return src, tgt
-
-
 def read_parallel(
     src_lines: Iterable[str],
     tgt_lines: Iterable[str],
@@ -119,21 +92,41 @@ def read_parallel(
 
     Raises CorpusMismatchError on unequal lengths and EmptySentenceError
     (naming the stream and line) on blank lines. what names the two streams,
-    such as the paths they came from.
+    such as the paths they came from. Equal tokens share one string.
     """
-    src_what, tgt_what = what
+    src, tgt = list(src_lines), list(tgt_lines)
+    if len(src) != len(tgt):
+        raise CorpusMismatchError(len(src), len(tgt), what)
+    share = {}.setdefault
+
+    def tokens(line: str, where: str, k: int) -> Tokens:
+        found = line.split()
+        if not found:
+            raise EmptySentenceError(f"{where} line {k + 1}")
+        return tuple(map(share, found, found))
+
     return tuple(
-        SentencePair(k, line_tokens(s, src_what, k), line_tokens(t, tgt_what, k))
-        for k, (s, t) in enumerate(zip(*paired_lines(src_lines, tgt_lines, what)))
+        SentencePair(k, tokens(s, what[0], k), tokens(t, what[1], k))
+        for k, (s, t) in enumerate(zip(src, tgt))
     )
 
 
 def corpus_lines(corpus: ParallelCorpus) -> tuple[list[str], list[str]]:
     """Render a corpus back into (source lines, target lines)."""
-    return (
-        [detokenize(p.source) for p in corpus],
-        [detokenize(p.target) for p in corpus],
-    )
+    return [detokenize(p.source) for p in corpus], [detokenize(p.target) for p in corpus]
+
+
+def _links(line: str, src_len: int, tgt_len: int, where: str = "") -> Iterator[tuple[int, int]]:
+    """The 1-based links of one line of 0-based "i-j" pairs, each checked as it is read."""
+    for token in line.split():
+        i, _, j = token.partition("-")
+        if not (token.isascii() and i.isdigit() and j.isdigit()):
+            raise AlignmentParseError(token, where=where)
+        i, j = int(i) + 1, int(j) + 1
+        if i > src_len or j > tgt_len:
+            detail = f"index out of range for lengths ({src_len},{tgt_len})"
+            raise AlignmentParseError(token, detail, where)
+        yield i, j
 
 
 def read_alignment_line(line: str, src_len: int, tgt_len: int) -> Alignment:
@@ -143,23 +136,31 @@ def read_alignment_line(line: str, src_len: int, tgt_len: int) -> Alignment:
     Duplicate pairs collapse. Raises AlignmentParseError on malformed tokens
     or indices outside [0, len).
     """
-    links = set()
-    for token in line.split():
-        match = _LINK_RE.fullmatch(token)
-        if match is None:
-            raise AlignmentParseError(token)
-        i, j = int(match.group(1)), int(match.group(2))
-        if i >= src_len or j >= tgt_len:
-            raise AlignmentParseError(
-                token, f"index out of range for lengths ({src_len},{tgt_len})"
-            )
-        links.add((i + 1, j + 1))
-    return Alignment(src_len, tgt_len, frozenset(links))
+    return Alignment(src_len, tgt_len, frozenset(_links(line, src_len, tgt_len)))
 
 
 def format_alignment(alignment: Alignment) -> str:
     """Render links as sorted 0-based "i-j" pairs (inverse of parsing)."""
     return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(alignment.links))
+
+
+def alignment_links(
+    lines: Iterable[str],
+    corpus: ParallelCorpus,
+    *,
+    what: tuple[str, str] = ("corpus", "alignments"),
+) -> Iterator[tuple[SentencePair, Iterator[tuple[int, int]]]]:
+    """Each pair with the links of its alignment line; the line count is checked on call.
+
+    what names the corpus and the alignment lines in errors, such as their paths.
+    """
+    lines = list(lines)
+    if len(lines) != len(corpus):
+        raise CorpusMismatchError(len(corpus), len(lines), what)
+    return (
+        (pair, _links(line, len(pair.source), len(pair.target), f"{what[1]} line {no}"))
+        for no, (line, pair) in enumerate(zip(lines, corpus), start=1)
+    )
 
 
 def read_alignments(
@@ -168,21 +169,42 @@ def read_alignments(
     *,
     what: tuple[str, str] = ("corpus", "alignments"),
 ) -> list[Alignment]:
-    """Parse one alignment line per corpus pair, in corpus order.
+    """Parse one alignment line per corpus pair, in corpus order (see alignment_links)."""
+    return [
+        Alignment(len(pair.source), len(pair.target), frozenset(links))
+        for pair, links in alignment_links(lines, corpus, what=what)
+    ]
 
-    what names the corpus and the alignment lines in error messages, such
-    as the paths they came from.
-    """
-    lines = list(lines)
-    if len(lines) != len(corpus):
-        raise CorpusMismatchError(len(corpus), len(lines), what)
-    alignments = []
-    for no, (line, pair) in enumerate(zip(lines, corpus), start=1):
-        try:
-            alignments.append(read_alignment_line(line, len(pair.source), len(pair.target)))
-        except AlignmentParseError as err:
-            raise AlignmentParseError(err.token, err.detail, f"{what[1]} line {no}") from None
-    return alignments
+
+def _line_blocks(path: str | Path) -> Iterator[list[str]]:
+    """read_lines(path), a list per block of whole lines of about 64 KiB."""
+    first = 1
+    with open(path, "rb") as f:
+        while block := f.read(1 << 16) + f.readline():  # the read's last line, completed
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as err:
+                no = first + block.count(b"\n", 0, err.start)
+                column = err.start - block.rfind(b"\n", 0, err.start)
+                raise DataError(
+                    f"{path} line {no}: invalid UTF-8 byte 0x{block[err.start]:02x} "
+                    f"at column {column} ({err.reason})"
+                ) from None
+            lines = text.removesuffix("\n").split("\n")
+            if "\r" in text:
+                lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+            first += len(lines)
+            yield lines
+
+
+@dataclass(frozen=True)
+class LineFile(Iterable[str]):
+    """The lines of a UTF-8 text file as read_lines gives them, read again at each iteration."""
+
+    path: str | Path
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(_line_blocks(self.path))
 
 
 def read_lines(path: str | Path) -> list[str]:
@@ -194,23 +216,7 @@ def read_lines(path: str | Path) -> list[str]:
     that hold no "\n" and do not end in "\r". Invalid UTF-8 raises
     DataError naming the path, the 1-based line and the byte column.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = data.count(b"\n", 0, err.start) + 1
-        column = err.start - data.rfind(b"\n", 0, err.start)
-        raise DataError(
-            f"{path} line {line}: invalid UTF-8 byte 0x{data[err.start]:02x} "
-            f"at column {column} ({err.reason})"
-        ) from None
-    del data  # not held while the lines are split
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    return lines
+    return list(LineFile(path))
 
 
 def token_lines(path: str | Path) -> list[Tokens]:

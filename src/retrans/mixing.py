@@ -32,7 +32,7 @@ class MixManifest:
 def _sample(
     partial: Sequence[PartialPair], n: int, rng: random.Random
 ) -> Sequence[PartialPair]:
-    # The draw needs only the count, so a lazy partial is read at the picked rows alone.
+    # The draw needs only the count; picks read in increasing order walk a lazy partial once.
     if n >= len(partial):
         return partial
     picked = sorted(rng.sample(range(len(partial)), n))

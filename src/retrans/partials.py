@@ -10,12 +10,13 @@ system trained on these rows never has to retract words as input grows.
 from __future__ import annotations
 
 import enum
+import threading
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
-from .corpus import Alignment, ParallelCorpus, SentencePair, Tokens, detokenize, paired_lines
-from .errors import AlignmentMissingError, DataError, EmptySentenceError
+from .corpus import Alignment, ParallelCorpus, SentencePair, Tokens, alignment_links, detokenize
+from .errors import AlignmentMissingError, CorpusMismatchError, DataError, EmptySentenceError
 
 
 class Method(enum.Enum):
@@ -77,23 +78,23 @@ def alignment_prefix_len(alignment: Alignment, i: int) -> int:
         raise ValueError(
             f"need 1 <= i <= src_len, got i={i}, src_len={alignment.src_len}"
         )
-    return _prefix_lens(alignment)[i - 1]
+    return _prefix_lens(alignment.src_len, alignment.tgt_len, alignment.links)[i - 1]
 
 
-def _prefix_lens(alignment: Alignment) -> list[int]:
-    """alignment_prefix_len for every i in [1, src_len], in one pass.
+def _prefix_lens(src_len: int, tgt_len: int, links: Iterable[tuple[int, int]]) -> list[int]:
+    """alignment_prefix_len for every i in [1, src_len], from 1-based links, in one pass.
 
     The answer never shrinks as i grows, so one pointer walks the target
     positions while each source prefix length admits them.
     """
-    max_link = [0] * (alignment.tgt_len + 1)
-    for si, tj in alignment.links:
+    max_link = [0] * (tgt_len + 1)
+    for si, tj in links:
         if si > max_link[tj]:
             max_link[tj] = si
     lens = []
     j = 0
-    for i in range(1, alignment.src_len + 1):
-        while j < alignment.tgt_len and max_link[j + 1] <= i:
+    for i in range(1, src_len + 1):
+        while j < tgt_len and max_link[j + 1] <= i:
             j += 1
         lens.append(j)
     return lens
@@ -127,7 +128,11 @@ def _target_lens(
                     f"alignment is ({alignment.src_len},{alignment.tgt_len}), "
                     f"pair is ({src_len},{tgt_len})",
                 )
-        lens = map(_prefix_lens, alignments)
+        lens = (_prefix_lens(a.src_len, a.tgt_len, a.links) for a in alignments)
+    return _with_rows(corpus, lens, min_i)
+
+
+def _with_rows(corpus: ParallelCorpus, lens: Iterable[list[int]], min_i: int) -> Iterator:
     return ((pair, js[min_i - 1 :]) for pair, js in zip(corpus, lens) if len(js) >= min_i)
 
 
@@ -162,6 +167,25 @@ def partial_blocks(
     """
     lens = _target_lens(corpus, method, alignments, min_i)
     return (_block(pair, js, method.value, min_i) for pair, js in lens)
+
+
+def alignment_blocks(
+    corpus: ParallelCorpus,
+    lines: Iterable[str],
+    min_i: int = 1,
+    *,
+    what: tuple[str, str] = ("corpus", "alignments"),
+) -> Iterator[tuple[int, str, str, str]]:
+    """partial_blocks for the alignment method, from one alignment line per pair.
+
+    read_alignments' checks and errors come first; each line then goes
+    straight to its pair's prefix lengths, with no Alignment built.
+    """
+    if min_i < 1:
+        raise ValueError(f"min_i must be >= 1, got {min_i}")
+    links = alignment_links(lines, corpus, what=what)
+    lens = [_prefix_lens(len(pair.source), len(pair.target), ls) for pair, ls in links]
+    return (_block(pair, js, "alignment", min_i) for pair, js in _with_rows(corpus, lens, min_i))
 
 
 def _block(pair: SentencePair, js: list[int], name: str, min_i: int) -> tuple[int, str, str, str]:
@@ -215,19 +239,30 @@ def manifest_lines(partial: PartialCorpus) -> list[str]:
 
 
 class _PartialLines(Sequence[PartialPair]):
-    """Prefix rows over two line lists; row k is tokenised when it is read."""
+    """n prefix rows over two line streams; row k is tokenised when it is read.
 
-    def __init__(self, src: list[str], tgt: list[str]) -> None:
-        self._src = src
-        self._tgt = tgt
+    Reads walk both streams forward, so the increasing k of mixing._sample
+    pass each line once; a read behind the walk starts it again.
+    """
+
+    def __init__(self, n: int, src: Iterable[str], tgt: Iterable[str]) -> None:
+        self._n, self._src, self._tgt = n, src, tgt
+        self._walk, self._next, self._lock = zip(src, tgt), 0, threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._src)
+        return self._n
 
     def __getitem__(self, index: int) -> PartialPair:
-        k = range(len(self._src))[index]  # parent_id k for a negative index too
-        source = tuple(self._src[k].split())
-        return PartialPair(k, len(source), source, tuple(self._tgt[k].split()), None)
+        k = range(self._n)[index]  # parent_id k for a negative index too
+        with self._lock:
+            if k < self._next:
+                self._walk, self._next = zip(self._src, self._tgt), 0
+            row = next(islice(self._walk, k - self._next, None), None)
+            if row is None:  # a stream read again came out shorter
+                raise DataError(f"prefix row {k + 1} is gone: a stream changed while it was read")
+            self._next = k + 1
+        source = tuple(row[0].split())
+        return PartialPair(k, len(source), source, tuple(row[1].split()), None)
 
 
 def read_partial(
@@ -239,15 +274,21 @@ def read_partial(
     """Load prefix rows from parallel prefix files.
 
     Target lines may be empty (empty translations are legal rows); source
-    lines may not. The line counts and every source line are checked here,
-    but a row is tokenised only when it is read, so a caller that samples
-    rows pays for those alone. Provenance fields are reconstructed from line
-    order and token counts, with method unknown. what names the two streams
-    in error messages, such as the paths they came from.
+    lines may not. A first pass checks the line counts and every source
+    line; rows come from a second pass, each tokenised when it is read (an
+    iterator is copied to a list first). Provenance comes from line order
+    and token counts, with method unknown. what names the streams in
+    errors, such as the paths they came from.
     """
-    src, tgt = paired_lines(src_lines, tgt_lines, what)
-    for k, line in enumerate(src):
+    src, tgt = (list(s) if iter(s) is s else s for s in (src_lines, tgt_lines))
+    src_count = blank = 0
+    for src_count, line in enumerate(src, start=1):
         # The same test as "no tokens": str.split() splits where isspace() holds.
-        if not line or line.isspace():
-            raise EmptySentenceError(f"{what[0]} line {k + 1}")
-    return _PartialLines(src, tgt)
+        if not blank and (not line or line.isspace()):
+            blank = src_count
+    tgt_count = sum(1 for _ in tgt)
+    if src_count != tgt_count:
+        raise CorpusMismatchError(src_count, tgt_count, what)
+    if blank:
+        raise EmptySentenceError(f"{what[0]} line {blank}")
+    return _PartialLines(src_count, src, tgt)

@@ -276,17 +276,6 @@ def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEve
     return events
 
 
-def event_lines(events: Sequence[UpdateEvent]) -> list[str]:
-    """Render events back to JSON-lines text."""
-    return [
-        json.dumps(
-            {"utterance_id": e.utterance_id, "kind": e.kind, "text": e.text},
-            ensure_ascii=False,
-        )
-        for e in events
-    ]
-
-
 def load_tsv_map(lines: Iterable[str], *, what: str) -> dict[str, str]:
     """Load a two-column tab-separated mapping (lexicon or replay script).
 

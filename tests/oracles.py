@@ -8,6 +8,7 @@ with the package, so a bug in the package cannot hide in its own oracle.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -213,3 +214,13 @@ def gleu_reference(hypothesis, reference):
         hyp_total += len(hyp_grams)
         ref_total += len(ref_grams)
     return min(matched / hyp_total, matched / ref_total)
+
+
+def event_lines(events):
+    """Render update events back to JSON-lines text, one object per event."""
+    return [
+        json.dumps(
+            {"utterance_id": e.utterance_id, "kind": e.kind, "text": e.text}, ensure_ascii=False
+        )
+        for e in events
+    ]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import random
 import shlex
 import signal
 import sys
@@ -10,8 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from retrans import partials
 from retrans.cli import main
-from retrans.corpus import read_lines
+from retrans.corpus import corpus_lines, load_corpus, read_lines
+from retrans.errors import DataError
+from retrans.mixing import mix
+from retrans.partials import read_partial
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -256,6 +261,28 @@ class TestDataErrors:
         )
 
 
+class TestAlignmentTokens:
+    # Tokens that the link scanner rejects: digits outside ASCII, and dashes
+    # that leave a side empty or signed.
+    @pytest.mark.parametrize("bad", ["١-٢", "１-２", "²-0", "1--2", "+1-2", "1-", "-"])
+    def test_gen_partial_names_file_line_and_token(self, capsys, tmp_path, fixtures, bad):
+        lines = ["0-0"] * 20
+        lines[4] = f"0-0 {bad} 1-1"
+        alignments = write(tmp_path / "bad.align", "".join(line + "\n" for line in lines))
+        code, out, err = run(
+            capsys,
+            "gen-partial",
+            "--src", str(fixtures / "tiny.en"),
+            "--tgt", str(fixtures / "tiny.es"),
+            "--method", "alignment",
+            "--alignments", str(alignments),
+            "--out-prefix", str(tmp_path / "p"),
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: {alignments} line 5: bad alignment token {bad!r}"
+        assert not list(tmp_path.glob("p.*"))
+
+
 class TestScore:
     def test_bleu_output_format(self, capsys, tmp_path):
         hyp = write(tmp_path / "hyp.txt", "a b c d\n")
@@ -410,6 +437,116 @@ class TestGenPartialAndMix:
         assert keys["seed"] == "17"
 
 
+def prefix_rows(n: int) -> tuple[list[str], list[str]]:
+    """n prefix rows of 1 to 6 tokens; every fourth target is empty."""
+    src = [" ".join(f"w{(k + t) % 9}" for t in range(1 + k % 6)) for k in range(n)]
+    return src, ["" if k % 4 == 0 else f"v{k % 7} v{k % 5}" for k in range(n)]
+
+
+def eager_mix(full: tuple[Path, Path], partial: tuple[Path, Path], seed: int) -> tuple[bytes, ...]:
+    """The bytes of mix's two outputs, with every prefix line read into memory first."""
+    src, tgt = map(read_lines, partial)
+    rows = read_partial(src, tgt, what=(str(partial[0]), str(partial[1])))
+    mixed, _ = mix(load_corpus(*full), rows, seed)
+    return tuple("".join(line + "\n" for line in side).encode() for side in corpus_lines(mixed))
+
+
+class TestMixReadsPrefixFilesTwice:
+    """mix counts and checks the prefix files, then rereads them for the sampled rows."""
+
+    def files(self, tmp_path: Path, src: bytes, tgt: bytes) -> list[str]:
+        full = (write(tmp_path / "full.src", "a b\nc\nd e f\n"),
+                write(tmp_path / "full.tgt", "x\ny z\nw\n"))
+        (tmp_path / "p.src").write_bytes(src)
+        (tmp_path / "p.tgt").write_bytes(tgt)
+        self.full, self.partial = full, (tmp_path / "p.src", tmp_path / "p.tgt")
+        return ["mix", "--full-src", str(full[0]), "--full-tgt", str(full[1]),
+                "--partial-src", str(self.partial[0]), "--partial-tgt", str(self.partial[1]),
+                "--out-prefix", str(tmp_path / "m"), "--seed", "5"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("last_newline", [True, False], ids=["ended", "open"])
+    def test_same_bytes_as_the_eager_read(self, capsys, tmp_path, newline, last_newline):
+        src, tgt = prefix_rows(50)
+        data = ["".join(line + newline for line in side).encode() for side in (src, tgt)]
+        if not last_newline:
+            data = [d[: -len(newline)] for d in data]
+        code, _, _ = run(capsys, *self.files(tmp_path, *data))
+        assert code == 0
+        outputs = ((tmp_path / "m.src").read_bytes(), (tmp_path / "m.tgt").read_bytes())
+        assert outputs == eager_mix(self.full, self.partial, 5)
+        assert b"\r" not in b"".join(outputs)
+        lf = ["".join(line + "\n" for line in side).encode() for side in (src, tgt)]
+        (tmp_path / "p.src").write_bytes(lf[0])
+        (tmp_path / "p.tgt").write_bytes(lf[1])
+        assert outputs == eager_mix(self.full, self.partial, 5)
+
+    def assert_same_error(self, capsys, argv, expected: str) -> None:
+        with pytest.raises(DataError) as eager:
+            eager_mix(self.full, self.partial, 5)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: {eager.value}" == f"error: {expected}"
+        assert not list(self.partial[0].parent.glob("m.*"))
+
+    def test_invalid_utf8_in_an_unsampled_target_line(self, capsys, tmp_path):
+        # The bad line is the last; mix draws 3 of the 20,000 rows, and the
+        # last of them lies about 200 KB before it, so reading the sampled
+        # rows alone would never reach it.
+        src, _ = prefix_rows(20_000)
+        tgt = [f"v{k % 7} " + "x" * 80 for k in range(20_000)]
+        assert max(random.Random(5).sample(range(20_000), 3)) < 17_500  # mix's draw
+        tgt[-1] = "v\udcff"
+        data = ["".join(line + "\n" for line in side) for side in (src, tgt)]
+        argv = self.files(tmp_path, data[0].encode(), data[1].encode("utf-8", "surrogateescape"))
+        expected = (
+            f"{self.partial[1]} line 20000: invalid UTF-8 byte 0xff at column 2 "
+            "(invalid start byte)"
+        )
+        self.assert_same_error(capsys, argv, expected)
+
+    @pytest.mark.parametrize(
+        "blank", ["\r", "\u3000", "\x85", " \t"], ids=["cr", "u3000", "nel", "spaces"]
+    )
+    def test_blank_source_line(self, capsys, tmp_path, blank):
+        src, tgt = prefix_rows(50)
+        src[37] = blank
+        data = ["".join(line + "\r\n" for line in side).encode() for side in (src, tgt)]
+        argv = self.files(tmp_path, *data)
+        self.assert_same_error(capsys, argv, f"{self.partial[0]} line 38: empty sentence")
+
+    def test_count_mismatch_names_both_files(self, capsys, tmp_path):
+        src, tgt = prefix_rows(50)
+        data = ["".join(line + "\n" for line in side).encode() for side in (src, tgt[:49])]
+        argv = self.files(tmp_path, *data)
+        expected = f"{self.partial[1]} has 49 lines but {self.partial[0]} has 50"
+        self.assert_same_error(capsys, argv, expected)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_decode_error_in_the_pick_pass_closes_both_files(self, capsys, tmp_path, monkeypatch):
+        src, tgt = prefix_rows(50)
+        data = ["".join(line + "\n" for line in side).encode() for side in (src, tgt)]
+        argv = self.files(tmp_path, *data)
+        checked = partials.read_partial
+
+        def read_then_spoil(*args, **kwargs):
+            # The files pass the first pass; then line 1 of the target goes bad.
+            rows = checked(*args, **kwargs)
+            self.partial[1].write_bytes(b"\xff" + data[1])
+            return rows
+
+        monkeypatch.setattr(partials, "read_partial", read_then_spoil)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: {self.partial[1]} line 1: invalid UTF-8 byte 0xff at column 1 "
+            "(invalid start byte)"
+        )
+        assert not list(tmp_path.glob("m.*"))
+        open_files = {os.path.realpath(f"/proc/self/fd/{fd}") for fd in os.listdir("/proc/self/fd")}
+        assert not open_files & {os.path.realpath(path) for path in self.partial}
+
+
 class TestReseg:
     def test_segments_match_reference_count(self, capsys, tmp_path, fixtures):
         out = tmp_path / "segments.txt"
@@ -498,17 +635,21 @@ class TestSimulate:
         assert out.splitlines() == ["word_up: 0", "mssg_up: 0", "updates_total: 0"]
 
     def test_empty_events_with_refs_is_data_error(self, capsys, tmp_path, fixtures):
-        events = write(tmp_path / "events.jsonl", "")
+        # The child would create `started`: the empty events file is caught first.
+        events, started = write(tmp_path / "events.jsonl", ""), tmp_path / "started"
         code, out, err = run(
             capsys,
             "simulate",
             "--events", str(events),
-            "--translator", "identity",
+            "--translator", _cmd_spec(f"open({str(started)!r}, 'w')"),
             "--refs", str(fixtures / "tiny.refs.txt"),
         )
         assert code == 2
         assert out == ""
-        assert "need at least one session log" in err
+        assert err.splitlines()[-1] == (
+            f"error: {events}: need at least one event when --refs is given"
+        )
+        assert not started.exists()
 
     def test_script_key_with_inner_spaces_matches(self, capsys, tmp_path):
         events = write(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from retrans.corpus import (
     Alignment,
+    LineFile,
     corpus_lines,
     detokenize,
     format_alignment,
@@ -63,6 +64,13 @@ class TestReadParallel:
         assert corpus[0].source == ("a", "b")
         assert corpus[0].target == ("x", "y", "z")
 
+    def test_equal_tokens_share_one_string(self):
+        corpus = read_parallel(["house of houses", "the house"], ["house", "casa house"])
+        first = corpus[0].source[0]
+        others = (corpus[1].source[1], corpus[0].target[0], corpus[1].target[1])
+        assert all(token is first for token in others)
+        assert corpus[0].source[2] == "houses"
+
     def test_length_mismatch(self):
         with pytest.raises(CorpusMismatchError) as err:
             read_parallel(["a"], [])
@@ -108,6 +116,18 @@ class TestAlignmentParsing:
     def test_malformed_tokens(self, bad):
         with pytest.raises(AlignmentParseError):
             read_alignment_line(bad, 9, 9)
+
+    # Digits outside ASCII (Arabic-Indic, fullwidth, superscript) and dashes
+    # that leave a side empty or signed; the old regex rejected all of them.
+    @pytest.mark.parametrize("bad", ["١-٢", "１-２", "²-0", "1--2", "+1-2", "1-", "-"])
+    def test_rejects_the_token_by_name(self, bad):
+        with pytest.raises(AlignmentParseError) as err:
+            read_alignment_line(f"0-0 {bad} 1-1", 9, 9)
+        assert err.value.token == bad
+        assert str(err.value) == f"bad alignment token {bad!r}"
+
+    def test_leading_zeros_are_read_as_numbers(self):
+        assert read_alignment_line("00-01 002-0", 3, 2).links == {(1, 2), (3, 1)}
 
     def test_duplicates_collapse(self):
         a = read_alignment_line("0-0 0-0", 1, 1)
@@ -189,6 +209,33 @@ class TestLineIO:
         with pytest.raises(DataError) as err:
             read_lines(path)
         assert str(err.value).startswith(f"{path} {where}")
+
+    def test_lines_across_blocks(self, tmp_path):
+        # Files are read in blocks of about 64 KiB: lines must not be split,
+        # joined or renumbered at a block's edge, and a line may be longer
+        # than a block.
+        lines = [f"line {k} " + "é" * (k % 97) for k in range(6000)]
+        lines[2500] = "x" * 200_000
+        path = tmp_path / "big.txt"
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        assert read_lines(path) == lines
+        assert list(LineFile(path)) == lines == list(LineFile(path))
+
+    @pytest.mark.parametrize("bad_line", [1, 2501, 5999])
+    def test_invalid_utf8_in_a_later_block_names_its_line(self, tmp_path, bad_line):
+        lines = [f"line {k} ".encode() + b"\xc3\xa9" * (k % 97) for k in range(6000)]
+        lines[2500] = b"x" * 200_000
+        lines[bad_line - 1] += b" \xff"
+        column = len(lines[bad_line - 1])
+        path = tmp_path / "big.txt"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        for read in (read_lines, lambda path: list(LineFile(path))):
+            with pytest.raises(DataError) as err:
+                read(path)
+            assert str(err.value) == (
+                f"{path} line {bad_line}: invalid UTF-8 byte 0xff at column {column} "
+                "(invalid start byte)"
+            )
 
     def test_line_separator_keeps_pairs_aligned(self, tmp_path):
         src = tmp_path / "corpus.src"

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retrans.cli import main
 from retrans.corpus import ParallelCorpus, SentencePair
 from retrans.mixing import MixManifest, mix, subsample
 from retrans.partials import PartialCorpus, PartialPair, read_partial
@@ -141,3 +145,42 @@ class TestMixOverLazyRows:
         rows = read_partial(*prefix_lines(n_partial))
         assert mix(full_corpus(n_full), rows, seed) == mix(full_corpus(n_full), tuple(rows), seed)
         assert tuple(subsample(rows, n_full, seed)) == subsample(tuple(rows), n_full, seed)
+
+
+# The growth in the traced peak of `mix` from 20,000 to 80,000 prefix rows
+# (test_peak_does_not_grow_with_the_prefix_files), measured once with the
+# eager reader that held every prefix line, on Python 3.11.
+EAGER_PEAK_GROWTH = 8_030_597
+
+
+def traced_mix_peak(directory, n_partial: int) -> int:
+    """Peak traced bytes of one `mix` run over a 500-pair corpus and n_partial prefix rows."""
+    src, tgt = prefix_lines(n_partial)
+    files = {
+        "f.src": [f"s{k} a b" for k in range(500)], "f.tgt": [f"t{k} c" for k in range(500)],
+        "p.src": src, "p.tgt": tgt,
+    }
+    for name, lines in files.items():
+        (directory / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    argv = ["mix", "--out-prefix", str(directory / "m")]
+    for flag, name in (("--full-src", "f.src"), ("--full-tgt", "f.tgt"),
+                       ("--partial-src", "p.src"), ("--partial-tgt", "p.tgt")):
+        argv += [flag, str(directory / name)]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestMixMemory:
+    def test_peak_does_not_grow_with_the_prefix_files(self, tmp_path):
+        growth = traced_mix_peak(tmp_path, 80_000) - traced_mix_peak(tmp_path, 20_000)
+        assert growth < EAGER_PEAK_GROWTH / 2

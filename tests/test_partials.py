@@ -17,15 +17,23 @@ from retrans.corpus import (
     ParallelCorpus,
     SentencePair,
     format_alignment,
+    read_alignment_line,
     read_parallel,
     write_lines,
 )
-from retrans.errors import AlignmentMissingError, CorpusMismatchError, DataError, EmptySentenceError
+from retrans.errors import (
+    AlignmentMissingError,
+    AlignmentParseError,
+    CorpusMismatchError,
+    DataError,
+    EmptySentenceError,
+)
 from retrans.partials import (
     Method,
     PartialPair,
     _prefix_lens,
     _ratio_lens,
+    alignment_blocks,
     alignment_prefix_len,
     generate_partial,
     manifest_lines,
@@ -133,9 +141,38 @@ class TestAlignmentPrefixLen:
         # Many-to-many links, unaligned positions and empty link sets included.
         cells = st.tuples(st.integers(1, src_len), st.integers(1, tgt_len))
         a = Alignment(src_len, tgt_len, data.draw(st.frozensets(cells)))
-        assert _prefix_lens(a) == [
+        assert _prefix_lens(src_len, tgt_len, a.links) == [
             prefix_len_bruteforce(a.links, i, tgt_len) for i in range(1, src_len + 1)
         ]
+
+
+@st.composite
+def aligned_pair_st(draw) -> tuple[int, int, str]:
+    """Sentence lengths and an alignment line: leading zeros, repeated links, or none."""
+    src_len, tgt_len = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    links = draw(st.lists(st.tuples(st.integers(0, src_len - 1), st.integers(0, tgt_len - 1))))
+    links += draw(st.lists(st.sampled_from(links))) if links else []
+    zeros = st.integers(0, 2).map(lambda n: "0" * n)
+    tokens = [f"{draw(zeros)}{i}-{draw(zeros)}{j}" for i, j in links]
+    return src_len, tgt_len, draw(st.sampled_from([" ", "\t", "  "])).join(tokens)
+
+
+@given(st.lists(aligned_pair_st(), min_size=1, max_size=6), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_scanned_prefix_lens_match_the_parsed_alignment(pairs, min_i):
+    corpus = ParallelCorpus(
+        SentencePair(k, ("s",) * src_len, ("t",) * tgt_len)
+        for k, (src_len, tgt_len, _) in enumerate(pairs)
+    )
+    lines = [line for _, _, line in pairs]
+    manifest = "".join(block[3] for block in alignment_blocks(corpus, lines, min_i))
+    expected = "".join(
+        f"{k}\t{i}\t{alignment_prefix_len(read_alignment_line(line, src_len, tgt_len), i)}"
+        "\talignment\n"
+        for k, (src_len, tgt_len, line) in enumerate(pairs)
+        for i in range(min_i, src_len + 1)
+    )
+    assert manifest == expected
 
 
 def corpus_of(src: str, tgt: str) -> ParallelCorpus:
@@ -229,6 +266,22 @@ class TestPartialRows:
     def test_bad_min_i_raises_on_call(self, method):
         with pytest.raises(ValueError, match="min_i"):
             partial_rows(corpus_of("a", "x"), method, [Alignment(1, 1, frozenset())], min_i=0)
+
+    @pytest.mark.parametrize(
+        "lines,min_i,error,message",
+        [
+            (["0-0", "0-0"], 0, ValueError, "min_i must be >= 1, got 0"),
+            (["0-0"], 1, CorpusMismatchError, "a.txt has 1 lines but s.txt has 2"),
+            (["0-0", "0-0 1-0"], 1, AlignmentParseError,
+             "a.txt line 2: bad alignment token '1-0': index out of range for lengths (1,1)"),
+        ],
+        ids=["min-i", "count", "last-line-token"],
+    )
+    def test_alignment_blocks_checks_every_line_on_call(self, lines, min_i, error, message):
+        corpus = read_parallel(["a", "b"], ["x", "y"])
+        with pytest.raises(error) as err:
+            alignment_blocks(corpus, lines, min_i, what=("s.txt", "a.txt"))
+        assert str(err.value) == message
 
     def test_rows_come_one_at_a_time(self):
         rows = partial_rows(corpus_of("a b c", "x y"), Method.RATIO)

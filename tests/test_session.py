@@ -25,13 +25,14 @@ from retrans.session import (
     apply_event,
     dictionary_translator,
     evaluate_sessions,
-    event_lines,
     identity_translator,
     load_tsv_map,
     read_events,
     run_session,
     scripted_translator,
 )
+
+from oracles import event_lines
 
 # The running worked example: three replace updates for one utterance, with
 # the mid-sentence hallucination that costs three corrected words.
