@@ -16,6 +16,7 @@ from . import aligner, metrics, mixing, partials, session
 from .corpus import (
     LineFile,
     Tokens,
+    alignment_links,
     corpus_lines,
     detokenize,
     format_alignment,
@@ -24,7 +25,7 @@ from .corpus import (
     token_lines,
     write_lines,
 )
-from .errors import CorpusMismatchError, DataError, TranslatorError
+from .errors import CorpusMismatchError, DataError, EventOrderError, TranslatorError
 
 DEFAULT_SEED = 17
 
@@ -60,6 +61,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         args.parser.error("--iterations must be >= 1")
     corpus = load_corpus(args.src, args.tgt)
+    if not corpus:
+        raise DataError(f"nothing to align: {args.src} and {args.tgt} are both empty")
     table = aligner.train_model1(corpus, args.iterations)
     _note(args, f"trained on {len(corpus)} pairs, {args.iterations} iterations")
     alignments = aligner.align_corpus(table, corpus)
@@ -79,11 +82,11 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
     if method is partials.Method.ALIGNMENT and not args.alignments:
         args.parser.error("--alignments is required with --method alignment")
     corpus = load_corpus(args.src, args.tgt)
+    links = None
     if method is partials.Method.ALIGNMENT:
         lines, what = read_lines(args.alignments), (args.src, args.alignments)
-        blocks = partials.alignment_blocks(corpus, lines, args.min_i, what=what)
-    else:
-        blocks = partials.partial_blocks(corpus, method, None, args.min_i)
+        links = alignment_links(lines, corpus, what=what)
+    blocks = partials.partial_blocks(corpus, method, links, args.min_i)
     out, count = args.out_prefix, 0
     # Each pair's rows are written as they are made, so no more than one pair's are held.
     with (
@@ -204,6 +207,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     translator = _build_translator(args.translator, args.timeout)
     try:
         logs = session.run_session(events, translator)
+    except EventOrderError as err:
+        raise DataError(f"{args.events}: {err}") from None
     finally:
         if isinstance(translator, session.CommandTranslator):
             translator.close()

@@ -149,8 +149,8 @@ def alignment_links(
     corpus: ParallelCorpus,
     *,
     what: tuple[str, str] = ("corpus", "alignments"),
-) -> Iterator[tuple[SentencePair, Iterator[tuple[int, int]]]]:
-    """Each pair with the links of its alignment line; the line count is checked on call.
+) -> Iterator[Iterator[tuple[int, int]]]:
+    """Each pair's alignment-line links, in corpus order; the line count is checked on call.
 
     what names the corpus and the alignment lines in errors, such as their paths.
     """
@@ -158,7 +158,7 @@ def alignment_links(
     if len(lines) != len(corpus):
         raise CorpusMismatchError(len(corpus), len(lines), what)
     return (
-        (pair, _links(line, len(pair.source), len(pair.target), f"{what[1]} line {no}"))
+        _links(line, len(pair.source), len(pair.target), f"{what[1]} line {no}")
         for no, (line, pair) in enumerate(zip(lines, corpus), start=1)
     )
 
@@ -172,7 +172,7 @@ def read_alignments(
     """Parse one alignment line per corpus pair, in corpus order (see alignment_links)."""
     return [
         Alignment(len(pair.source), len(pair.target), frozenset(links))
-        for pair, links in alignment_links(lines, corpus, what=what)
+        for pair, links in zip(corpus, alignment_links(lines, corpus, what=what))
     ]
 
 

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-from .corpus import Alignment, ParallelCorpus, SentencePair, Tokens, alignment_links, detokenize
+from .corpus import Alignment, ParallelCorpus, SentencePair, Tokens, detokenize
 from .errors import AlignmentMissingError, CorpusMismatchError, DataError, EmptySentenceError
 
 
@@ -101,9 +101,15 @@ def _prefix_lens(src_len: int, tgt_len: int, links: Iterable[tuple[int, int]]) -
 
 
 def _target_lens(
-    corpus: ParallelCorpus, method: Method, alignments: Sequence[Alignment] | None, min_i: int
+    corpus: ParallelCorpus,
+    method: Method,
+    links: Iterable[Iterable[tuple[int, int]]] | None,
+    min_i: int,
 ) -> Iterator[tuple[SentencePair, list[int]]]:
-    """Pairs with rows, each with j for every i in [min_i, I]; every check runs first."""
+    """Pairs with rows, each with j for every i in [min_i, I]; every check runs first.
+
+    links: each pair's 1-based links (alignment method); a count other than len(corpus) raises.
+    """
     if min_i < 1:
         raise ValueError(f"min_i must be >= 1, got {min_i}")
     if method is Method.RATIO:
@@ -111,81 +117,28 @@ def _target_lens(
             if not pair.target and len(pair.source) >= min_i:
                 raise ValueError(f"pair {pair.id}: the ratio method needs a non-empty target")
         lens = (_ratio_lens(len(pair.source), len(pair.target)) for pair in corpus)
-    elif alignments is None:
-        first = corpus[0].id if len(corpus) else 0
-        raise AlignmentMissingError(first, "no alignments supplied")
-    elif len(alignments) != len(corpus):
-        counts = f"{len(alignments)} alignments for {len(corpus)} pairs"
-        if len(alignments) < len(corpus):
-            raise AlignmentMissingError(corpus[len(alignments)].id, counts)
-        raise DataError(f"too many alignments: {counts}")
+    elif links is None:
+        raise AlignmentMissingError(corpus[0].id if corpus else 0, "no alignments supplied")
     else:
-        for pair, alignment in zip(corpus, alignments):
-            src_len, tgt_len = len(pair.source), len(pair.target)
-            if alignment.src_len != src_len or alignment.tgt_len != tgt_len:
-                raise AlignmentMissingError(
-                    pair.id,
-                    f"alignment is ({alignment.src_len},{alignment.tgt_len}), "
-                    f"pair is ({src_len},{tgt_len})",
-                )
-        lens = (_prefix_lens(a.src_len, a.tgt_len, a.links) for a in alignments)
-    return _with_rows(corpus, lens, min_i)
-
-
-def _with_rows(corpus: ParallelCorpus, lens: Iterable[list[int]], min_i: int) -> Iterator:
+        pairs = zip(corpus, links, strict=True)
+        lens = [_prefix_lens(len(pair.source), len(pair.target), ls) for pair, ls in pairs]
     return ((pair, js[min_i - 1 :]) for pair, js in zip(corpus, lens) if len(js) >= min_i)
-
-
-def partial_rows(
-    corpus: ParallelCorpus,
-    method: Method,
-    alignments: Sequence[Alignment] | None = None,
-    min_i: int = 1,
-) -> Iterator[PartialPair]:
-    """generate_partial's rows one at a time, pair by pair, in the same order.
-
-    Every check runs before this returns, so a caller that writes the rows
-    as they come never stops half-way through its output.
-    """
-    return (
-        PartialPair(pair.id, i, pair.source[:i], pair.target[:j], method)
-        for pair, js in _target_lens(corpus, method, alignments, min_i)
-        for i, j in enumerate(js, min_i)
-    )
 
 
 def partial_blocks(
     corpus: ParallelCorpus,
     method: Method,
-    alignments: Sequence[Alignment] | None = None,
+    links: Iterable[Iterable[tuple[int, int]]] | None = None,
     min_i: int = 1,
 ) -> Iterator[tuple[int, str, str, str]]:
     """generate_partial's rows as (count, source, target, manifest) text, a pair at a time.
 
     Each block is the newline-terminated lines that partial_lines and
-    manifest_lines give for the pair's rows. Every check runs before this returns.
+    manifest_lines give for the pair's rows. The alignment method takes each
+    pair's links as corpus.alignment_links gives them. Every check runs first.
     """
-    lens = _target_lens(corpus, method, alignments, min_i)
+    lens = _target_lens(corpus, method, links, min_i)
     return (_block(pair, js, method.value, min_i) for pair, js in lens)
-
-
-def alignment_blocks(
-    corpus: ParallelCorpus,
-    lines: Iterable[str],
-    min_i: int = 1,
-    *,
-    what: tuple[str, str] = ("corpus", "alignments"),
-) -> Iterator[tuple[int, str, str, str]]:
-    """partial_blocks for the alignment method, from one alignment line per pair.
-
-    read_alignments' checks and errors come first; each line then goes
-    straight to its pair's prefix lengths, with no Alignment built.
-    """
-    if min_i < 1:
-        raise ValueError(f"min_i must be >= 1, got {min_i}")
-    links = alignment_links(lines, corpus, what=what)
-    lens = [_prefix_lens(len(pair.source), len(pair.target), ls) for pair, ls in links]
-    return (_block(pair, js, "alignment", min_i) for pair, js in _with_rows(corpus, lens, min_i))
 
 
 def _block(pair: SentencePair, js: list[int], name: str, min_i: int) -> tuple[int, str, str, str]:
@@ -218,7 +171,27 @@ def generate_partial(
     lengths: a short list raises AlignmentMissingError for the first pair
     without one, a long list DataError.
     """
-    return tuple(partial_rows(corpus, method, alignments, min_i))
+    links = None
+    if method is Method.ALIGNMENT and alignments is not None:
+        if len(alignments) != len(corpus):
+            counts = f"{len(alignments)} alignments for {len(corpus)} pairs"
+            if len(alignments) < len(corpus):
+                raise AlignmentMissingError(corpus[len(alignments)].id, counts)
+            raise DataError(f"too many alignments: {counts}")
+        for pair, alignment in zip(corpus, alignments):
+            src_len, tgt_len = len(pair.source), len(pair.target)
+            if alignment.src_len != src_len or alignment.tgt_len != tgt_len:
+                raise AlignmentMissingError(
+                    pair.id,
+                    f"alignment is ({alignment.src_len},{alignment.tgt_len}), "
+                    f"pair is ({src_len},{tgt_len})",
+                )
+        links = [alignment.links for alignment in alignments]
+    return tuple(
+        PartialPair(pair.id, i, pair.source[:i], pair.target[:j], method)
+        for pair, js in _target_lens(corpus, method, links, min_i)
+        for i, j in enumerate(js, min_i)
+    )
 
 
 MANIFEST_HEADER = "parent_id\ti\tj\tmethod"

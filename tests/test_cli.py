@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import random
 import shlex
 import signal
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retrans import partials
 from retrans.cli import main
@@ -395,6 +399,17 @@ class TestAlign:
         first = read_lines(table)[0].split("\t")
         assert first[0] == "<NULL>"
         assert 0.0 <= float(first[2]) <= 1.0
+
+    def test_two_empty_files_are_named(self, capsys, tmp_path):
+        src = write(tmp_path / "c.src", "")
+        tgt = write(tmp_path / "c.tgt", "")
+        out = tmp_path / "c.align"
+        code, stdout, err = run(
+            capsys, "align", "--src", str(src), "--tgt", str(tgt), "--out", str(out)
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == f"error: nothing to align: {src} and {tgt} are both empty"
+        assert not out.exists()
 
 
 class TestGenPartialAndMix:
@@ -831,9 +846,73 @@ class TestSimulateCommandFaults:
         pid = int(pid_file.read_text())
         try:
             assert (code, out) == (2, "")
-            assert err.splitlines()[-1] == "error: utterance 0 reappears after other events"
+            assert err.splitlines()[-1] == (
+                f"error: {events}: utterance 0 reappears after other events"
+            )
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+
+# Pieces of hostile input files: line ends of every kind, NUL, blanks that
+# str.split() splits on, invalid UTF-8, stray alignment tokens and JSON.
+HOSTILE_PIECES = [
+    b"a", b"b c", b" ", b"\t", b"\n", b"\r\n", b"\r", b"\x00", b"\x0c", b"\x0b",
+    "\x85".encode(), "\u3000".encode(), "\u2028".encode(), b"\xff", b"\xc3", b"\xef\xbb\xbf",
+    b"0-0", b"1-0", b"0-1", b"9-9", b"0-", b"-1-0", b"x-y", b"1:2",
+    b'{"utterance_id": 0, "kind": "extend", "text": "a b"}',
+    b'{"utterance_id": 1, "kind": "replace", "text": "c"}',
+    b'{"utterance_id": 0, "kind": "replace", "text": " "}',
+    b'{"utterance_id": "0", "kind": "extend", "text": "a"}',
+    b"{", b"[]", b"null", b"a\tb",
+]
+hostile_file_st = st.lists(st.sampled_from(HOSTILE_PIECES), max_size=12).map(b"".join)
+
+# Each run's arguments; {0} to {3} are its input files, {out} its output prefix.
+HOSTILE_RUNS = {
+    "align": ["align", "--src", "{0}", "--tgt", "{1}", "--iterations", "2", "--out", "{out}"],
+    "gen-partial-ratio": [
+        "gen-partial", "--src", "{0}", "--tgt", "{1}", "--method", "ratio", "--out-prefix", "{out}",
+    ],
+    "gen-partial-alignment": [
+        "gen-partial", "--src", "{0}", "--tgt", "{1}", "--method", "alignment",
+        "--alignments", "{2}", "--min-i", "2", "--out-prefix", "{out}",
+    ],
+    "mix": [
+        "mix", "--full-src", "{0}", "--full-tgt", "{1}", "--partial-src", "{2}",
+        "--partial-tgt", "{3}", "--out-prefix", "{out}",
+    ],
+    "score-bleu": ["score", "--hyp", "{0}", "--ref", "{1}", "--metric", "bleu"],
+    "score-gleu": ["score", "--hyp", "{0}", "--ref", "{1}", "--metric", "gleu"],
+    "score-wer": ["score", "--hyp", "{0}", "--ref", "{1}", "--metric", "wer"],
+    "reseg": ["reseg", "--hyp-stream", "{0}", "--refs", "{1}", "--out", "{out}"],
+    "simulate": ["simulate", "--events", "{0}", "--translator", "identity", "--log-out", "{out}"],
+    "simulate-refs": [
+        "simulate", "--events", "{0}", "--translator", "identity", "--refs", "{1}",
+        "--report-out", "{out}",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(HOSTILE_RUNS))
+@given(files=st.lists(hostile_file_st, min_size=4, max_size=4))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+def test_hostile_input_exits_cleanly_and_names_an_input(name, files):
+    """Any input files give exit 0, 1 or 2, and every data error names an input path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = [Path(tmp, f"in{k}.txt") for k in range(len(files))]
+        for path, data in zip(inputs, files):
+            path.write_bytes(data)
+        argv = [a.format(*inputs, out=Path(tmp, "out")) for a in HOSTILE_RUNS[name]]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        named = [str(path) for path in inputs if str(path) in argv]
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        assert errors
+        for line in errors:
+            assert any(path in line for path in named), line

@@ -16,6 +16,7 @@ from retrans.corpus import (
     Alignment,
     ParallelCorpus,
     SentencePair,
+    alignment_links,
     format_alignment,
     read_alignment_line,
     read_parallel,
@@ -33,13 +34,11 @@ from retrans.partials import (
     PartialPair,
     _prefix_lens,
     _ratio_lens,
-    alignment_blocks,
     alignment_prefix_len,
     generate_partial,
     manifest_lines,
     partial_blocks,
     partial_lines,
-    partial_rows,
     ratio_prefix_len,
     read_partial,
 )
@@ -165,7 +164,8 @@ def test_scanned_prefix_lens_match_the_parsed_alignment(pairs, min_i):
         for k, (src_len, tgt_len, _) in enumerate(pairs)
     )
     lines = [line for _, _, line in pairs]
-    manifest = "".join(block[3] for block in alignment_blocks(corpus, lines, min_i))
+    blocks = partial_blocks(corpus, Method.ALIGNMENT, alignment_links(lines, corpus), min_i)
+    manifest = "".join(block[3] for block in blocks)
     expected = "".join(
         f"{k}\t{i}\t{alignment_prefix_len(read_alignment_line(line, src_len, tgt_len), i)}"
         "\talignment\n"
@@ -233,12 +233,12 @@ class TestGeneratePartial:
     def test_ratio_needs_a_target_only_where_rows_are_made(self):
         corpus = (SentencePair(0, ("a", "b"), ()),)
         with pytest.raises(ValueError, match="^pair 0: the ratio method needs a non-empty target$"):
-            partial_rows(corpus, Method.RATIO)
+            partial_blocks(corpus, Method.RATIO)
         assert generate_partial(corpus, Method.RATIO, min_i=3) == ()
 
 
 class TestPartialRows:
-    """Every check runs when partial_rows is called, before any row is asked for."""
+    """Every check runs when generate_partial or partial_blocks is called, before any row."""
 
     @pytest.mark.parametrize(
         "alignments,error",
@@ -253,19 +253,19 @@ class TestPartialRows:
     def test_bad_alignments_raise_on_call(self, alignments, error):
         corpus = read_parallel(["a", "b"], ["x", "y"])
         with pytest.raises(error):
-            partial_rows(corpus, Method.ALIGNMENT, alignments)
+            generate_partial(corpus, Method.ALIGNMENT, alignments)
 
     def test_length_mismatch_after_good_pairs_raises_on_call(self):
         corpus = read_parallel(["a b", "c"], ["x", "y"])
         alignments = [Alignment(2, 1, frozenset()), Alignment(1, 2, frozenset())]
         with pytest.raises(AlignmentMissingError) as err:
-            partial_rows(corpus, Method.ALIGNMENT, alignments)
+            generate_partial(corpus, Method.ALIGNMENT, alignments)
         assert err.value.pair_id == 1
 
     @pytest.mark.parametrize("method", list(Method))
     def test_bad_min_i_raises_on_call(self, method):
         with pytest.raises(ValueError, match="min_i"):
-            partial_rows(corpus_of("a", "x"), method, [Alignment(1, 1, frozenset())], min_i=0)
+            partial_blocks(corpus_of("a", "x"), method, [[(1, 1)]], min_i=0)
 
     @pytest.mark.parametrize(
         "lines,min_i,error,message",
@@ -280,30 +280,41 @@ class TestPartialRows:
     def test_alignment_blocks_checks_every_line_on_call(self, lines, min_i, error, message):
         corpus = read_parallel(["a", "b"], ["x", "y"])
         with pytest.raises(error) as err:
-            alignment_blocks(corpus, lines, min_i, what=("s.txt", "a.txt"))
+            links = alignment_links(lines, corpus, what=("s.txt", "a.txt"))
+            partial_blocks(corpus, Method.ALIGNMENT, links, min_i)
         assert str(err.value) == message
 
     def test_rows_come_one_at_a_time(self):
-        rows = partial_rows(corpus_of("a b c", "x y"), Method.RATIO)
-        assert isinstance(rows, Iterator)
-        assert next(rows) == PartialPair(0, 1, ("a",), ("x",), Method.RATIO)
+        blocks = partial_blocks(read_parallel(["a b c", "d"], ["x y", "z"]), Method.RATIO)
+        assert isinstance(blocks, Iterator)
+        manifest = "0\t1\t1\tratio\n0\t2\t1\tratio\n0\t3\t2\tratio\n"
+        assert next(blocks) == (3, "a\na b\na b c\n", "x\nx\nx y\n", manifest)
+        assert next(blocks) == (1, "d\n", "z\n", "1\t1\t1\tratio\n")
+        assert next(blocks, None) is None
 
     @pytest.mark.parametrize(
-        "corpus,method,alignments,min_i,error",
+        "corpus,method,lines,min_i,error",
         [
             ((SentencePair(0, ("a",), ()),), Method.RATIO, None, 1, ValueError),
             (corpus_of("a", "x"), Method.RATIO, None, 0, ValueError),
             (corpus_of("a", "x"), Method.ALIGNMENT, None, 1, AlignmentMissingError),
-            (corpus_of("a", "x"), Method.ALIGNMENT, [Alignment(2, 1, frozenset())], 1,
-             AlignmentMissingError),
+            # An alignment line made for longer sentences than its pair's.
+            (corpus_of("a", "x"), Method.ALIGNMENT, ["1-0"], 1, AlignmentParseError),
         ],
         ids=["ratio-empty-target", "min-i", "no-list", "length-mismatch"],
     )
-    def test_partial_blocks_runs_the_same_checks_on_call(
-        self, corpus, method, alignments, min_i, error
-    ):
+    def test_partial_blocks_runs_the_same_checks_on_call(self, corpus, method, lines, min_i, error):
+        links = None if lines is None else alignment_links(lines, corpus)
         with pytest.raises(error):
-            partial_blocks(corpus, method, alignments, min_i)
+            partial_blocks(corpus, method, links, min_i)
+
+    @pytest.mark.parametrize("count", [1, 3], ids=["one-short", "one-long"])
+    @pytest.mark.parametrize("form", [list, iter])
+    def test_partial_blocks_never_truncates_a_links_list(self, count, form):
+        corpus = read_parallel(["a b", "c"], ["x", "y"])
+        links = form([[(1, 1)]] * count)
+        with pytest.raises(ValueError, match="^zip\\(\\) argument 2 is (shorter|longer) than"):
+            partial_blocks(corpus, Method.ALIGNMENT, links)
 
 
 sentence_st = st.lists(
