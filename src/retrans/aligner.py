@@ -13,7 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from itertools import chain
+from operator import add, itemgetter
 
 from .corpus import Alignment, ParallelCorpus, SentencePair
 
@@ -94,6 +95,7 @@ def train_model1(
                 cells.append(c)
             token_cells.append(tuple(cells))
         plan.append((rows, token_cells))
+    del column
 
     # Uniform init over the target types each source token co-occurs with.
     row_size = Counter(cell_row)
@@ -110,7 +112,9 @@ def train_model1(
                     w = p / denom
                     counts[c] += w
                     totals[r] += w
+        del probs  # the old and new tables alive together would set the EM peak
         probs = [c / totals[r] for c, r in zip(counts, cell_row)]
+        del counts
 
     names = list(row_of)
     table: dict[str | None, dict[str, float]] = {}
@@ -159,15 +163,16 @@ def align_corpus(table: TranslationTable, corpus: ParallelCorpus) -> list[Alignm
 
 
 def table_rows(table: TranslationTable) -> list[tuple[str, str, float]]:
-    """Flatten the table to sorted (source, target, probability) rows.
+    """Flatten the table to (source, target, probability) rows sorted by source, then target.
 
-    The null source token is rendered as the literal string "<NULL>"; it
-    sorts before all real tokens.
+    The null source token is rendered as the literal string "<NULL>"; it sorts
+    before all real tokens. Rows equal in both keys keep table order.
     """
-    rows = []
+    groups: dict[str, list[dict[str, float]]] = {}
     for e, row in table.probs.items():
-        name = "<NULL>" if e is NULL else e
-        for f, p in row.items():
-            rows.append((name, f, p))
-    rows.sort(key=lambda r: (r[0] != "<NULL>", r[0], r[1]))
+        groups.setdefault("<NULL>" if e is NULL else e, []).append(row)
+    rows = []
+    for name in sorted(groups, key=lambda n: (n != "<NULL>", n)):
+        items = chain.from_iterable(row.items() for row in groups[name])
+        rows += [(name, f, p) for f, p in sorted(items, key=itemgetter(0))]
     return rows

@@ -66,12 +66,9 @@ def cmd_align(args: argparse.Namespace) -> int:
     table = aligner.train_model1(corpus, args.iterations)
     _note(args, f"trained on {len(corpus)} pairs, {args.iterations} iterations")
     alignments = aligner.align_corpus(table, corpus)
-    write_lines(args.out, [format_alignment(a) for a in alignments])
+    write_lines(args.out, map(format_alignment, alignments))
     if args.table_out:
-        write_lines(
-            args.table_out,
-            [f"{e}\t{f}\t{p:.12g}" for e, f, p in aligner.table_rows(table)],
-        )
+        write_lines(args.table_out, (f"{e}\t{f}\t{p:.12g}" for e, f, p in aligner.table_rows(table)))
     return 0
 
 

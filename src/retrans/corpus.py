@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from .errors import AlignmentParseError, CorpusMismatchError, DataError, EmptySentenceError
@@ -225,10 +225,15 @@ def token_lines(path: str | Path) -> list[Tokens]:
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write lines as a UTF-8 text file with trailing newline."""
-    lines = list(lines)
-    text = "\n".join(lines) + "\n" if lines else ""
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    """Write lines as a UTF-8 text file, each with a trailing newline, 4,096 lines per write.
+
+    lines, any iterable, is read once while the file is written: it must not read
+    that file, and one that raises partway leaves a partial file.
+    """
+    lines = iter(lines)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        while chunk := list(islice(lines, 4096)):
+            f.write("\n".join(chunk) + "\n")
 
 
 def load_corpus(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:

@@ -81,14 +81,17 @@ def alignment_prefix_len(alignment: Alignment, i: int) -> int:
     return _prefix_lens(alignment.src_len, alignment.tgt_len, alignment.links)[i - 1]
 
 
-def _prefix_lens(src_len: int, tgt_len: int, links: Iterable[tuple[int, int]]) -> list[int]:
+def _prefix_lens(src_len: int, tgt_len: int, links: Iterable[tuple[int, int]], where: str = "") -> list[int]:
     """alignment_prefix_len for every i in [1, src_len], from 1-based links, in one pass.
 
     The answer never shrinks as i grows, so one pointer walks the target
-    positions while each source prefix length admits them.
+    positions while each source prefix length admits them. A link outside
+    the lengths raises ValueError, its message prefixed with where.
     """
     max_link = [0] * (tgt_len + 1)
     for si, tj in links:
+        if not (0 < si <= src_len and 0 < tj <= tgt_len):
+            raise ValueError(f"{where}link ({si},{tj}) outside sentence lengths ({src_len},{tgt_len})")
         if si > max_link[tj]:
             max_link[tj] = si
     lens = []
@@ -108,7 +111,7 @@ def _target_lens(
 ) -> Iterator[tuple[SentencePair, list[int]]]:
     """Pairs with rows, each with j for every i in [min_i, I]; every check runs first.
 
-    links: each pair's 1-based links (alignment method); a count other than len(corpus) raises.
+    links: each pair's 1-based links (alignment method); a bad count or link raises.
     """
     if min_i < 1:
         raise ValueError(f"min_i must be >= 1, got {min_i}")
@@ -121,7 +124,7 @@ def _target_lens(
         raise AlignmentMissingError(corpus[0].id if corpus else 0, "no alignments supplied")
     else:
         pairs = zip(corpus, links, strict=True)
-        lens = [_prefix_lens(len(pair.source), len(pair.target), ls) for pair, ls in pairs]
+        lens = [_prefix_lens(len(p.source), len(p.target), ls, f"pair {p.id}: ") for p, ls in pairs]
     return ((pair, js[min_i - 1 :]) for pair, js in zip(corpus, lens) if len(js) >= min_i)
 
 

@@ -78,6 +78,20 @@ def ratio_len_reference(src_len, i, tgt_len):
     return math.floor(Fraction(i * tgt_len, src_len) + Fraction(1, 2))
 
 
+def table_rows_reference(table):
+    """A lexical table's (source, target, probability) rows, in one stable sort.
+
+    The null source (None) is spelled "<NULL>" and sorts first; rows equal in
+    source name and target keep table order.
+    """
+    rows = []
+    for e, row in table.probs.items():
+        for f, p in row.items():
+            rows.append(("<NULL>" if e is None else e, f, p))
+    rows.sort(key=lambda r: (r[0] != "<NULL>", r[0], r[1]))
+    return rows
+
+
 def levenshtein_full(a, b):
     """Full-matrix edit distance over token sequences."""
     rows = len(a) + 1

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from retrans.aligner import (
@@ -17,7 +17,7 @@ from retrans.aligner import (
 )
 from retrans.corpus import ParallelCorpus, SentencePair, read_parallel
 
-from oracles import NULL_MARK, em_reference, viterbi_reference
+from oracles import NULL_MARK, em_reference, table_rows_reference, viterbi_reference
 
 # Frozen from the flat-dict reference EM in oracles.py: 10 iterations on the
 # two-pair disambiguation corpus below.
@@ -123,6 +123,11 @@ class TestTrainModel1:
         with pytest.raises(ValueError):
             train_model1(ParallelCorpus(()), 3)
 
+    def test_all_empty_targets_give_an_empty_table(self):
+        # Pairs read from files always have a target; library callers may pass none.
+        corpus = (SentencePair(0, ("a",), ()), SentencePair(1, ("b", "a"), ()))
+        assert train_model1(corpus, 3).probs == {}
+
     def test_deterministic(self, la_maison):
         t1 = train_model1(la_maison, 5)
         t2 = train_model1(la_maison, 5)
@@ -224,3 +229,35 @@ def test_table_rows_sorted_null_first(la_maison):
     names = [r[0] for r in rows]
     assert names[0] == "<NULL>"
     assert names == sorted(names, key=lambda n: (n != "<NULL>", n))
+
+
+def spell_null(corpus: ParallelCorpus) -> ParallelCorpus:
+    """The corpus with the real source token s0 spelled "<NULL>", as the null row is dumped."""
+    return tuple(
+        SentencePair(p.id, tuple("<NULL>" if e == "s0" else e for e in p.source), p.target)
+        for p in corpus
+    )
+
+
+@st.composite
+def hand_tables(draw) -> TranslationTable:
+    """Rows in any order, the null row or not, and a real source token spelled "<NULL>"."""
+    names = [NULL, "<NULL>", "a", "b", "A", "é", "<"]
+    probs = {}
+    for e in draw(st.lists(st.sampled_from(names), unique=True, max_size=6)):
+        targets = draw(st.lists(st.sampled_from(["x", "y", "X", "<NULL>"]), min_size=1, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(targets), max_size=len(targets)))
+        probs[e] = {f: w / sum(weights) for f, w in zip(targets, weights)}
+    return TranslationTable(probs)
+
+
+trained_tables = st.integers(1, 4).flatmap(small_corpora).map(spell_null).map(
+    lambda corpus: train_model1(corpus, 2)
+)
+
+
+@given(st.one_of(trained_tables, hand_tables()))
+@example(TranslationTable({"<NULL>": {"y": 0.75, "x": 0.25}, NULL: {"x": 0.5, "y": 0.5}}))
+@settings(max_examples=200, deadline=None)
+def test_table_rows_matches_the_one_sort_reference(table):
+    assert table_rows(table) == table_rows_reference(table)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,38 @@ class TestLineIO:
             path = Path(tmp) / "lines.txt"
             write_lines(path, lines)
             assert read_lines(path) == lines
+
+    @pytest.mark.parametrize("form", [list, iter], ids=["list", "generator"])
+    @pytest.mark.parametrize(
+        "lines",
+        [[], [""], ["", ""], *([f"línea {k}" for k in range(n)] for n in (4095, 4096, 4097))],
+        ids=["none", "one-empty", "two-empty", "4095", "4096", "4097"],
+    )
+    def test_writes_the_bytes_of_one_join(self, tmp_path, lines, form):
+        path = tmp_path / "lines.txt"
+        write_lines(path, form(lines))
+        assert path.read_bytes() == ("\n".join(lines) + "\n" if lines else "").encode()
+
+    def test_generated_lines_are_not_held(self, tmp_path):
+        path = tmp_path / "many.txt"
+        tracemalloc.start()
+        try:
+            write_lines(path, (f"line {k} of a long generated file" for k in range(200_000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().count(b"\n") == 200_000
+        assert peak < 3 << 20  # a list of all 200,000 lines alone is about 18 MB
+
+    def test_a_source_that_raises_leaves_the_chunks_before_it(self, tmp_path):
+        def lines():
+            yield from map(str, range(5000))
+            raise RuntimeError("source failed")
+
+        path = tmp_path / "partial.txt"
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_lines(path, lines())
+        assert read_lines(path) == [str(k) for k in range(4096)]
 
     def test_crlf_file(self, tmp_path):
         path = tmp_path / "crlf.txt"

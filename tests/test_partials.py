@@ -308,6 +308,17 @@ class TestPartialRows:
         with pytest.raises(error):
             partial_blocks(corpus, method, links, min_i)
 
+    @pytest.mark.parametrize(
+        "link",
+        [(3, 1), (0, 0), (1, 5)],
+        ids=["source-past-end", "position-zero", "target-past-end"],
+    )
+    def test_partial_blocks_rejects_a_link_outside_its_pair(self, link):
+        corpus = read_parallel(["c", "a b"], ["z", "x y"])
+        message = f"^pair 1: link \\({link[0]},{link[1]}\\) outside sentence lengths \\(2,2\\)$"
+        with pytest.raises(ValueError, match=message):
+            partial_blocks(corpus, Method.ALIGNMENT, [[(1, 1)], [(1, 1), link]])
+
     @pytest.mark.parametrize("count", [1, 3], ids=["one-short", "one-long"])
     @pytest.mark.parametrize("form", [list, iter])
     def test_partial_blocks_never_truncates_a_links_list(self, count, form):
