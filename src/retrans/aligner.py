@@ -10,11 +10,13 @@ fixed corpus.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import add, itemgetter
+from operator import add, itemgetter, truediv
 
 from .corpus import Alignment, ParallelCorpus, SentencePair
 
@@ -29,18 +31,22 @@ class TranslationTable:
     """Lexical probabilities t(target | source), source vocabulary plus null.
 
     Each source row sums to 1 over its co-occurring target tokens (checked on
-    construction). Lookups of unseen (source, target) pairs return the
-    epsilon floor instead of zero so that held-out pairs never divide by zero.
+    construction, as is that every probability is finite and non-negative).
+    Lookups of unseen (source, target) pairs return the epsilon floor, a
+    finite positive number, so that held-out pairs never divide by zero.
     """
 
     probs: dict[str | None, dict[str, float]]
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         for source, row in self.probs.items():
-            if any(p < 0 for p in row.values()):
-                raise ValueError(f"negative probability in row for {source!r}")
-            if abs(sum(row.values()) - 1.0) > 1e-6:
+            # Written so that NaN fails each test: every comparison with it is false.
+            if not all(0 <= p < math.inf for p in row.values()):
+                raise ValueError(f"negative or non-finite probability in row for {source!r}")
+            if not abs(sum(row.values()) - 1.0) <= 1e-6:
                 raise ValueError(f"row for {source!r} does not sum to 1")
 
     def prob(self, source: str | None, target: str) -> float:
@@ -69,23 +75,21 @@ def train_model1(
         raise ValueError("cannot train on an empty corpus")
 
     # Intern each co-occurring (source, target) type pair as a cell index, in
-    # first-visit order of the E-step loop, with NULL as source row 0. Every
-    # target token becomes the tuple of its cells in (NULL, *source) order,
-    # so the sums and divisions below run in the order of the plain
-    # dict-of-dicts EM and every float comes out bit-equal. Denominators add
-    # strictly left to right: sum() compensates its rounding on Python 3.12+,
-    # which would make the table depend on the interpreter version.
+    # first-visit order of the E-step loop, with NULL as source row 0. A pair's
+    # cells sit flat, target token k at [k*m, (k+1)*m) in (NULL, *source) order
+    # with m = len(rows), so the sums and divisions below run in the order of
+    # the plain dict-of-dicts EM and every float comes out bit-equal. Sums add
+    # strictly left to right: sum() compensates its rounding on Python 3.12+.
     row_of: dict[str | None, int] = {NULL: 0}
     column: dict[str, dict[int, int]] = {}
     cell_row: list[int] = []
     cell_target: list[str] = []
-    plan: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
+    plan: list[tuple[tuple[int, ...], array[int]]] = []
     for pair in corpus:
         rows = (0, *(row_of.setdefault(e, len(row_of)) for e in pair.source))
-        token_cells = []
+        cells = array("I")
         for f in pair.target:
             col = column.setdefault(f, {})
-            cells = []
             for r in rows:
                 c = col.get(r)
                 if c is None:
@@ -93,28 +97,28 @@ def train_model1(
                     cell_row.append(r)
                     cell_target.append(f)
                 cells.append(c)
-            token_cells.append(tuple(cells))
-        plan.append((rows, token_cells))
+        plan.append((rows, cells))
     del column
 
     # Uniform init over the target types each source token co-occurs with.
     row_size = Counter(cell_row)
-    probs = [1.0 / row_size[r] for r in cell_row]
+    probs = array("d", (1.0 / row_size[r] for r in cell_row))
 
     for _ in range(iterations):
-        counts = [0.0] * len(cell_row)
+        counts = array("d", [0.0]) * len(cell_row)
         totals = [0.0] * len(row_of)
-        for rows, token_cells in plan:
-            for cells in token_cells:
-                ps = [probs[c] for c in cells]
+        for rows, cells in plan:
+            for token in zip(*[iter(cells)] * len(rows)):  # one tuple per target token
+                ps = [probs[c] for c in token]
                 denom = reduce(add, ps)
-                for c, r, p in zip(cells, rows, ps):
+                for c, r, p in zip(token, rows, ps):
                     w = p / denom
                     counts[c] += w
                     totals[r] += w
         del probs  # the old and new tables alive together would set the EM peak
-        probs = [c / totals[r] for c, r in zip(counts, cell_row)]
+        probs = array("d", map(truediv, counts, map(totals.__getitem__, cell_row)))
         del counts
+    del plan
 
     names = list(row_of)
     table: dict[str | None, dict[str, float]] = {}
@@ -162,17 +166,30 @@ def align_corpus(table: TranslationTable, corpus: ParallelCorpus) -> list[Alignm
     return [viterbi_align(table, pair) for pair in corpus]
 
 
-def table_rows(table: TranslationTable) -> list[tuple[str, str, float]]:
-    """Flatten the table to (source, target, probability) rows sorted by source, then target.
+@dataclass(frozen=True)
+class TableRows(Iterable[tuple[str, str, float]]):
+    """What table_rows returns: len() counts the rows, each iteration sorts them afresh."""
 
-    The null source token is rendered as the literal string "<NULL>"; it sorts
-    before all real tokens. Rows equal in both keys keep table order.
+    table: TranslationTable
+
+    def __len__(self) -> int:
+        return sum(map(len, self.table.probs.values()))
+
+    def __iter__(self) -> Iterator[tuple[str, str, float]]:
+        groups: dict[str, list[dict[str, float]]] = {}
+        for e, row in self.table.probs.items():
+            groups.setdefault("<NULL>" if e is NULL else e, []).append(row)
+        for name in sorted(groups, key=lambda n: (n != "<NULL>", n)):
+            items = chain.from_iterable(row.items() for row in groups[name])
+            yield from ((name, f, p) for f, p in sorted(items, key=itemgetter(0)))
+
+
+def table_rows(table: TranslationTable) -> TableRows:
+    """The table's (source, target, probability) rows sorted by source, then target.
+
+    A sized view, not a list: len() counts the rows without making them, and each
+    iteration walks the table again, holding one source group's rows at a time.
+    The null source token is spelled "<NULL>" and sorts before all real tokens.
+    Rows equal in both keys keep table order.
     """
-    groups: dict[str, list[dict[str, float]]] = {}
-    for e, row in table.probs.items():
-        groups.setdefault("<NULL>" if e is NULL else e, []).append(row)
-    rows = []
-    for name in sorted(groups, key=lambda n: (n != "<NULL>", n)):
-        items = chain.from_iterable(row.items() for row in groups[name])
-        rows += [(name, f, p) for f, p in sorted(items, key=itemgetter(0))]
-    return rows
+    return TableRows(table)

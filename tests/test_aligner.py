@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from retrans.aligner import (
     train_model1,
     viterbi_align,
 )
-from retrans.corpus import ParallelCorpus, SentencePair, read_parallel
+from retrans.corpus import ParallelCorpus, SentencePair, read_parallel, write_lines
 
 from oracles import NULL_MARK, em_reference, table_rows_reference, viterbi_reference
 
@@ -38,6 +40,29 @@ def random_corpus(rng: random.Random, max_pairs=8, vocab=6) -> ParallelCorpus:
         target = tuple(rng.choice(tgt_vocab) for _ in range(rng.randint(1, 5)))
         pairs.append(SentencePair(k, source, target))
     return ParallelCorpus(tuple(pairs))
+
+
+def zipf_corpus(rng: random.Random, pairs: int, vocab: int, max_len: int) -> ParallelCorpus:
+    """Pairs of 1..max_len tokens a side, types drawn with Zipf weights, so rows differ in size."""
+    weights = [1 / (k + 1) for k in range(vocab)]
+    src_vocab = [f"s{k}" for k in range(vocab)]
+    tgt_vocab = [f"t{k}" for k in range(vocab)]
+
+    def side(names):
+        return tuple(rng.choices(names, weights, k=rng.randint(1, max_len)))
+
+    return tuple(SentencePair(k, side(src_vocab), side(tgt_vocab)) for k in range(pairs))
+
+
+def traced_peak(fn) -> int:
+    """Bytes fn() allocates at its peak above what is allocated when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite
@@ -93,6 +118,22 @@ class TestTrainModel1:
         # ==, not approx: the interned EM adds and divides in the oracle's order.
         table = train_model1(corpus, iterations)
         assert flat_probs(table) == reference_probs(corpus, iterations)
+
+    @pytest.mark.parametrize("iterations", range(1, 6))
+    def test_equals_reference_em_exactly_at_scale(self, iterations):
+        # Thousands of cells and rows of up to 26 cells, where the oracle tests
+        # above stay under 30 cells.
+        corpus = zipf_corpus(random.Random(f"em-at-scale:{iterations}"), 400, 80, 25)
+        assert flat_probs(train_model1(corpus, iterations)) == reference_probs(corpus, iterations)
+
+    def test_em_peak_per_cell_reference_is_bounded(self):
+        # A cell reference is one (target token, source token or null) of the
+        # corpus; here each cell has about 4 of them, as in a 2k-pair Zipf
+        # corpus. Cells as boxed ints in tuples, with lists of floats, peaked
+        # at 34-41 B per reference on Python 3.10-3.13; typed arrays take 25-26 B.
+        corpus = zipf_corpus(random.Random(5), 300, 300, 30)
+        references = sum(len(p.target) * (len(p.source) + 1) for p in corpus)
+        assert traced_peak(lambda: train_model1(corpus, 1)) < 30 * references
 
     def test_single_pair_single_iteration(self):
         table = train_model1(read_parallel(["a"], ["x"]), 1)
@@ -207,6 +248,25 @@ def test_table_rejects_unnormalized_rows():
         TranslationTable({"a": {"x": 1.5, "y": -0.5}})
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -0.5], ids=["nan", "inf", "negative"])
+def test_table_rejects_a_non_finite_or_negative_probability(p):
+    # A NaN entry, the only way to a NaN row sum, passed both checks before:
+    # viterbi_align then left "x" unaligned without a word.
+    with pytest.raises(ValueError, match="negative or non-finite probability in row for 'a'"):
+        TranslationTable({"a": {"x": p}, NULL: {"x": 1.0}})
+
+
+def test_table_rejects_a_row_sum_that_overflows():
+    with pytest.raises(ValueError, match="row for 'a' does not sum to 1"):
+        TranslationTable({"a": {"x": 1e308, "y": 1e308}})
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-12, math.nan, math.inf])
+def test_table_rejects_an_epsilon_that_is_not_finite_and_positive(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+        TranslationTable({NULL: {"x": 1.0}}, epsilon)
+
+
 class TestAlignCorpus:
     def test_empty_corpus(self):
         table = TranslationTable({NULL: {"x": 1.0}})
@@ -260,4 +320,20 @@ trained_tables = st.integers(1, 4).flatmap(small_corpora).map(spell_null).map(
 @example(TranslationTable({"<NULL>": {"y": 0.75, "x": 0.25}, NULL: {"x": 0.5, "y": 0.5}}))
 @settings(max_examples=200, deadline=None)
 def test_table_rows_matches_the_one_sort_reference(table):
-    assert table_rows(table) == table_rows_reference(table)
+    rows, reference = table_rows(table), table_rows_reference(table)
+    assert len(rows) == len(reference)
+    assert list(rows) == reference
+    assert list(rows) == reference  # each iteration walks the table again
+
+
+def test_table_dump_holds_one_source_group_at_a_time(tmp_path):
+    # 1,000 sources of 100 targets each. Made as one list, the 100,000 rows
+    # added 7.8 MB above the table; made one group at a time, 0.7 MB.
+    targets = [f"t{k}" for k in range(100)]
+    table = TranslationTable({f"s{k}": dict.fromkeys(targets, 0.01) for k in range(1000)})
+    path = tmp_path / "table.tsv"
+    peak = traced_peak(
+        lambda: write_lines(path, (f"{e}\t{f}\t{p:.12g}" for e, f, p in table_rows(table)))
+    )
+    assert path.read_bytes().count(b"\n") == 100_000
+    assert peak < 1 << 20  # 4,096 written lines, the source index and one group
