@@ -9,14 +9,17 @@ would experience them.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import json
-import queue
+import os
+import selectors
 import shlex
 import subprocess
-import threading
+import sys
+import time
 import warnings
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import attrgetter
@@ -87,27 +90,40 @@ def apply_event(current: Tokens, event: UpdateEvent) -> Tokens:
 def run_session(events: Sequence[UpdateEvent], translator: Translator) -> list[SessionLog]:
     """Replay update events through a translator, one log per utterance.
 
-    Events must arrive grouped by utterance id. Each event produces exactly
-    one step; a translator exception aborts with the utterance id and step
-    index that failed.
+    Events must arrive grouped by utterance id, which is checked, with every
+    source built, before the first translation. A CommandTranslator gets the
+    sources as one stream, so it serves one session; any other translator is
+    called once per source. Each event produces exactly one step; a
+    translator exception aborts with the utterance id and step that failed.
     """
-    logs: list[SessionLog] = []
+    sources: list[Tokens] = []
+    positions: list[tuple[int, int]] = []  # (utterance id, step) of each source
     seen: set[int] = set()
     for utterance_id, group in groupby(events, key=attrgetter("utterance_id")):
         if utterance_id in seen:
             raise EventOrderError(f"utterance {utterance_id} reappears after other events")
         seen.add(utterance_id)
         current: Tokens = ()
-        steps: list[tuple[Tokens, Tokens]] = []
-        for event in group:
+        for step, event in enumerate(group):
             current = apply_event(current, event)
-            try:
-                translation = tuple(translator(current))
-            except Exception as exc:
-                raise TranslatorError(utterance_id, len(steps), str(exc)) from exc
-            steps.append((current, translation))
-        logs.append(SessionLog(utterance_id, tuple(steps)))
-    return logs
+            sources.append(current)
+            positions.append((utterance_id, step))
+    if not sources:
+        return []
+    if isinstance(translator, CommandTranslator):
+        replies: Iterable[Tokens] = translator.stream(sources)
+    else:
+        replies = map(translator, sources)
+    translations: list[Tokens] = []
+    try:
+        # Pulled to its end: a stream checks for extra output after its last reply.
+        for translation in replies:
+            translations.append(tuple(translation))
+    except Exception as exc:
+        utterance_id, step = positions[min(len(translations), len(positions) - 1)]
+        raise TranslatorError(utterance_id, step, str(exc)) from exc
+    rows = groupby(zip(positions, sources, translations), key=lambda row: row[0][0])
+    return [SessionLog(u, tuple((s, t) for _, s, t in group)) for u, group in rows]
 
 
 def evaluate_sessions(
@@ -166,73 +182,135 @@ def scripted_translator(script: Mapping[str, str]) -> Translator:
 
 
 class CommandTranslator:
-    """Adapter for an external translator child process.
+    """Adapter for an external translator child process (POSIX only).
 
     Protocol: one detokenized source per line on stdin, one translation per
-    line on stdout, flushed per line. Replies are UTF-8 lines that end at
-    "\n" only, as in corpus.read_lines, so a lone "\r" never splits a reply;
-    invalid UTF-8 raises at once. A per-line timeout guards against a hung
-    child. After a timeout, a closed output or a reply line nobody asked for,
-    every later call raises at once: a stray reply would otherwise be taken
-    for the next source's. Close (or use as a context manager) to terminate
-    the child and close its input; the reader closes the output once it
-    ends, which a grandchild holding the pipe may delay but never blocks
-    close().
+    line on stdout, as UTF-8 lines that end at "\n" only (corpus.read_lines'
+    rule). One selector loop writes the input and reads the output and the
+    stderr. stream() serves one session: it writes every source ahead of the
+    replies, closes the input after the last, and then any byte of output
+    is extra. A call translates one source in lockstep. The timeout bounds
+    each reply line's wait. After any failure every later call raises at
+    once, so a stray reply is never taken for the next source's. The
+    child's stderr is passed through, and its last 2 KiB end every failure.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 30.0) -> None:
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.timeout = timeout
-        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-        self._lines: queue.Queue[bytes | None] = queue.Queue()
+        pipe = subprocess.PIPE
+        self._proc = proc = subprocess.Popen(argv, stdin=pipe, stdout=pipe, stderr=pipe)
+        os.set_blocking(proc.stdin.fileno(), False)
+        self._poller = selectors.DefaultSelector()
+        self._poller.register(proc.stdout, selectors.EVENT_READ)
+        self._poller.register(proc.stderr, selectors.EVENT_READ)
+        self._unsent, self._end_input = memoryview(b""), False
+        self._replies, self._ended = bytearray(), False  # unread output; whether it ended
+        self._tail, self._echo = b"", codecs.getincrementaldecoder("utf-8")("replace")
         self._broken: str | None = None
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
 
-    def _pump(self) -> None:
-        assert self._proc.stdout is not None
-        # The reader closes stdout itself: a close from another thread would
-        # wait for this read, which a grandchild holding the pipe keeps open.
-        with self._proc.stdout as stdout:
-            for line in stdout:
-                self._lines.put(line)
-        self._lines.put(None)
+    def _poll(self, timeout: float) -> None:
+        """Wait up to timeout for the pipes, then write and read what is ready.
+
+        Once the child has exited, a read that finds no output ends the output,
+        even while a grandchild still holds the pipe.
+        """
+        exited = self._proc.poll() is not None
+        ready = self._poller.select(0 if exited else timeout)
+        self._ended |= exited and all(key.fileobj is not self._proc.stdout for key, _ in ready)
+        for key, _ in ready:
+            if key.fileobj is self._proc.stdin:
+                try:
+                    self._unsent = self._unsent[os.write(key.fd, self._unsent) :]
+                except BrokenPipeError:  # the child is gone; what it wrote is still read
+                    self._unsent, self._end_input = self._unsent[:0], True
+                if not self._unsent:
+                    self._poller.unregister(self._proc.stdin)
+                    if self._end_input:
+                        self._proc.stdin.close()
+            elif not (chunk := os.read(key.fd, 65536)):
+                self._poller.unregister(key.fileobj)
+                self._ended |= key.fileobj is self._proc.stdout
+            elif key.fileobj is self._proc.stdout:
+                self._replies += chunk
+            else:
+                self._tail = (self._tail + chunk)[-2048:]
+                sys.stderr.write(self._echo.decode(chunk))
+
+    def _fail(self, exc: Exception, broken: str | None = None) -> Exception:
+        """Refuse every later call, and end exc's message with the stderr tail."""
+        self._broken = broken or str(exc)
+        self._poll(0)
+        if self._tail:
+            tail = f"; its stderr ends {self._tail.decode('utf-8', 'replace')!r}"
+            if isinstance(exc, UnicodeDecodeError):
+                exc.reason += tail
+            else:
+                exc.args = (f"{exc}{tail}",)
+        return exc
+
+    def _send(self, text: str, end_input: bool) -> None:
+        """Queue text for the input, first raising if the protocol is out of step."""
+        if self._broken is None:
+            self._poll(0)
+            if self._replies:
+                self._broken = f"it printed an extra line {bytes(self._replies)!r}"
+        if self._broken is not None:
+            message = f"translator is out of step since {self._broken}"
+            raise self._fail(RuntimeError(message), self._broken)
+        self._unsent, self._end_input = memoryview(text.encode("utf-8")), end_input
+        self._poller.register(self._proc.stdin, selectors.EVENT_WRITE)
+
+    def _line(self) -> bytearray | None:
+        """The next output line, or the rest at the output's end; None after the timeout."""
+        deadline = time.monotonic() + self.timeout
+        while (end := self._replies.find(b"\n") + 1) == 0 and not self._ended:
+            if (left := deadline - time.monotonic()) <= 0:
+                return None
+            self._poll(min(left, 0.05))  # short waits notice an exited child
+        line = self._replies[: end or len(self._replies)]
+        del self._replies[: len(line)]
+        return line
+
+    def _reply(self) -> Tokens:
+        line = self._line()
+        if line is None:
+            message = f"translator produced no output within {self.timeout}s"
+            raise self._fail(TimeoutError(message), f"an earlier call timed out ({message})")
+        if not line:
+            raise self._fail(RuntimeError("translator process closed its output"))
+        try:
+            # str.split() drops the "\n" and a "\r" before it with the other blanks.
+            return tuple(line.decode("utf-8").split())
+        except UnicodeDecodeError as exc:
+            raise self._fail(exc, "an earlier reply was not valid UTF-8") from None
 
     def __call__(self, source: Tokens) -> Tokens:
-        if self._broken is None and not self._lines.empty():
-            extra = self._lines.get()
-            self._broken = (
-                "its process closed its output" if extra is None
-                else f"it printed an extra line {extra!r}"
-            )
-        if self._broken is not None:
-            raise RuntimeError(f"translator is out of step since {self._broken}")
-        assert self._proc.stdin is not None
-        self._proc.stdin.write(detokenize(source).encode("utf-8") + b"\n")
-        self._proc.stdin.flush()
-        try:
-            line = self._lines.get(timeout=self.timeout)
-        except queue.Empty:
-            message = f"translator produced no output within {self.timeout}s"
-            self._broken = f"an earlier call timed out ({message})"
-            raise TimeoutError(message) from None
-        if line is None:
-            self._broken = "its process closed its output"
-            raise RuntimeError("translator process closed its output")
-        # str.split() drops the "\n" and a "\r" before it with the other blanks.
-        return tuple(line.decode("utf-8").split())
+        self._send(detokenize(source) + "\n", end_input=False)
+        return self._reply()
+
+    def stream(self, sources: Sequence[Tokens]) -> Iterator[Tokens]:
+        """Translate sources in order; the output must end after the last reply."""
+        self._send("".join(f"{detokenize(s)}\n" for s in sources), end_input=True)
+        self._broken = "its input was closed at the end of a stream"
+        for _ in sources:
+            yield self._reply()
+        if extra := self._line():
+            message = f"translator output ran past the last reply: {bytes(extra[:80])!r}"
+            raise self._fail(RuntimeError(message))
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.terminate()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-        assert self._proc.stdin is not None
-        with contextlib.suppress(BrokenPipeError):
-            self._proc.stdin.close()
+        """Close the pipes and end the child; one still in step gets 5 s to exit."""
+        self._poller.close()
+        for pipe in (self._proc.stdin, self._proc.stdout, self._proc.stderr):
+            pipe.close()
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            self._proc.wait(timeout=5 if self._broken is None else 0)
+        self._proc.terminate()  # this and kill() do nothing once the child is reaped
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            self._proc.wait(timeout=5)
+        self._proc.kill()
+        self._proc.wait()
 
     def __enter__(self) -> "CommandTranslator":
         return self

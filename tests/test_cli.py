@@ -9,6 +9,7 @@ import shlex
 import signal
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -854,6 +855,94 @@ class TestSimulateCommandFaults:
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+    def test_child_that_reads_all_input_before_answering(self, capsys, tmp_path):
+        # The input is closed after the last source, so a batching child sees
+        # its end and answers; the log equals the identity translator's.
+        events = write(tmp_path / "events.jsonl", _EIGHT_EVENTS)
+        child = "import sys\nfor line in sys.stdin.readlines(): print(line.rstrip('\\n'))"
+        logs = []
+        for name, spec in (("identity", "identity"), ("batch", _cmd_spec(child))):
+            log = tmp_path / f"{name}.jsonl"
+            code, _, err = run(
+                capsys, "simulate", "--events", str(events), "--translator", spec,
+                "--timeout", "10", "--log-out", str(log),
+            )
+            assert code == 0, err
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
+
+    def test_extra_output_after_the_last_reply_fails_the_run(self, capsys, tmp_path):
+        # The extra line comes late, so every later reply is shifted by one;
+        # the last reply then runs past the end of the session.
+        events = write(tmp_path / "events.jsonl", _EIGHT_EVENTS)
+        child = (
+            "import sys, time\n"
+            "for k, line in enumerate(sys.stdin):\n"
+            "    time.sleep(0.05 if k > 3 else 0)\n"
+            "    print(line.rstrip(), flush=True)\n"
+            "    if k == 3:\n"
+            "        time.sleep(0.2)\n"
+            "        print('EXTRA', flush=True)"
+        )
+        log = tmp_path / "log.jsonl"
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", _cmd_spec(child),
+            "--timeout", "10", "--log-out", str(log),
+        )
+        assert (code, out) == (2, "")
+        last = err.splitlines()[-1]
+        assert last.startswith("error: translator failed on utterance 1, step 3: ")
+        assert "output ran past the last reply" in last
+        assert not log.exists()
+
+    def test_grandchild_holding_the_output_does_not_hold_up_the_run(self, capsys, tmp_path):
+        events = write(tmp_path / "events.jsonl", _EIGHT_EVENTS)
+        pid_file = tmp_path / "grandchild.pid"
+        child = (
+            "import subprocess, sys\n"
+            "sleeper = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+            f"open({str(pid_file)!r}, 'w').write(str(sleeper.pid))\n"
+            "for line in sys.stdin: print(line.rstrip(), flush=True)"
+        )
+        start = time.monotonic()
+        try:
+            code, _, err = run(
+                capsys, "simulate", "--events", str(events), "--translator", _cmd_spec(child),
+                "--timeout", "10",
+            )
+            assert time.monotonic() - start < 5
+            assert code == 0, err
+        finally:
+            with contextlib.suppress(FileNotFoundError, ProcessLookupError):
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+    def test_child_stderr_is_shown_and_its_tail_ends_the_error(self, capsys, tmp_path):
+        events = write(tmp_path / "events.jsonl", _EIGHT_EVENTS)
+        child = (
+            "import sys\n"
+            "sys.stderr.write('x' * 5000 + 'model failed to load\\n')\n"
+            "sys.exit(3)"
+        )
+        code, _, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", _cmd_spec(child),
+            "--timeout", "10",
+        )
+        assert code == 2
+        assert "x" * 5000 + "model failed to load\n" in err
+        last = err.splitlines()[-1]
+        assert last.startswith("error: translator failed on utterance 0, step 0: ")
+        assert last.endswith("model failed to load\\n'")
+        assert "x" * 2100 not in last
+
+
+_EIGHT_EVENTS = "".join(
+    json.dumps({"utterance_id": u, "kind": kind, "text": text}) + "\n"
+    for u, kind, text in [
+        (0, "replace", "a"), (0, "extend", "b c"), (0, "replace", "d"), (0, "extend", "e"),
+        (1, "replace", "f"), (1, "extend", "g"), (1, "replace", "h i"), (1, "extend", "j"),
+    ]
+)
 
 
 # Pieces of hostile input files: line ends of every kind, NUL, blanks that

@@ -280,10 +280,6 @@ class TestCommandTranslator:
             assert time.monotonic() - start < 5
         finally:
             os.kill(int(pid_file.read_text()), signal.SIGKILL)
-        # Once the grandchild is gone the reader sees the end of the output
-        # and closes it.
-        translate._reader.join(timeout=5)
-        assert not translate._reader.is_alive()
         assert translate._proc.stdin.closed and translate._proc.stdout.closed
 
     def test_run_session_wraps_failures(self):
@@ -292,6 +288,84 @@ class TestCommandTranslator:
         ) as translate:
             with pytest.raises(TranslatorError):
                 run_session([UpdateEvent(0, "replace", "a")], translate)
+
+    def test_stream_failure_names_the_step_that_failed(self):
+        events = [UpdateEvent(4, "replace", "a"), UpdateEvent(5, "replace", "b"),
+                  UpdateEvent(5, "extend", "c"), UpdateEvent(5, "extend", "d")]
+        with CommandTranslator(
+            [sys.executable, "-u", "-c", _BAD_THIRD_REPLY_CHILD], timeout=10
+        ) as translate:
+            with pytest.raises(TranslatorError) as err:
+                run_session(events, translate)
+            assert isinstance(err.value.__cause__, UnicodeDecodeError)
+            assert (err.value.utterance_id, err.value.step) == (5, 1)
+            with pytest.raises(RuntimeError, match="not valid UTF-8"):
+                translate(("e",))
+
+    def test_event_order_is_checked_before_any_translation(self):
+        calls = []
+        events = [UpdateEvent(0, "replace", "a"), UpdateEvent(1, "replace", "b"),
+                  UpdateEvent(0, "extend", "c")]
+        with pytest.raises(EventOrderError):
+            run_session(events, lambda source: calls.append(source) or source)
+        assert calls == []
+
+    def test_close_closes_every_pipe(self):
+        translate = CommandTranslator([sys.executable, "-u", "-c", _ECHO_CHILD], timeout=10)
+        assert run_session([UpdateEvent(0, "replace", "a")], translate)[0].steps == (
+            (("a",), ("a",)),
+        )
+        translate.close()
+        proc = translate._proc
+        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
+        assert proc.returncode is not None
+
+
+# Deterministic like perfbench/translator.py: the reply depends on a CRC of
+# the whole line, so a shifted or dropped reply changes the logs.
+_CRC_CHILD = (
+    "import sys, zlib\n"
+    "for line in sys.stdin:\n"
+    "    words = line.split()\n"
+    "    h = zlib.crc32(line.encode())\n"
+    "    if h % 3 == 0:\n"
+    "        words.append(str(h % 97))\n"
+    "    elif h % 3 == 1 and len(words) > 1:\n"
+    "        words[-2], words[-1] = words[-1], words[-2]\n"
+    "    print(' '.join(words), flush=True)"
+)
+
+grouped_events_st = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(["a", "b", "cd", "é"]), min_size=1, max_size=3),
+        st.lists(
+            st.tuples(st.sampled_from(["replace", "extend"]),
+                      st.lists(st.sampled_from(["a", "b", "cd", "é"]), min_size=1, max_size=3)),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+).map(
+    lambda utterances: [
+        UpdateEvent(u, kind, " ".join(words))
+        for u, (first, rest) in enumerate(utterances)
+        for kind, words in [("replace", first), *rest]
+    ]
+)
+
+
+@given(grouped_events_st)
+@settings(max_examples=15, deadline=None)
+def test_stream_and_lockstep_paths_agree(events):
+    command = [sys.executable, "-u", "-c", _CRC_CHILD]
+    with CommandTranslator(command, timeout=10) as streamed:
+        logs = run_session(events, streamed)
+    with CommandTranslator(command, timeout=10) as lockstep:
+        assert run_session(events, lambda source: lockstep(source)) == logs
+    assert [len(log.steps) for log in logs] == [
+        sum(1 for e in events if e.utterance_id == log.utterance_id) for log in logs
+    ]
 
 
 _ECHO_CHILD = "import sys\nfor line in sys.stdin: print(line.rstrip())"
@@ -326,6 +400,12 @@ _GRANDCHILD_CHILD = (
     "sleeper = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
     "with open(sys.argv[1], 'w') as f: f.write(str(sleeper.pid))\n"
     "for line in sys.stdin: print(line.rstrip())"
+)
+_BAD_THIRD_REPLY_CHILD = (
+    "import sys\n"
+    "for k, line in enumerate(sys.stdin.buffer):\n"
+    "    sys.stdout.buffer.write((b'\\xff ' if k == 2 else b'') + line)\n"
+    "    sys.stdout.buffer.flush()"
 )
 _EXTRA_LINE_CHILD = (
     "import sys\n"
