@@ -164,7 +164,7 @@ def cmd_reseg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_translator(spec: str, timeout: float) -> session.Translator:
+def _build_translator(spec: str, timeout: float) -> session.Translator | session.CommandTranslator:
     name, _, rest = spec.partition(":")
     if name == "identity":
         return session.identity_translator
@@ -210,21 +210,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if isinstance(translator, session.CommandTranslator):
             translator.close()
     if args.log_out:
-        lines = []
-        for log in logs:
-            for step, (source, translation) in enumerate(log.steps):
-                lines.append(
-                    json.dumps(
-                        {
-                            "utterance_id": log.utterance_id,
-                            "step": step,
-                            "source": detokenize(source),
-                            "translation": detokenize(translation),
-                        },
-                        ensure_ascii=False,
-                    )
-                )
-        write_lines(args.log_out, lines)
+        steps = [
+            {"utterance_id": log.utterance_id, "step": step,
+             "source": detokenize(source), "translation": detokenize(translation)}
+            for log in logs
+            for step, (source, translation) in enumerate(log.steps)
+        ]
+        write_lines(args.log_out, [json.dumps(step, ensure_ascii=False) for step in steps])
     report_lines = session.evaluate_sessions(logs, refs).lines()
     for line in report_lines:
         print(line)
@@ -291,7 +283,10 @@ def build_parser() -> _Parser:
     p.add_argument("--refs", help="reference stream for BLEU (one segment per line)")
     p.add_argument("--log-out", dest="log_out", help="JSON-lines step log")
     p.add_argument("--report-out", dest="report_out", help="key:value metrics file")
-    p.add_argument("--timeout", type=float, default=30.0, help="per-line timeout for cmd translators")
+    p.add_argument(
+        "--timeout", type=float, default=30.0,
+        help="seconds to wait for each reply line of a cmd translator, and for its output to end",
+    )
     p.set_defaults(func=cmd_simulate, parser=p)
 
     return parser

@@ -87,7 +87,9 @@ def apply_event(current: Tokens, event: UpdateEvent) -> Tokens:
     return current + tokenize(event.text)
 
 
-def run_session(events: Sequence[UpdateEvent], translator: Translator) -> list[SessionLog]:
+def run_session(
+    events: Sequence[UpdateEvent], translator: Translator | CommandTranslator
+) -> list[SessionLog]:
     """Replay update events through a translator, one log per utterance.
 
     Events must arrive grouped by utterance id, which is checked, with every
@@ -186,13 +188,12 @@ class CommandTranslator:
 
     Protocol: one detokenized source per line on stdin, one translation per
     line on stdout, as UTF-8 lines that end at "\n" only (corpus.read_lines'
-    rule). One selector loop writes the input and reads the output and the
-    stderr. stream() serves one session: it writes every source ahead of the
-    replies, closes the input after the last, and then any byte of output
-    is extra. A call translates one source in lockstep. The timeout bounds
-    each reply line's wait. After any failure every later call raises at
-    once, so a stray reply is never taken for the next source's. The
-    child's stderr is passed through, and its last 2 KiB end every failure.
+    rule). stream() serves one session, and a second call raises at once.
+    One selector loop writes every source ahead of the replies, closes the
+    input after the last, and reads the output and the stderr; after the
+    last reply any byte of output is extra. The timeout bounds the wait for
+    each reply line and for the output's end. The child's stderr is passed
+    through, and its last 2 KiB end every failure.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 30.0) -> None:
@@ -204,10 +205,9 @@ class CommandTranslator:
         self._poller = selectors.DefaultSelector()
         self._poller.register(proc.stdout, selectors.EVENT_READ)
         self._poller.register(proc.stderr, selectors.EVENT_READ)
-        self._unsent, self._end_input = memoryview(b""), False
+        self._unsent, self._streamed = memoryview(b""), False
         self._replies, self._ended = bytearray(), False  # unread output; whether it ended
         self._tail, self._echo = b"", codecs.getincrementaldecoder("utf-8")("replace")
-        self._broken: str | None = None
 
     def _poll(self, timeout: float) -> None:
         """Wait up to timeout for the pipes, then write and read what is ready.
@@ -223,11 +223,10 @@ class CommandTranslator:
                 try:
                     self._unsent = self._unsent[os.write(key.fd, self._unsent) :]
                 except BrokenPipeError:  # the child is gone; what it wrote is still read
-                    self._unsent, self._end_input = self._unsent[:0], True
+                    self._unsent = self._unsent[:0]
                 if not self._unsent:
                     self._poller.unregister(self._proc.stdin)
-                    if self._end_input:
-                        self._proc.stdin.close()
+                    self._proc.stdin.close()
             elif not (chunk := os.read(key.fd, 65536)):
                 self._poller.unregister(key.fileobj)
                 self._ended |= key.fileobj is self._proc.stdout
@@ -237,9 +236,8 @@ class CommandTranslator:
                 self._tail = (self._tail + chunk)[-2048:]
                 sys.stderr.write(self._echo.decode(chunk))
 
-    def _fail(self, exc: Exception, broken: str | None = None) -> Exception:
-        """Refuse every later call, and end exc's message with the stderr tail."""
-        self._broken = broken or str(exc)
+    def _fail(self, exc: Exception) -> Exception:
+        """End exc's message with the stderr tail."""
         self._poll(0)
         if self._tail:
             tail = f"; its stderr ends {self._tail.decode('utf-8', 'replace')!r}"
@@ -249,63 +247,46 @@ class CommandTranslator:
                 exc.args = (f"{exc}{tail}",)
         return exc
 
-    def _send(self, text: str, end_input: bool) -> None:
-        """Queue text for the input, first raising if the protocol is out of step."""
-        if self._broken is None:
-            self._poll(0)
-            if self._replies:
-                self._broken = f"it printed an extra line {bytes(self._replies)!r}"
-        if self._broken is not None:
-            message = f"translator is out of step since {self._broken}"
-            raise self._fail(RuntimeError(message), self._broken)
-        self._unsent, self._end_input = memoryview(text.encode("utf-8")), end_input
-        self._poller.register(self._proc.stdin, selectors.EVENT_WRITE)
-
-    def _line(self) -> bytearray | None:
-        """The next output line, or the rest at the output's end; None after the timeout."""
+    def _line(self, wait: str) -> bytearray:
+        """The next output line, or the rest at the output's end; a timeout raises, naming wait."""
         deadline = time.monotonic() + self.timeout
         while (end := self._replies.find(b"\n") + 1) == 0 and not self._ended:
             if (left := deadline - time.monotonic()) <= 0:
-                return None
+                raise self._fail(TimeoutError("translator " + wait.format(self.timeout)))
             self._poll(min(left, 0.05))  # short waits notice an exited child
         line = self._replies[: end or len(self._replies)]
         del self._replies[: len(line)]
         return line
 
-    def _reply(self) -> Tokens:
-        line = self._line()
-        if line is None:
-            message = f"translator produced no output within {self.timeout}s"
-            raise self._fail(TimeoutError(message), f"an earlier call timed out ({message})")
-        if not line:
-            raise self._fail(RuntimeError("translator process closed its output"))
-        try:
-            # str.split() drops the "\n" and a "\r" before it with the other blanks.
-            return tuple(line.decode("utf-8").split())
-        except UnicodeDecodeError as exc:
-            raise self._fail(exc, "an earlier reply was not valid UTF-8") from None
-
-    def __call__(self, source: Tokens) -> Tokens:
-        self._send(detokenize(source) + "\n", end_input=False)
-        return self._reply()
-
     def stream(self, sources: Sequence[Tokens]) -> Iterator[Tokens]:
-        """Translate sources in order; the output must end after the last reply."""
-        self._send("".join(f"{detokenize(s)}\n" for s in sources), end_input=True)
-        self._broken = "its input was closed at the end of a stream"
-        for _ in sources:
-            yield self._reply()
-        if extra := self._line():
+        """Translate sources in order, once; the output must end after the last reply."""
+        if self._streamed:
+            raise RuntimeError("translator has served its one stream; start a new one")
+        self._streamed = True
+        self._unsent = memoryview("".join(f"{detokenize(s)}\n" for s in sources).encode("utf-8"))
+        self._poller.register(self._proc.stdin, selectors.EVENT_WRITE)
+        return self._read(len(sources))
+
+    def _read(self, n: int) -> Iterator[Tokens]:
+        for _ in range(n):
+            if not (line := self._line("produced no output within {}s")):
+                raise self._fail(RuntimeError("translator process closed its output"))
+            try:
+                reply = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise self._fail(exc) from None
+            yield tuple(reply.split())  # drops the "\n" and a "\r" before it with the blanks
+        if extra := self._line("output did not end within {}s of its input closing"):
             message = f"translator output ran past the last reply: {bytes(extra[:80])!r}"
             raise self._fail(RuntimeError(message))
 
     def close(self) -> None:
-        """Close the pipes and end the child; one still in step gets 5 s to exit."""
+        """Close the pipes and end the child; one never streamed to gets 5 s to exit."""
         self._poller.close()
         for pipe in (self._proc.stdin, self._proc.stdout, self._proc.stderr):
             pipe.close()
         with contextlib.suppress(subprocess.TimeoutExpired):
-            self._proc.wait(timeout=5 if self._broken is None else 0)
+            self._proc.wait(timeout=0 if self._streamed else 5)
         self._proc.terminate()  # this and kill() do nothing once the child is reaped
         with contextlib.suppress(subprocess.TimeoutExpired):
             self._proc.wait(timeout=5)

@@ -896,6 +896,29 @@ class TestSimulateCommandFaults:
         assert "output ran past the last reply" in last
         assert not log.exists()
 
+    def test_output_that_never_ends_fails_the_run(self, capsys, tmp_path):
+        # Every reply comes, but the child ignores the end of its input and
+        # keeps its output open, so the end-of-output wait times out.
+        events = write(tmp_path / "events.jsonl", _EIGHT_EVENTS)
+        child = (
+            "import sys, time\n"
+            "for line in sys.stdin: print(line.rstrip(), flush=True)\n"
+            "time.sleep(60)"
+        )
+        log = tmp_path / "log.jsonl"
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", _cmd_spec(child),
+            "--timeout", "2", "--log-out", str(log),
+        )
+        assert time.monotonic() - start < 4
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "error: translator failed on utterance 1, step 3: "
+            "translator output did not end within 2.0s of its input closing"
+        )
+        assert not log.exists()
+
     def test_grandchild_holding_the_output_does_not_hold_up_the_run(self, capsys, tmp_path):
         events = write(tmp_path / "events.jsonl", _EIGHT_EVENTS)
         pid_file = tmp_path / "grandchild.pid"

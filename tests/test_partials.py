@@ -4,6 +4,7 @@ import contextlib
 import io
 import random
 import tempfile
+import threading
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -412,6 +413,44 @@ def test_lazy_read_partial_matches_eager_tokenisation(pairs):
 def test_read_partial_count_mismatch_names_both_files():
     with pytest.raises(CorpusMismatchError, match="^p.tgt has 1 lines but p.src has 2$"):
         read_partial(["a", "b"], ["x"], what=("p.src", "p.tgt"))
+
+
+class _PausingLines:
+    """Lines that, once armed, stop before line 3 of a pass until resumed."""
+
+    def __init__(self, lines: list[str]) -> None:
+        self.lines, self.armed = lines, False
+        self.paused, self.resume = threading.Event(), threading.Event()
+
+    def __iter__(self) -> Iterator[str]:
+        for no, line in enumerate(self.lines, start=1):
+            if no == 3 and self.armed:
+                self.armed = False
+                self.paused.set()
+                assert self.resume.wait(5)
+            yield line
+
+
+def test_read_partial_rows_may_be_read_from_two_threads():
+    # A reads row 5 and stops in the walk at line 3; B then reads row 1, which
+    # is behind the walk. Unlocked, B restarts the walk under A, and row 6
+    # comes back as line 2 once A is done; locked, B waits for A.
+    src = _PausingLines([f"s{k}" for k in range(1, 9)])
+    rows = read_partial(src, [f"t{k}" for k in range(1, 9)])
+    assert rows[0].source_prefix == ("s1",)
+    src.armed = True
+    got = {}
+    a = threading.Thread(target=lambda: got.setdefault("a", rows[4]))
+    b = threading.Thread(target=lambda: got.setdefault("b", rows[0]))
+    a.start()
+    assert src.paused.wait(5)
+    b.start()
+    b.join(timeout=0.5)  # unlocked, B is done by now; locked, it waits on A
+    src.resume.set()
+    a.join()
+    b.join()
+    assert (got["a"].source_prefix, got["b"].source_prefix) == (("s5",), ("s1",))
+    assert rows[5] == PartialPair(5, 1, ("s6",), ("t6",), None)
 
 
 # Corpus lines with runs of tabs, spaces, U+3000 and U+00A0 between tokens and

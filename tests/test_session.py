@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import os
 import signal
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retrans.corpus import tokenize
+from retrans.corpus import detokenize, tokenize
 from retrans.errors import (
     DataError,
     EmptySentenceError,
@@ -187,63 +188,61 @@ class TestTranslators:
 class TestCommandTranslator:
     def test_cat_behaves_as_identity(self):
         with CommandTranslator([sys.executable, "-u", "-c", _ECHO_CHILD]) as translate:
-            assert translate(("a", "b")) == ("a", "b")
-            assert translate(("c",)) == ("c",)
+            assert list(translate.stream([("a", "b"), ("c",)])) == [("a", "b"), ("c",)]
 
     def test_line_protocol_transform(self):
         with CommandTranslator(
             [sys.executable, "-u", "-c", _UPPER_CHILD], timeout=10
         ) as translate:
-            assert translate(("ab", "cd")) == ("AB", "CD")
+            assert list(translate.stream([("ab", "cd")])) == [("AB", "CD")]
 
     def test_timeout_raises(self):
         with CommandTranslator(
             [sys.executable, "-u", "-c", _SILENT_CHILD], timeout=0.3
         ) as translate:
-            with pytest.raises(TimeoutError):
-                translate(("a",))
+            with pytest.raises(TimeoutError, match="no output within 0.3s"):
+                list(translate.stream([("a",)]))
 
     def test_timeout_poisons_later_calls(self):
         # The child answers its first source late, then echoes at once; the
-        # late reply must never be returned for the second source.
+        # late reply must never be returned, by this stream or another.
         with CommandTranslator(
             [sys.executable, "-u", "-c", _LATE_FIRST_CHILD], timeout=0.2
         ) as translate:
-            with pytest.raises(TimeoutError):
-                translate(("a",))
+            replies = translate.stream([("a",), ("b",)])
+            with pytest.raises(TimeoutError, match="no output within 0.2s"):
+                next(replies)
             time.sleep(0.8)
-            with pytest.raises(RuntimeError, match="earlier call timed out") as err:
-                translate(("b",))
-            assert "no output within 0.2s" in str(err.value)
-            with pytest.raises(RuntimeError, match="earlier call timed out"):
-                translate(("c",))
+            assert list(replies) == []
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="served its one stream"):
+                translate.stream([("c",)])
+            assert time.monotonic() - start < 1
 
     def test_dead_process_raises(self):
         with CommandTranslator(
             [sys.executable, "-c", "pass"], timeout=5
         ) as translate:
-            with pytest.raises(RuntimeError):
-                translate(("a",))
+            with pytest.raises(RuntimeError, match="closed its output"):
+                list(translate.stream([("a",)]))
 
     def test_shell_style_command_string(self):
         with CommandTranslator(
             f"{sys.executable} -u -c '{_ECHO_CHILD}'", timeout=10
         ) as translate:
-            assert translate(("x",)) == ("x",)
+            assert list(translate.stream([("x",)])) == [("x",)]
 
     def test_lone_carriage_return_stays_inside_the_reply(self):
         with CommandTranslator(
             [sys.executable, "-u", "-c", _CR_INSIDE_CHILD], timeout=10
         ) as translate:
-            assert translate(("x",)) == ("A", "B", "x")
-            assert translate(("y",)) == ("A", "B", "y")
+            assert list(translate.stream([("x",), ("y",)])) == [("A", "B", "x"), ("A", "B", "y")]
 
     def test_crlf_replies(self):
         with CommandTranslator(
             [sys.executable, "-u", "-c", _CRLF_CHILD], timeout=10
         ) as translate:
-            assert translate(("x",)) == ("x",)
-            assert translate(("y", "z")) == ("y", "z")
+            assert list(translate.stream([("x",), ("y", "z")])) == [("x",), ("y", "z")]
 
     def test_invalid_utf8_raises_at_once(self):
         with CommandTranslator(
@@ -251,22 +250,22 @@ class TestCommandTranslator:
         ) as translate:
             start = time.monotonic()
             with pytest.raises(UnicodeDecodeError):
-                translate(("x",))
+                list(translate.stream([("x",), ("y",)]))
             assert time.monotonic() - start < 5
 
     def test_extra_line_poisons_later_calls(self):
-        # The reply and the extra line arrive in one flush; the extra line
-        # must never be returned for the second source.
+        # The reply and the extra line arrive in one flush; every later reply
+        # is shifted by one, so the last runs past the end of the session.
+        events = [UpdateEvent(0, "replace", "a"), UpdateEvent(0, "extend", "b")]
         with CommandTranslator(
             [sys.executable, "-u", "-c", _EXTRA_LINE_CHILD], timeout=10
         ) as translate:
-            assert translate(("a",)) == ("a",)
-            time.sleep(0.3)
-            with pytest.raises(RuntimeError, match="extra line") as err:
-                translate(("b",))
-            assert "EXTRA" in str(err.value)
-            with pytest.raises(RuntimeError, match="extra line"):
-                translate(("c",))
+            with pytest.raises(TranslatorError, match="ran past the last reply") as err:
+                run_session(events, translate)
+            assert (err.value.utterance_id, err.value.step) == (0, 1)
+            assert repr(b"a b\n") in str(err.value)
+            with pytest.raises(RuntimeError, match="served its one stream"):
+                translate.stream([("c",)])
 
     def test_close_returns_while_a_grandchild_holds_the_pipe(self, tmp_path):
         pid_file = tmp_path / "grandchild.pid"
@@ -274,8 +273,8 @@ class TestCommandTranslator:
             [sys.executable, "-u", "-c", _GRANDCHILD_CHILD, str(pid_file)], timeout=10
         )
         try:
-            assert translate(("a",)) == ("a",)
             start = time.monotonic()
+            assert list(translate.stream([("a",)])) == [("a",)]
             translate.close()
             assert time.monotonic() - start < 5
         finally:
@@ -299,8 +298,8 @@ class TestCommandTranslator:
                 run_session(events, translate)
             assert isinstance(err.value.__cause__, UnicodeDecodeError)
             assert (err.value.utterance_id, err.value.step) == (5, 1)
-            with pytest.raises(RuntimeError, match="not valid UTF-8"):
-                translate(("e",))
+            with pytest.raises(RuntimeError, match="served its one stream"):
+                translate.stream([("e",)])
 
     def test_event_order_is_checked_before_any_translation(self):
         calls = []
@@ -321,18 +320,24 @@ class TestCommandTranslator:
         assert proc.returncode is not None
 
 
-# Deterministic like perfbench/translator.py: the reply depends on a CRC of
-# the whole line, so a shifted or dropped reply changes the logs.
+def _crc_rule(line):
+    """Deterministic like perfbench/translator.py: the reply depends on a CRC of
+    the whole line, so a shifted or dropped reply changes the logs."""
+    import zlib
+
+    words = line.split()
+    h = zlib.crc32(line.encode())
+    if h % 3 == 0:
+        words.append(str(h % 97))
+    elif h % 3 == 1 and len(words) > 1:
+        words[-2], words[-1] = words[-1], words[-2]
+    return " ".join(words)
+
+
+# The child runs the same definition of the rule as the in-process oracle.
 _CRC_CHILD = (
-    "import sys, zlib\n"
-    "for line in sys.stdin:\n"
-    "    words = line.split()\n"
-    "    h = zlib.crc32(line.encode())\n"
-    "    if h % 3 == 0:\n"
-    "        words.append(str(h % 97))\n"
-    "    elif h % 3 == 1 and len(words) > 1:\n"
-    "        words[-2], words[-1] = words[-1], words[-2]\n"
-    "    print(' '.join(words), flush=True)"
+    inspect.getsource(_crc_rule)
+    + "import sys\nfor line in sys.stdin: print(_crc_rule(line), flush=True)"
 )
 
 grouped_events_st = st.lists(
@@ -357,12 +362,11 @@ grouped_events_st = st.lists(
 
 @given(grouped_events_st)
 @settings(max_examples=15, deadline=None)
-def test_stream_and_lockstep_paths_agree(events):
-    command = [sys.executable, "-u", "-c", _CRC_CHILD]
-    with CommandTranslator(command, timeout=10) as streamed:
-        logs = run_session(events, streamed)
-    with CommandTranslator(command, timeout=10) as lockstep:
-        assert run_session(events, lambda source: lockstep(source)) == logs
+def test_stream_matches_the_rule_run_in_process(events):
+    with CommandTranslator([sys.executable, "-u", "-c", _CRC_CHILD], timeout=10) as child:
+        logs = run_session(events, child)
+    # run_session maps a plain function over the sources, one at a time.
+    assert run_session(events, lambda s: tokenize(_crc_rule(detokenize(s) + "\n"))) == logs
     assert [len(log.steps) for log in logs] == [
         sum(1 for e in events if e.utterance_id == log.utterance_id) for log in logs
     ]
