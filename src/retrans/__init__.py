@@ -4,69 +4,38 @@ Covers prefix-pair corpus generation (length-ratio and alignment-based),
 lexical alignment training by EM, multi-task dataset mixing, incremental
 session simulation against pluggable translators, and quality/stability
 scoring (BLEU, GLEU, rewrite counts, WER-minimizing resegmentation).
+
+Each exported name is imported from its home submodule on first use (PEP 562).
 """
 
-from types import ModuleType as _ModuleType
-
-from .aligner import (
-    NULL,
-    TranslationTable,
-    align_corpus,
-    log_likelihood,
-    train_model1,
-    viterbi_align,
-)
-from .corpus import (
-    Alignment,
-    ParallelCorpus,
-    SentencePair,
-    Tokens,
-    detokenize,
-    format_alignment,
-    read_alignment_line,
-    read_alignments,
-    read_parallel,
-    tokenize,
-)
-from .metrics import (
-    CorrectionReport,
-    bleu,
-    corrected_words,
-    correction_report,
-    edit_distance,
-    gleu,
-    mean_gleu,
-    resegment,
-    wer,
-)
-from .mixing import MixManifest, mix, subsample
-from .partials import (
-    Method,
-    PartialCorpus,
-    PartialPair,
-    alignment_prefix_len,
-    generate_partial,
-    ratio_prefix_len,
-)
-from .session import (
-    CommandTranslator,
-    SessionLog,
-    Translator,
-    UpdateEvent,
-    apply_event,
-    dictionary_translator,
-    evaluate_sessions,
-    identity_translator,
-    read_events,
-    run_session,
-    scripted_translator,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# Every imported public name; the submodules bound by the imports are not exports.
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+_HOMES = {
+    "aligner": "NULL TranslationTable align_corpus log_likelihood train_model1 viterbi_align",
+    "corpus": "Alignment ParallelCorpus SentencePair Tokens detokenize format_alignment"
+    " read_alignment_line read_alignments read_parallel tokenize",
+    "metrics": "CorrectionReport bleu corrected_words correction_report edit_distance gleu"
+    " mean_gleu resegment wer",
+    "mixing": "MixManifest mix subsample",
+    "partials": "Method PartialCorpus PartialPair alignment_prefix_len generate_partial"
+    " ratio_prefix_len",
+    "session": "CommandTranslator SessionLog Translator UpdateEvent apply_event"
+    " dictionary_translator evaluate_sessions identity_translator read_events run_session"
+    " scripted_translator",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module holds the import lock, so concurrent first lookups are safe.
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,24 +8,34 @@ so outputs can be reproduced.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib.util
 import sys
+from types import ModuleType
 from typing import NoReturn
 
-from . import aligner, metrics, mixing, partials, session
-from .corpus import (
-    LineFile,
-    Tokens,
-    alignment_links,
-    corpus_lines,
-    detokenize,
-    format_alignment,
-    load_corpus,
-    read_lines,
-    token_lines,
-    write_lines,
-)
 from .errors import CorpusMismatchError, DataError, EventOrderError, TranslatorError
+
+
+def _lazy(name: str) -> ModuleType:
+    """retrans.NAME, registered now but executed on its first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# A command executes only the modules it touches. They are placeholders rather
+# than imports inside each command because perfbench/tracing.py finds them in
+# sys.modules right after `import retrans.cli`. `corpus` is a local name in
+# several commands, so its module goes by `_corpus`.
+aligner, _corpus, metrics, mixing, partials, session = map(
+    _lazy, ("aligner", "corpus", "metrics", "mixing", "partials", "session")
+)
 
 DEFAULT_SEED = 17
 
@@ -60,15 +70,16 @@ def _note(args: argparse.Namespace, message: str) -> None:
 def cmd_align(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         args.parser.error("--iterations must be >= 1")
-    corpus = load_corpus(args.src, args.tgt)
+    corpus = _corpus.load_corpus(args.src, args.tgt)
     if not corpus:
         raise DataError(f"nothing to align: {args.src} and {args.tgt} are both empty")
     table = aligner.train_model1(corpus, args.iterations)
     _note(args, f"trained on {len(corpus)} pairs, {args.iterations} iterations")
     alignments = aligner.align_corpus(table, corpus)
-    write_lines(args.out, map(format_alignment, alignments))
+    _corpus.write_lines(args.out, map(_corpus.format_alignment, alignments))
     if args.table_out:
-        write_lines(args.table_out, (f"{e}\t{f}\t{p:.12g}" for e, f, p in aligner.table_rows(table)))
+        rows = (f"{e}\t{f}\t{p:.12g}" for e, f, p in aligner.table_rows(table))
+        _corpus.write_lines(args.table_out, rows)
     return 0
 
 
@@ -78,11 +89,11 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
         args.parser.error("--min-i must be >= 1")
     if method is partials.Method.ALIGNMENT and not args.alignments:
         args.parser.error("--alignments is required with --method alignment")
-    corpus = load_corpus(args.src, args.tgt)
+    corpus = _corpus.load_corpus(args.src, args.tgt)
     links = None
     if method is partials.Method.ALIGNMENT:
-        lines, what = read_lines(args.alignments), (args.src, args.alignments)
-        links = alignment_links(lines, corpus, what=what)
+        lines, what = _corpus.read_lines(args.alignments), (args.src, args.alignments)
+        links = _corpus.alignment_links(lines, corpus, what=what)
     blocks = partials.partial_blocks(corpus, method, links, args.min_i)
     out, count = args.out_prefix, 0
     # Each pair's rows are written as they are made, so no more than one pair's are held.
@@ -102,25 +113,25 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
 
 
 def cmd_mix(args: argparse.Namespace) -> int:
-    full = load_corpus(args.full_src, args.full_tgt)
+    full = _corpus.load_corpus(args.full_src, args.full_tgt)
     partial = partials.read_partial(
-        LineFile(args.partial_src),
-        LineFile(args.partial_tgt),
+        _corpus.LineFile(args.partial_src),
+        _corpus.LineFile(args.partial_tgt),
         what=(args.partial_src, args.partial_tgt),
     )
     mixed, manifest = mixing.mix(full, partial, args.seed)
     _note(args, f"mixed {manifest.full_count} full + {manifest.partial_sampled} partial rows")
-    src_lines, tgt_lines = corpus_lines(mixed)
-    write_lines(f"{args.out_prefix}.src", src_lines)
-    write_lines(f"{args.out_prefix}.tgt", tgt_lines)
+    src_lines, tgt_lines = _corpus.corpus_lines(mixed)
+    _corpus.write_lines(f"{args.out_prefix}.src", src_lines)
+    _corpus.write_lines(f"{args.out_prefix}.tgt", tgt_lines)
     counts = [*vars(manifest).items(), ("output_size", manifest.output_size)]
-    write_lines(f"{args.out_prefix}.manifest.txt", [f"{k}: {v}" for k, v in counts])
+    _corpus.write_lines(f"{args.out_prefix}.manifest.txt", [f"{k}: {v}" for k, v in counts])
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    hyps = token_lines(args.hyp)
-    refs = token_lines(args.ref)
+    hyps = _corpus.token_lines(args.hyp)
+    refs = _corpus.token_lines(args.ref)
     if len(hyps) != len(refs):
         raise CorpusMismatchError(len(hyps), len(refs), (args.hyp, args.ref))
     if not hyps:
@@ -149,18 +160,18 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_refs(path: str) -> list[Tokens]:
+def _read_refs(path: str) -> list[_corpus.Tokens]:
     """Reference segments of a file, one per line; a file without any is a data error."""
-    refs = token_lines(path)
+    refs = _corpus.token_lines(path)
     if not refs:
         raise DataError(f"{path}: need at least one reference segment")
     return refs
 
 
 def cmd_reseg(args: argparse.Namespace) -> int:
-    stream = tuple(token for line in token_lines(args.hyp_stream) for token in line)
+    stream = tuple(token for line in _corpus.token_lines(args.hyp_stream) for token in line)
     segments = metrics.resegment(stream, _read_refs(args.refs))
-    write_lines(args.out, [detokenize(s) for s in segments])
+    _corpus.write_lines(args.out, [_corpus.detokenize(s) for s in segments])
     return 0
 
 
@@ -171,7 +182,7 @@ def _build_translator(spec: str, timeout: float) -> session.Translator | session
     if name == "dict":
         if not rest:
             raise UsageError("dict translator needs a file: dict:FILE")
-        lines = read_lines(rest)
+        lines = _corpus.read_lines(rest)
         lexicon = session.load_tsv_map(lines, what=rest)
         for no, line in enumerate(lines, start=1):
             # load_tsv_map has checked the tab, so two tokens mean one a side.
@@ -185,7 +196,8 @@ def _build_translator(spec: str, timeout: float) -> session.Translator | session
     if name == "script":
         if not rest:
             raise UsageError("script translator needs a file: script:FILE")
-        return session.scripted_translator(session.load_tsv_map(read_lines(rest), what=rest))
+        lexicon = session.load_tsv_map(_corpus.read_lines(rest), what=rest)
+        return session.scripted_translator(lexicon)
     if name == "cmd":
         if not rest:
             raise UsageError("cmd translator needs a command: cmd:\"...\"")
@@ -196,7 +208,7 @@ def _build_translator(spec: str, timeout: float) -> session.Translator | session
 def cmd_simulate(args: argparse.Namespace) -> int:
     if not 0 < args.timeout < float("inf"):
         args.parser.error("--timeout must be a finite number > 0")
-    events = session.read_events(read_lines(args.events), what=args.events)
+    events = session.read_events(_corpus.read_lines(args.events), what=args.events)
     # The references are checked before any translator work is done.
     refs = _read_refs(args.refs) if args.refs else None
     if refs and not events:
@@ -210,18 +222,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if isinstance(translator, session.CommandTranslator):
             translator.close()
     if args.log_out:
+        import json
+
         steps = [
             {"utterance_id": log.utterance_id, "step": step,
-             "source": detokenize(source), "translation": detokenize(translation)}
+             "source": _corpus.detokenize(source),
+             "translation": _corpus.detokenize(translation)}
             for log in logs
             for step, (source, translation) in enumerate(log.steps)
         ]
-        write_lines(args.log_out, [json.dumps(step, ensure_ascii=False) for step in steps])
+        _corpus.write_lines(args.log_out, [json.dumps(step, ensure_ascii=False) for step in steps])
     report_lines = session.evaluate_sessions(logs, refs).lines()
     for line in report_lines:
         print(line)
     if args.report_out:
-        write_lines(args.report_out, report_lines)
+        _corpus.write_lines(args.report_out, report_lines)
     return 0
 
 
@@ -246,7 +261,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-partial", parents=[common], help="generate prefix-pair training rows")
     p.add_argument("--src", required=True)
     p.add_argument("--tgt", required=True)
-    p.add_argument("--method", required=True, choices=[m.value for m in partials.Method])
+    p.add_argument("--method", required=True, choices=["ratio", "alignment"])
     p.add_argument("--alignments", help="alignment file (required for --method alignment)")
     p.add_argument("--min-i", type=int, default=1, dest="min_i")
     p.add_argument("--out-prefix", required=True, dest="out_prefix")

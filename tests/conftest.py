@@ -1,12 +1,32 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
 
-FIXTURES = Path(__file__).resolve().parent.parent / "data" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "data" / "fixtures"
 
 
 @pytest.fixture(scope="session")
 def fixtures() -> Path:
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def fresh_python() -> Callable[..., subprocess.CompletedProcess[str]]:
+    """Run a new interpreter with the given arguments, importing retrans from src/."""
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+
+    def run(*args: str) -> subprocess.CompletedProcess[str]:
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    return run

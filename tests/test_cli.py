@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retrans import partials
-from retrans.cli import main
+from retrans.cli import build_parser, main
 from retrans.corpus import corpus_lines, load_corpus, read_lines
 from retrans.errors import DataError
 from retrans.mixing import mix
@@ -172,6 +173,51 @@ class TestStderrContract:
             f"config: command=align seed=5 verbose=2 iterations=5 out={out} "
             f"src={src} table_out={table} tgt={tgt}\n"
             "trained on 20 pairs, 5 iterations\n"
+        )
+
+
+def test_method_choices_are_the_method_values():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in commands.choices["gen-partial"]._actions if a.dest == "method")
+    assert sorted(method.choices) == sorted(m.value for m in partials.Method)
+
+
+class TestProcess:
+    """The CLI contract when it runs as its own process, as users start it."""
+
+    def test_help_lists_every_command(self, fresh_python):
+        proc = fresh_python("-m", "retrans.cli", "--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        listed = {line.split()[0] for line in proc.stdout.splitlines() if line.startswith("    ")}
+        assert listed >= {"align", "gen-partial", "mix", "score", "reseg", "simulate"}
+
+    def test_missing_required_flag_is_a_usage_error(self, fresh_python):
+        proc = fresh_python("-m", "retrans.cli", "score", "--hyp", "x")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("usage: retrans score ")
+        assert "error: the following arguments are required: --ref, --metric" in proc.stderr
+
+    def test_missing_input_is_a_data_error(self, fresh_python, tmp_path, fixtures):
+        missing = tmp_path / "missing.txt"
+        proc = fresh_python(
+            "-m", "retrans.cli", "score", "--hyp", str(missing),
+            "--ref", str(fixtures / "tiny.es"), "--metric", "bleu",
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert str(missing) in proc.stderr
+
+    def test_config_echo_goes_to_stderr(self, fresh_python, fixtures):
+        hyp, ref = fixtures / "tiny.hyp.es", fixtures / "tiny.es"
+        proc = fresh_python(
+            "-m", "retrans.cli", "reseg", "--hyp-stream", str(hyp), "--refs", str(ref),
+            "--out", os.devnull,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "")
+        assert proc.stderr == (
+            f"config: command=reseg seed=17 verbose=0 hyp_stream={hyp} out={os.devnull} "
+            f"refs={ref}\n"
         )
 
 
