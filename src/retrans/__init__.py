@@ -15,15 +15,14 @@ __version__ = "0.1.0"
 _HOMES = {
     "aligner": "NULL TranslationTable align_corpus log_likelihood train_model1 viterbi_align",
     "corpus": "Alignment ParallelCorpus SentencePair Tokens detokenize format_alignment"
-    " read_alignment_line read_alignments read_parallel tokenize",
+    " read_alignments read_parallel tokenize",
     "metrics": "CorrectionReport bleu corrected_words correction_report edit_distance gleu"
     " mean_gleu resegment wer",
-    "mixing": "MixManifest mix subsample",
+    "mixing": "MixManifest mix",
     "partials": "Method PartialCorpus PartialPair alignment_prefix_len generate_partial"
     " ratio_prefix_len",
     "session": "CommandTranslator SessionLog Translator UpdateEvent apply_event"
-    " dictionary_translator evaluate_sessions identity_translator read_events run_session"
-    " scripted_translator",
+    " dictionary_translator evaluate_sessions read_events run_session scripted_translator",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = sorted(_HOME)

@@ -23,7 +23,8 @@ from .corpus import Alignment, ParallelCorpus, SentencePair
 NULL = None
 """Distinguished null source token; kept distinct from every real token."""
 
-DEFAULT_EPSILON = 1e-12
+EPSILON = 1e-12
+"""The probability of a (source, target) pair the table has not seen."""
 
 
 @dataclass(frozen=True)
@@ -32,16 +33,13 @@ class TranslationTable:
 
     Each source row sums to 1 over its co-occurring target tokens (checked on
     construction, as is that every probability is finite and non-negative).
-    Lookups of unseen (source, target) pairs return the epsilon floor, a
-    finite positive number, so that held-out pairs never divide by zero.
+    Lookups of unseen (source, target) pairs return the EPSILON floor, so that
+    held-out pairs never divide by zero.
     """
 
     probs: dict[str | None, dict[str, float]]
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         for source, row in self.probs.items():
             # Written so that NaN fails each test: every comparison with it is false.
             if not all(0 <= p < math.inf for p in row.values()):
@@ -52,15 +50,11 @@ class TranslationTable:
     def prob(self, source: str | None, target: str) -> float:
         row = self.probs.get(source)
         if row is None:
-            return self.epsilon
-        return row.get(target, self.epsilon)
+            return EPSILON
+        return row.get(target, EPSILON)
 
 
-def train_model1(
-    corpus: ParallelCorpus,
-    iterations: int,
-    epsilon: float = DEFAULT_EPSILON,
-) -> TranslationTable:
+def train_model1(corpus: ParallelCorpus, iterations: int) -> TranslationTable:
     """Run EM for the given number of iterations and return the table.
 
     Probabilities start uniform over co-occurring pairs. Each iteration
@@ -124,16 +118,19 @@ def train_model1(
     table: dict[str | None, dict[str, float]] = {}
     for r, f, p in zip(cell_row, cell_target, probs):
         table.setdefault(names[r], {})[f] = p
-    return TranslationTable(table, epsilon)
+    return TranslationTable(table)
 
 
 def log_likelihood(table: TranslationTable, corpus: ParallelCorpus) -> float:
-    """Corpus log-likelihood under uniform alignment choice per target token."""
+    """Corpus log-likelihood under uniform alignment choice per target token.
+
+    Every sum adds left to right, so the value is the same on every Python version.
+    """
     ll = 0.0
     for pair in corpus:
         sources = (NULL, *pair.source)
         for f in pair.target:
-            ll += math.log(sum(table.prob(e, f) for e in sources) / len(sources))
+            ll += math.log(reduce(add, [table.prob(e, f) for e in sources]) / len(sources))
     return ll
 
 
@@ -144,7 +141,6 @@ def viterbi_align(table: TranslationTable, pair: SentencePair) -> Alignment:
     target position is left unaligned only when the null token strictly
     beats every source position.
     """
-    eps = table.epsilon
     null_row = table.probs.get(NULL, {})
     rows = [table.probs.get(e, {}) for e in pair.source]
     links = set()
@@ -152,11 +148,11 @@ def viterbi_align(table: TranslationTable, pair: SentencePair) -> Alignment:
         best_i = 0
         best_p = -1.0
         for i, row in enumerate(rows, start=1):
-            p = row.get(f, eps)
+            p = row.get(f, EPSILON)
             if p > best_p:
                 best_p = p
                 best_i = i
-        if null_row.get(f, eps) <= best_p:
+        if null_row.get(f, EPSILON) <= best_p:
             links.add((best_i, j))
     return Alignment(len(pair.source), len(pair.target), frozenset(links))
 

@@ -178,7 +178,7 @@ def cmd_reseg(args: argparse.Namespace) -> int:
 def _build_translator(spec: str, timeout: float) -> session.Translator | session.CommandTranslator:
     name, _, rest = spec.partition(":")
     if name == "identity":
-        return session.identity_translator
+        return session.dictionary_translator({})
     if name == "dict":
         if not rest:
             raise UsageError("dict translator needs a file: dict:FILE")

@@ -129,16 +129,6 @@ def _links(line: str, src_len: int, tgt_len: int, where: str = "") -> Iterator[t
         yield i, j
 
 
-def read_alignment_line(line: str, src_len: int, tgt_len: int) -> Alignment:
-    """Parse one line of space-separated 0-based "i-j" link pairs.
-
-    A blank line yields an empty link set (a fully unaligned pair is legal).
-    Duplicate pairs collapse. Raises AlignmentParseError on malformed tokens
-    or indices outside [0, len).
-    """
-    return Alignment(src_len, tgt_len, frozenset(_links(line, src_len, tgt_len)))
-
-
 def format_alignment(alignment: Alignment) -> str:
     """Render links as sorted 0-based "i-j" pairs (inverse of parsing)."""
     return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(alignment.links))
@@ -169,7 +159,12 @@ def read_alignments(
     *,
     what: tuple[str, str] = ("corpus", "alignments"),
 ) -> list[Alignment]:
-    """Parse one alignment line per corpus pair, in corpus order (see alignment_links)."""
+    """Parse one line of space-separated 0-based "i-j" links per corpus pair, in corpus order.
+
+    A blank line is a fully unaligned pair, and duplicate links collapse.
+    Raises AlignmentParseError, naming the line, on a malformed token or an
+    index outside [0, len), and CorpusMismatchError (see alignment_links).
+    """
     return [
         Alignment(len(pair.source), len(pair.target), frozenset(links))
         for pair, links in zip(corpus, alignment_links(lines, corpus, what=what))

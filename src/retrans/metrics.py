@@ -8,6 +8,8 @@ segmentation mismatches do not distort BLEU.
 
 BLEU and GLEU share one n-gram profile per sentence (ngram_counts), walk
 only the clipped overlap of two profiles, and take n-gram totals from lengths.
+Their float sums add left to right (sum() compensates its rounding on Python
+3.12+), so a score is the same on every Python version.
 
 Word error rate and the resegmenter share one edit-distance kernel,
 _columns, which advances the whole column of the dynamic program over the
@@ -20,7 +22,9 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 
 from .corpus import Tokens
 
@@ -60,7 +64,9 @@ def bleu(
     which keeps desk-size corpora away from hard zeros.
     """
     _check_pairs(hypotheses, references)
-    matched = [sum(m) for m in zip(*map(_clipped_matches, hypotheses, references))]
+    matched = [0] * (MAX_ORDER + 1)
+    for counts in map(_clipped_matches, hypotheses, references):  # holds one sentence's at a time
+        matched = list(map(add, matched, counts))
     lengths = [len(hyp) for hyp in hypotheses]
     hyp_len = sum(lengths)
     ref_len = sum(len(ref) for ref in references)
@@ -77,7 +83,7 @@ def bleu(
     if not logs:
         return 0.0
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return bp * math.exp(sum(logs) / len(logs))
+    return bp * math.exp(reduce(add, logs) / len(logs))
 
 
 def gleu(hypothesis: Tokens, reference: Tokens) -> float:
@@ -109,7 +115,7 @@ def _clipped_matches(hypothesis: Tokens, reference: Tokens) -> list[int]:
 def mean_gleu(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> float:
     """Plain average of sentence scores, for corpus-level reporting."""
     _check_pairs(hypotheses, references)
-    return sum(map(gleu, hypotheses, references)) / len(hypotheses)
+    return reduce(add, map(gleu, hypotheses, references)) / len(hypotheses)
 
 
 def _check_pairs(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> None:

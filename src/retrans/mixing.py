@@ -29,23 +29,6 @@ class MixManifest:
         return self.full_count + self.partial_sampled
 
 
-def _sample(
-    partial: Sequence[PartialPair], n: int, rng: random.Random
-) -> Sequence[PartialPair]:
-    # The draw needs only the count; picks read in increasing order walk a lazy partial once.
-    if n >= len(partial):
-        return partial
-    picked = sorted(rng.sample(range(len(partial)), n))
-    return tuple(partial[k] for k in picked)
-
-
-def subsample(partial: Sequence[PartialPair], n: int, seed: int) -> Sequence[PartialPair]:
-    """Uniform sample of min(n, size) rows without replacement, order kept."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _sample(partial, n, random.Random(seed))
-
-
 def mix(
     full: ParallelCorpus, partial: Sequence[PartialPair], seed: int
 ) -> tuple[ParallelCorpus, MixManifest]:
@@ -56,7 +39,10 @@ def mix(
     output byte for byte.
     """
     rng = random.Random(seed)
-    sampled = _sample(partial, len(full), rng)
+    sampled = partial
+    if len(full) < len(partial):
+        # The draw needs only the count; picks read in increasing order walk a lazy partial once.
+        sampled = tuple(partial[k] for k in sorted(rng.sample(range(len(partial)), len(full))))
     rows = [(p.source, p.target) for p in full]
     rows += [(q.source_prefix, q.target_prefix) for q in sampled]
     rng.shuffle(rows)

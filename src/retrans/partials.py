@@ -217,7 +217,7 @@ def manifest_lines(partial: PartialCorpus) -> list[str]:
 class _PartialLines(Sequence[PartialPair]):
     """n prefix rows over two line streams; row k is tokenised when it is read.
 
-    Reads walk both streams forward, so the increasing k of mixing._sample
+    Reads walk both streams forward, so the increasing k of mixing.mix's sample
     pass each line once; a read behind the walk starts it again.
     """
 

@@ -150,11 +150,6 @@ def evaluate_sessions(
     return replace(totals, bleu=bleu(segments, ref_segments))
 
 
-def identity_translator(source: Tokens) -> Tokens:
-    """Copy the source through unchanged."""
-    return source
-
-
 def dictionary_translator(lexicon: Mapping[str, str]) -> Translator:
     """Word-by-word lookup; out-of-vocabulary tokens are copied through.
 
@@ -171,7 +166,7 @@ def dictionary_translator(lexicon: Mapping[str, str]) -> Translator:
 def scripted_translator(script: Mapping[str, str]) -> Translator:
     """Exact-match replay of recorded outputs, keyed by detokenized source.
 
-    Unscripted sources fall back to the identity translation.
+    Unscripted sources are copied through.
     """
 
     def translate(source: Tokens) -> Tokens:

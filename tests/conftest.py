@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections.abc import Callable
 from pathlib import Path
 
@@ -30,3 +31,26 @@ def fresh_python() -> Callable[..., subprocess.CompletedProcess[str]]:
         )
 
     return run
+
+
+@pytest.fixture(scope="session")
+def traced_peak() -> Callable[[Callable[[], object]], int]:
+    """Bytes fn() allocates at its peak above what is allocated when it starts.
+
+    Works whether or not tracemalloc is already tracing, as under -X tracemalloc.
+    """
+
+    def measure(fn: Callable[[], object]) -> int:
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return measure

@@ -13,7 +13,15 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-NULL_MARK = "<null-source>"
+
+class _NullSource:
+    """The null source token of em_reference: not a str, so no corpus token equals it."""
+
+    def __repr__(self) -> str:
+        return "NULL_MARK"
+
+
+NULL_MARK = _NullSource()
 
 
 def em_reference(pairs, iterations):
@@ -90,6 +98,34 @@ def table_rows_reference(table):
             rows.append(("<NULL>" if e is None else e, f, p))
     rows.sort(key=lambda r: (r[0] != "<NULL>", r[0], r[1]))
     return rows
+
+
+def table_dump_reference(probs):
+    """The `align --table-out` lines of an em_reference table, in one sort.
+
+    Each line is source, target and probability (printf's %.12g), tab-separated.
+    The null source is spelled "<NULL>" and comes first; then lines sort by
+    source, then target, and the null source's line comes before that of a
+    real token spelled "<NULL>".
+    """
+    rows = []
+    for (e, f), p in probs.items():
+        name = "<NULL>" if e is NULL_MARK else e
+        rows.append((name != "<NULL>", name, f, e is not NULL_MARK, p))
+    rows.sort()
+    return ["%s\t%s\t%.12g" % (name, f, p) for _, name, f, _, p in rows]
+
+
+def file_lines_reference(data):
+    """The lines of UTF-8 file bytes.
+
+    Each line ends at a "\n", which is not part of it, and so does one "\r"
+    just before it. Text after the last "\n" is a last line.
+    """
+    lines = data.decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def levenshtein_full(a, b):
@@ -211,7 +247,15 @@ def bleu_reference(hypotheses, references, smooth=False):
     hyp_len = sum(len(hyp) for hyp in hypotheses)
     ref_len = sum(len(ref) for ref in references)
     penalty = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return penalty * math.exp(sum(math.log(p) for p in precisions) / len(precisions))
+    return penalty * math.exp(left_sum(math.log(p) for p in precisions) / len(precisions))
+
+
+def left_sum(values):
+    """Floats added one at a time, left to right; sum() compensates its rounding on 3.12+."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def gleu_reference(hypothesis, reference):

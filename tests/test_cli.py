@@ -24,6 +24,20 @@ from retrans.errors import DataError
 from retrans.mixing import mix
 from retrans.partials import read_partial
 
+from oracles import (
+    bleu_reference,
+    em_reference,
+    file_lines_reference,
+    gleu_reference,
+    left_sum,
+    levenshtein_full,
+    prefix_len_bruteforce,
+    ratio_len_reference,
+    resegment_dp,
+    table_dump_reference,
+    viterbi_reference,
+)
+
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -1074,3 +1088,108 @@ def test_hostile_input_exits_cleanly_and_names_an_input(name, files):
         assert errors
         for line in errors:
             assert any(path in line for path in named), line
+
+
+# Tokens that repeat, one spelled as the table dump spells the null source, and
+# "<null-source>", which must not meet the oracle's null source; blank runs that
+# str.split() splits on, U+3000 among them.
+WALK_TOKENS = ["a", "b", "a", "dé", "<NULL>", "<null-source>"]
+WALK_BLANKS = [" ", "\t", "\u3000", " \u3000\xa0"]
+
+
+@st.composite
+def walk_file_st(draw, lines: int, min_tokens: int) -> bytes:
+    """lines lines of tokens with blank runs between and around them, ended by LF or CRLF."""
+    text, edges, tokens = "", st.sampled_from(["", *WALK_BLANKS]), []
+    for _ in range(lines):
+        tokens = draw(st.lists(st.sampled_from(WALK_TOKENS), min_size=min_tokens, max_size=6))
+        line = "".join(draw(st.sampled_from(WALK_BLANKS)) + t for t in tokens[1:])
+        line = tokens[0] + line if tokens else ""
+        text += draw(edges) + line + draw(edges) + draw(st.sampled_from(["\n", "\r\n"]))
+    if tokens and draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")  # no line end after the last line
+    return text.encode("utf-8")
+
+
+@st.composite
+def walk_inputs_st(draw) -> dict[str, bytes]:
+    n = draw(st.integers(1, 5))
+    return {
+        "c.src": draw(walk_file_st(n, 1)),
+        "c.tgt": draw(walk_file_st(n, 1)),
+        "refs": draw(walk_file_st(draw(st.integers(1, 4)), 0)),
+    }
+
+
+def oracle_lines(lines) -> bytes:
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+@given(walk_inputs_st(), st.integers(1, 3), st.integers(1, 4), st.booleans())
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+def test_commands_write_the_oracles_bytes(files, iterations, min_i, smooth):
+    """align, gen-partial, reseg and score, each output rebuilt from tests/oracles.py alone."""
+    src, tgt, refs = (
+        [line.split() for line in file_lines_reference(files[name])]
+        for name in ("c.src", "c.tgt", "refs")
+    )
+    pairs = list(zip(src, tgt))
+    probs = em_reference(pairs, iterations)
+    links = [viterbi_reference(probs, s, t) for s, t in pairs]
+    expected = {
+        "a.out": oracle_lines(" ".join(f"{i - 1}-{j - 1}" for i, j in sorted(ls)) for ls in links),
+        "table.tsv": oracle_lines(table_dump_reference(probs)),
+    }
+    for method in ("ratio", "alignment"):
+        rows = [
+            (k, i, j, s, t)
+            for k, ((s, t), ls) in enumerate(zip(pairs, links))
+            for i in range(min_i, len(s) + 1)
+            for j in [
+                ratio_len_reference(len(s), i, len(t))
+                if method == "ratio"
+                else prefix_len_bruteforce(ls, i, len(t))
+            ]
+        ]
+        expected[f"{method}.src"] = oracle_lines(" ".join(s[:i]) for _, i, _, s, _ in rows)
+        expected[f"{method}.tgt"] = oracle_lines(" ".join(t[:j]) for _, _, j, _, t in rows)
+        expected[f"{method}.manifest.tsv"] = oracle_lines(
+            ["parent_id\ti\tj\tmethod", *(f"{k}\t{i}\t{j}\t{method}" for k, i, j, _, _ in rows)]
+        )
+    stream = [token for line in tgt for token in line]
+    expected["reseg.out"] = oracle_lines(" ".join(s) for s in resegment_dp(stream, refs)[0])
+    score = bleu_reference(tgt, src, smooth=smooth)
+    mean = left_sum(gleu_reference(h, r) for h, r in zip(tgt, src)) / len(src)
+    rate = sum(levenshtein_full(h, r) for h, r in zip(tgt, src)) / sum(map(len, src))
+    printed = {
+        "bleu": f"bleu\t{score:.4f}\nbleu100\t{100 * score:.4f}\n",
+        "gleu": f"gleu\t{mean:.4f}\n",
+        "wer": f"wer\t{rate:.4f}\n",
+    }
+
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, data in files.items():
+            (d / name).write_bytes(data)
+        corpus = ["--src", str(d / "c.src"), "--tgt", str(d / "c.tgt")]
+        runs = [
+            ["align", *corpus, "--iterations", str(iterations), "--out", str(d / "a.out"),
+             "--table-out", str(d / "table.tsv")],
+            *(["gen-partial", *corpus, "--method", method, "--alignments", str(d / "a.out"),
+               "--min-i", str(min_i), "--out-prefix", str(d / method)]
+              for method in ("ratio", "alignment")),
+            ["reseg", "--hyp-stream", str(d / "c.tgt"), "--refs", str(d / "refs"),
+             "--out", str(d / "reseg.out")],
+        ]
+        runs = [(argv, "") for argv in runs] + [
+            (["score", "--hyp", str(d / "c.tgt"), "--ref", str(d / "c.src"), "--metric", metric,
+              *(["--smooth"] if smooth else [])], text)
+            for metric, text in printed.items()
+        ]
+        for argv, text in runs:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0, argv
+            assert stdout.getvalue() == text, argv
+        for name, data in expected.items():
+            assert (d / name).read_bytes() == data, name

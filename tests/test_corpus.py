@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,11 +10,11 @@ from hypothesis import strategies as st
 from retrans.corpus import (
     Alignment,
     LineFile,
+    SentencePair,
     corpus_lines,
     detokenize,
     format_alignment,
     load_corpus,
-    read_alignment_line,
     read_alignments,
     read_lines,
     read_parallel,
@@ -100,38 +99,43 @@ class TestReadParallel:
         assert read_parallel(*corpus_lines(corpus)) == corpus
 
 
+def parse_line(line: str, src_len: int, tgt_len: int) -> Alignment:
+    """One alignment line as read_alignments reads it for a pair of the given lengths."""
+    return read_alignments([line], (SentencePair(0, ("s",) * src_len, ("t",) * tgt_len),))[0]
+
+
 class TestAlignmentParsing:
     def test_basic_links(self):
-        a = read_alignment_line("0-0 1-1", 2, 2)
+        a = parse_line("0-0 1-1", 2, 2)
         assert a.links == {(1, 1), (2, 2)}
 
     def test_blank_line_is_unaligned(self):
-        assert read_alignment_line("", 3, 2).links == frozenset()
+        assert parse_line("", 3, 2).links == frozenset()
 
     def test_out_of_range(self):
         with pytest.raises(AlignmentParseError) as err:
-            read_alignment_line("5-0", 2, 2)
+            parse_line("5-0", 2, 2)
         assert err.value.token == "5-0"
 
     @pytest.mark.parametrize("bad", ["1:2", "x-0", "0-", "-1-0", "0--1", "²-0"])
     def test_malformed_tokens(self, bad):
         with pytest.raises(AlignmentParseError):
-            read_alignment_line(bad, 9, 9)
+            parse_line(bad, 9, 9)
 
     # Digits outside ASCII (Arabic-Indic, fullwidth, superscript) and dashes
     # that leave a side empty or signed; the old regex rejected all of them.
     @pytest.mark.parametrize("bad", ["١-٢", "１-２", "²-0", "1--2", "+1-2", "1-", "-"])
     def test_rejects_the_token_by_name(self, bad):
         with pytest.raises(AlignmentParseError) as err:
-            read_alignment_line(f"0-0 {bad} 1-1", 9, 9)
+            parse_line(f"0-0 {bad} 1-1", 9, 9)
         assert err.value.token == bad
-        assert str(err.value) == f"bad alignment token {bad!r}"
+        assert str(err.value) == f"alignments line 1: bad alignment token {bad!r}"
 
     def test_leading_zeros_are_read_as_numbers(self):
-        assert read_alignment_line("00-01 002-0", 3, 2).links == {(1, 2), (3, 1)}
+        assert parse_line("00-01 002-0", 3, 2).links == {(1, 2), (3, 1)}
 
     def test_duplicates_collapse(self):
-        a = read_alignment_line("0-0 0-0", 1, 1)
+        a = parse_line("0-0 0-0", 1, 1)
         assert a.links == {(1, 1)}
 
     def test_link_bounds_validated_on_construction(self):
@@ -154,7 +158,7 @@ class TestAlignmentParsing:
             )
         )
         a = Alignment(src_len, tgt_len, links)
-        assert read_alignment_line(format_alignment(a), src_len, tgt_len) == a
+        assert parse_line(format_alignment(a), src_len, tgt_len) == a
 
 
 def test_read_alignments_matches_corpus_order():
@@ -196,14 +200,10 @@ class TestLineIO:
         write_lines(path, form(lines))
         assert path.read_bytes() == ("\n".join(lines) + "\n" if lines else "").encode()
 
-    def test_generated_lines_are_not_held(self, tmp_path):
+    def test_generated_lines_are_not_held(self, tmp_path, traced_peak):
         path = tmp_path / "many.txt"
-        tracemalloc.start()
-        try:
-            write_lines(path, (f"line {k} of a long generated file" for k in range(200_000)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        lines = (f"line {k} of a long generated file" for k in range(200_000))
+        peak = traced_peak(lambda: write_lines(path, lines))
         assert path.read_bytes().count(b"\n") == 200_000
         assert peak < 3 << 20  # a list of all 200,000 lines alone is about 18 MB
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from retrans import metrics
-from retrans.corpus import tokenize
+from retrans.corpus import Tokens, tokenize
 from retrans.metrics import (
     CorrectionReport,
     bleu,
@@ -26,6 +26,7 @@ from retrans.metrics import (
 from oracles import (
     bleu_reference,
     gleu_reference,
+    left_sum,
     levenshtein_full,
     resegment_bruteforce,
     resegment_dp,
@@ -140,6 +141,14 @@ class TestGleu:
         refs = [tokenize("a b"), tokenize("d")]
         assert mean_gleu(hyps, refs) == pytest.approx(0.5)
 
+    def test_mean_gleu_adds_left_to_right(self):
+        # Scores 0.1, 0.2 and 0.3 add to 0.6000000000000001 left to right; sum()
+        # on Python 3.12+ rounds them to 0.6, which gave 0.19999999999999998.
+        hyps = [tokenize("a b c d"), tokenize("a x b y"), tokenize("a b x y")]
+        refs = [tokenize("a x y z"), tokenize("a b c d"), tokenize("a b c d")]
+        assert [gleu(h, r) for h, r in zip(hyps, refs)] == [0.1, 0.2, 0.3]
+        assert mean_gleu(hyps, refs) == 0.20000000000000004
+
 
 short_sentence_st = st.lists(st.sampled_from("abc"), max_size=7).map(tuple)
 
@@ -180,7 +189,7 @@ class TestScoresAgainstOracles:
         refs = [ref for _, ref in pairs]
         scores = [gleu_reference(hyp, ref) for hyp, ref in pairs]
         assert [gleu(hyp, ref) for hyp, ref in pairs] == scores
-        assert mean_gleu(hyps, refs) == sum(scores) / len(scores)
+        assert mean_gleu(hyps, refs) == left_sum(scores) / len(scores)
 
 
 class TestCorrectedWords:
@@ -458,6 +467,13 @@ def test_ngram_counts_totals():
     assert sum(c for g, c in counts.items() if len(g) == 2) == 2
 
 
+def test_bleu_adds_its_logs_left_to_right():
+    # sum() on Python 3.12+ compensates its rounding and gave 0.3535533905932738.
+    hyps = [tokenize("b a a b c a a"), tokenize("b c c b b")]
+    refs = [tokenize("a a b b a a b"), tokenize("c c a b a")]
+    assert bleu(hyps, refs) == 0.35355339059327373
+
+
 def test_bleu_bp_uses_aggregate_lengths():
     # One short and one long hypothesis: lengths aggregate before the
     # brevity penalty, 6 hyp tokens vs 8 ref tokens.
@@ -470,3 +486,42 @@ def test_bleu_bp_uses_aggregate_lengths():
     p4 = 1 / 1
     expected = expected_bp * (p1 * p2 * p3 * p4) ** 0.25
     assert bleu(hyps, refs) == pytest.approx(expected, abs=1e-12)
+
+
+def random_sentences(n: int, seed: int) -> list[Tokens]:
+    """n sentences of 5-20 tokens over 50 types."""
+    rng = random.Random(seed)
+    vocab = [f"w{k}" for k in range(50)]
+    return [tuple(rng.choices(vocab, k=rng.randint(5, 20))) for _ in range(n)]
+
+
+def wer_edits(hyps: list[Tokens], refs: list[Tokens]) -> int:
+    """The edit total that `score --metric wer` divides by the reference tokens."""
+    edits = 0
+    for hyp, ref in zip(hyps, refs):
+        edits += wer(hyp, ref)[0]
+    return edits
+
+
+class TestMemory:
+    @pytest.mark.parametrize("score", [bleu, mean_gleu, wer_edits], ids=["bleu", "gleu", "wer"])
+    def test_score_peak_does_not_grow_with_the_sentences(self, traced_peak, score):
+        # Holding each sentence's clipped matches until the end, bleu grew by
+        # about 165 B a sentence; now each metric's peak, from 250 to 1,000
+        # sentences, stays flat within 7 KB on Python 3.10-3.13.
+        peaks = []
+        for n in (250, 1_000):
+            hyps, refs = random_sentences(n, 1), random_sentences(n, 2)
+            peaks.append(traced_peak(lambda: score(hyps, refs)))
+        assert peaks[1] - peaks[0] < 16 << 10
+
+    def test_resegment_peak_grows_by_its_columns_alone(self, traced_peak):
+        # resegment keeps four n-bit ints per reference segment, (m + 1) * n / 2
+        # bytes for m segments and n stream tokens: from 50 to 200 segments the
+        # peak grew by 0.58 (m + 1) * n bytes of the larger size on Python 3.10-3.13.
+        peaks = []
+        for m in (50, 200):
+            refs = random_sentences(m, 3)
+            stream = tuple(token for sentence in random_sentences(m, 4) for token in sentence)
+            peaks.append(traced_peak(lambda: resegment(stream, refs)))
+        assert peaks[1] - peaks[0] < (m + 1) * len(stream)  # m and n of the larger size

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from retrans.cli import main
 from retrans.corpus import ParallelCorpus, SentencePair
-from retrans.mixing import MixManifest, mix, subsample
+from retrans.mixing import MixManifest, mix
 from retrans.partials import PartialCorpus, PartialPair, read_partial
 
 
@@ -27,37 +26,56 @@ def partial_corpus(n: int) -> PartialCorpus:
     )
 
 
+@pytest.fixture
+def reads(monkeypatch) -> list[int]:
+    """The indexes read from any read_partial sequence during the test, in order."""
+    read: list[int] = []
+    lazy = type(read_partial([], []))
+    getitem = lazy.__getitem__
+
+    def counting_getitem(self, index):
+        read.append(index)
+        return getitem(self, index)
+
+    monkeypatch.setattr(lazy, "__getitem__", counting_getitem)
+    return read
+
+
+def sampled_sources(mixed: ParallelCorpus) -> Counter:
+    """The sources of the prefix rows (those of partial_corpus) in a mix output."""
+    return Counter(p.source for p in mixed if p.source[0].startswith("p"))
+
+
 class TestSubsample:
+    """The prefix rows mix samples: min(len(full), len(partial)), without replacement."""
+
     def test_identity_when_n_covers_all(self):
         partial = partial_corpus(5)
-        assert subsample(partial, 5, seed=1) is partial
-        assert subsample(partial, 99, seed=1) is partial
+        for n_full in (5, 99):
+            mixed, _ = mix(full_corpus(n_full), partial, seed=1)
+            assert sampled_sources(mixed) == Counter(q.source_prefix for q in partial)
 
-    def test_empty_sample(self):
-        assert len(subsample(partial_corpus(5), 0, seed=1)) == 0
+    def test_empty_sample(self, reads):
+        mixed, manifest = mix(full_corpus(0), read_partial(*prefix_lines(5)), seed=1)
+        assert (mixed, manifest.partial_sampled, reads) == ((), 0, [])
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            subsample(partial_corpus(2), -1, seed=1)
+    def test_deterministic(self, reads):
+        # The draw needs only the row count, so rows of other text give the same picks.
+        for src, tgt in (prefix_lines(1000), ([f"x{k}" for k in range(1000)], [""] * 1000)):
+            mix(full_corpus(300), read_partial(src, tgt), seed=42)
+        assert len(reads) == 600
+        assert reads[:300] == reads[300:]
 
-    def test_deterministic(self):
-        partial = partial_corpus(1000)
-        a = subsample(partial, 300, seed=42)
-        b = subsample(partial, 300, seed=42)
-        assert a == b
-        assert len(a) == 300
-
-    def test_preserves_relative_order(self):
-        partial = partial_corpus(200)
-        sample = subsample(partial, 50, seed=3)
-        ids = [p.parent_id for p in sample]
-        assert ids == sorted(ids)
+    def test_preserves_relative_order(self, reads):
+        mix(full_corpus(50), read_partial(*prefix_lines(200)), seed=3)
+        assert len(reads) == 50
+        assert reads == sorted(set(reads))  # one pass over a lazy partial
 
     def test_sample_is_subset_without_replacement(self):
-        partial = partial_corpus(100)
-        sample = subsample(partial, 60, seed=9)
-        counts = Counter(p.parent_id for p in sample)
-        assert all(v == 1 for v in counts.values())
+        mixed, _ = mix(full_corpus(60), partial_corpus(100), seed=9)
+        counts = sampled_sources(mixed)
+        assert sum(counts.values()) == 60
+        assert set(counts.values()) == {1}
 
 
 class TestMix:
@@ -124,27 +142,17 @@ def prefix_lines(n: int) -> tuple[list[str], list[str]]:
 
 
 class TestMixOverLazyRows:
-    def test_tokenises_only_the_sampled_rows(self, monkeypatch):
-        rows = read_partial(*prefix_lines(10_000))
-        read = []
-        lazy_getitem = type(rows).__getitem__
-
-        def counting_getitem(self, index):
-            read.append(index)
-            return lazy_getitem(self, index)
-
-        monkeypatch.setattr(type(rows), "__getitem__", counting_getitem)
-        mixed, manifest = mix(full_corpus(10), rows, seed=3)
+    def test_tokenises_only_the_sampled_rows(self, reads):
+        mixed, manifest = mix(full_corpus(10), read_partial(*prefix_lines(10_000)), seed=3)
         assert manifest == MixManifest(10, 10_000, 10, 3)
         assert len(mixed) == 20
-        assert 0 < len(read) <= 10
+        assert 0 < len(reads) <= 10
 
     @given(st.integers(0, 30), st.integers(0, 60), st.integers(0, 2**31))
     @settings(max_examples=100, deadline=None)
     def test_same_output_as_over_a_tuple(self, n_full, n_partial, seed):
         rows = read_partial(*prefix_lines(n_partial))
         assert mix(full_corpus(n_full), rows, seed) == mix(full_corpus(n_full), tuple(rows), seed)
-        assert tuple(subsample(rows, n_full, seed)) == subsample(tuple(rows), n_full, seed)
 
 
 # The growth in the traced peak of `mix` from 20,000 to 80,000 prefix rows
@@ -153,7 +161,7 @@ class TestMixOverLazyRows:
 EAGER_PEAK_GROWTH = 8_030_597
 
 
-def traced_mix_peak(directory, n_partial: int) -> int:
+def traced_mix_peak(traced_peak, directory, n_partial: int) -> int:
     """Peak traced bytes of one `mix` run over a 500-pair corpus and n_partial prefix rows."""
     src, tgt = prefix_lines(n_partial)
     files = {
@@ -166,21 +174,18 @@ def traced_mix_peak(directory, n_partial: int) -> int:
     for flag, name in (("--full-src", "f.src"), ("--full-tgt", "f.tgt"),
                        ("--partial-src", "p.src"), ("--partial-tgt", "p.tgt")):
         argv += [flag, str(directory / name)]
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
+
+    def run() -> None:
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+
+    return traced_peak(run)
 
 
 class TestMixMemory:
-    def test_peak_does_not_grow_with_the_prefix_files(self, tmp_path):
-        growth = traced_mix_peak(tmp_path, 80_000) - traced_mix_peak(tmp_path, 20_000)
+    def test_peak_does_not_grow_with_the_prefix_files(self, tmp_path, traced_peak):
+        growth = (
+            traced_mix_peak(traced_peak, tmp_path, 80_000)
+            - traced_mix_peak(traced_peak, tmp_path, 20_000)
+        )
         assert growth < EAGER_PEAK_GROWTH / 2

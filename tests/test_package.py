@@ -6,7 +6,8 @@ import pytest
 
 import retrans
 
-# The public names as of release 0.1.0, less the retired SessionReport.
+# The public names as of release 0.1.0, less the retired SessionReport,
+# identity_translator, read_alignment_line and subsample.
 EXPORTED = {
     "Alignment",
     "CommandTranslator",
@@ -36,19 +37,16 @@ EXPORTED = {
     "format_alignment",
     "generate_partial",
     "gleu",
-    "identity_translator",
     "log_likelihood",
     "mean_gleu",
     "mix",
     "ratio_prefix_len",
-    "read_alignment_line",
     "read_alignments",
     "read_events",
     "read_parallel",
     "resegment",
     "run_session",
     "scripted_translator",
-    "subsample",
     "tokenize",
     "train_model1",
     "viterbi_align",

@@ -26,7 +26,6 @@ from retrans.session import (
     apply_event,
     dictionary_translator,
     evaluate_sessions,
-    identity_translator,
     load_tsv_map,
     read_events,
     run_session,
@@ -94,7 +93,7 @@ class TestRunSession:
         assert logs[0].final_translation == ("yo", "animo", "a", "todos", "ustedes")
 
     def test_single_event_utterance(self):
-        logs = run_session([UpdateEvent(3, "replace", "hello")], identity_translator)
+        logs = run_session([UpdateEvent(3, "replace", "hello")], dictionary_translator({}))
         assert len(logs) == 1
         assert logs[0].utterance_id == 3
         assert logs[0].steps == ((("hello",), ("hello",)),)
@@ -105,7 +104,7 @@ class TestRunSession:
             UpdateEvent(0, "extend", "b"),
             UpdateEvent(1, "replace", "c"),
         ]
-        logs = run_session(events, identity_translator)
+        logs = run_session(events, dictionary_translator({}))
         assert [len(log.steps) for log in logs] == [2, 1]
 
     def test_sources_follow_cumulative_semantics(self):
@@ -114,7 +113,7 @@ class TestRunSession:
             UpdateEvent(0, "extend", "b c"),
             UpdateEvent(0, "replace", "d"),
         ]
-        logs = run_session(events, identity_translator)
+        logs = run_session(events, dictionary_translator({}))
         assert [source for source, _ in logs[0].steps] == [
             ("a",),
             ("a", "b", "c"),
@@ -128,7 +127,7 @@ class TestRunSession:
             UpdateEvent(0, "replace", "c"),
         ]
         with pytest.raises(EventOrderError):
-            run_session(events, identity_translator)
+            run_session(events, dictionary_translator({}))
 
     def test_translator_failure_reports_position(self):
         def broken(source):
@@ -149,7 +148,18 @@ class TestRunSession:
         )
 
     def test_empty_event_list(self):
-        assert run_session([], identity_translator) == []
+        assert run_session([], dictionary_translator({})) == []
+
+    def test_peak_grows_by_the_steps_alone(self, traced_peak):
+        # Each event's step holds its source and its translation: sources of 2,
+        # 5, 6 and 8 tokens peaked at 288-305 B an event on Python 3.10-3.13.
+        steps = [("replace", "a b"), ("extend", "c d e"), ("extend", "f"), ("extend", "g h")]
+        translate = dictionary_translator({"a": "x"})
+        peaks = []
+        for n in (250, 1_000):
+            events = [UpdateEvent(u, kind, text) for u in range(n) for kind, text in steps]
+            peaks.append(traced_peak(lambda: run_session(events, translate)))
+        assert peaks[1] - peaks[0] < 400 * 750 * len(steps)
 
 
 class TestTranslators:
@@ -434,7 +444,7 @@ class TestEvaluateSessions:
             UpdateEvent(0, "extend", "b"),
             UpdateEvent(1, "replace", "c d"),
         ]
-        logs = run_session(events, identity_translator)
+        logs = run_session(events, dictionary_translator({}))
         report = evaluate_sessions(logs, [tokenize("a b"), tokenize("c d")])
         assert report.words_updated == 0
         assert report.messages_updated == 0
