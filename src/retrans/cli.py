@@ -89,6 +89,8 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
         args.parser.error("--min-i must be >= 1")
     if method is partials.Method.ALIGNMENT and not args.alignments:
         args.parser.error("--alignments is required with --method alignment")
+    if method is partials.Method.RATIO and args.alignments is not None:
+        args.parser.error("--alignments is only used with --method alignment")
     corpus = _corpus.load_corpus(args.src, args.tgt)
     links = None
     if method is partials.Method.ALIGNMENT:
@@ -121,15 +123,16 @@ def cmd_mix(args: argparse.Namespace) -> int:
     )
     mixed, manifest = mixing.mix(full, partial, args.seed)
     _note(args, f"mixed {manifest.full_count} full + {manifest.partial_sampled} partial rows")
-    src_lines, tgt_lines = _corpus.corpus_lines(mixed)
-    _corpus.write_lines(f"{args.out_prefix}.src", src_lines)
-    _corpus.write_lines(f"{args.out_prefix}.tgt", tgt_lines)
+    _corpus.write_lines(f"{args.out_prefix}.src", (_corpus.detokenize(p.source) for p in mixed))
+    _corpus.write_lines(f"{args.out_prefix}.tgt", (_corpus.detokenize(p.target) for p in mixed))
     counts = [*vars(manifest).items(), ("output_size", manifest.output_size)]
     _corpus.write_lines(f"{args.out_prefix}.manifest.txt", [f"{k}: {v}" for k, v in counts])
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    if args.smooth and args.metric != "bleu":
+        args.parser.error("--smooth is only used with --metric bleu")
     hyps = _corpus.token_lines(args.hyp)
     refs = _corpus.token_lines(args.ref)
     if len(hyps) != len(refs):

@@ -111,11 +111,6 @@ def read_parallel(
     )
 
 
-def corpus_lines(corpus: ParallelCorpus) -> tuple[list[str], list[str]]:
-    """Render a corpus back into (source lines, target lines)."""
-    return [detokenize(p.source) for p in corpus], [detokenize(p.target) for p in corpus]
-
-
 def _links(line: str, src_len: int, tgt_len: int, where: str = "") -> Iterator[tuple[int, int]]:
     """The 1-based links of one line of 0-based "i-j" pairs, each checked as it is read."""
     for token in line.split():

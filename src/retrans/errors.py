@@ -50,17 +50,6 @@ class AlignmentParseError(DataError):
         )
 
 
-class AlignmentMissingError(DataError):
-    """No usable alignment was supplied for a sentence pair."""
-
-    def __init__(self, pair_id: int, detail: str = "") -> None:
-        self.pair_id = pair_id
-        super().__init__(
-            f"missing or mismatched alignment for pair {pair_id}"
-            f"{f': {detail}' if detail else ''}"
-        )
-
-
 class EventParseError(DataError):
     """An event line was not a valid update record."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from .corpus import Alignment, ParallelCorpus, SentencePair, Tokens, detokenize
-from .errors import AlignmentMissingError, CorpusMismatchError, DataError, EmptySentenceError
+from .errors import CorpusMismatchError, DataError, EmptySentenceError
 
 
 class Method(enum.Enum):
@@ -111,17 +111,19 @@ def _target_lens(
 ) -> Iterator[tuple[SentencePair, list[int]]]:
     """Pairs with rows, each with j for every i in [min_i, I]; every check runs first.
 
-    links: each pair's 1-based links (alignment method); a bad count or link raises.
+    links: each pair's 1-based links, with the alignment method only (ValueError
+    otherwise); a bad count or link raises.
     """
     if min_i < 1:
         raise ValueError(f"min_i must be >= 1, got {min_i}")
+    if (links is None) == (method is Method.ALIGNMENT):
+        need = "needs" if links is None else "takes no"
+        raise ValueError(f"the {method.value} method {need} alignments")
     if method is Method.RATIO:
         for pair in corpus:
             if not pair.target and len(pair.source) >= min_i:
                 raise ValueError(f"pair {pair.id}: the ratio method needs a non-empty target")
         lens = (_ratio_lens(len(pair.source), len(pair.target)) for pair in corpus)
-    elif links is None:
-        raise AlignmentMissingError(corpus[0].id if corpus else 0, "no alignments supplied")
     else:
         pairs = zip(corpus, links, strict=True)
         lens = [_prefix_lens(len(p.source), len(p.target), ls, f"pair {p.id}: ") for p, ls in pairs]
@@ -137,8 +139,9 @@ def partial_blocks(
     """generate_partial's rows as (count, source, target, manifest) text, a pair at a time.
 
     Each block is the newline-terminated lines that partial_lines and
-    manifest_lines give for the pair's rows. The alignment method takes each
-    pair's links as corpus.alignment_links gives them. Every check runs first.
+    manifest_lines give for the pair's rows. links go with the alignment
+    method only (ValueError otherwise), each pair's as corpus.alignment_links
+    gives them. Every check runs first.
     """
     lens = _target_lens(corpus, method, links, min_i)
     return (_block(pair, js, method.value, min_i) for pair, js in lens)
@@ -170,24 +173,18 @@ def generate_partial(
     Rows whose target prefix is empty are kept: the empty translation is the
     correct label for such prefixes. The ratio method requires a non-empty
     target for every pair that yields rows (ValueError otherwise). The
-    alignment method requires one alignment per pair with matching sentence
-    lengths: a short list raises AlignmentMissingError for the first pair
-    without one, a long list DataError.
+    alignment method, and only it, takes alignments (ValueError otherwise):
+    one per pair, with the pair's sentence lengths (DataError otherwise).
     """
     links = None
-    if method is Method.ALIGNMENT and alignments is not None:
+    if alignments is not None:
         if len(alignments) != len(corpus):
-            counts = f"{len(alignments)} alignments for {len(corpus)} pairs"
-            if len(alignments) < len(corpus):
-                raise AlignmentMissingError(corpus[len(alignments)].id, counts)
-            raise DataError(f"too many alignments: {counts}")
-        for pair, alignment in zip(corpus, alignments):
-            src_len, tgt_len = len(pair.source), len(pair.target)
-            if alignment.src_len != src_len or alignment.tgt_len != tgt_len:
-                raise AlignmentMissingError(
-                    pair.id,
-                    f"alignment is ({alignment.src_len},{alignment.tgt_len}), "
-                    f"pair is ({src_len},{tgt_len})",
+            raise DataError(f"{len(alignments)} alignments for {len(corpus)} pairs")
+        for pair, a in zip(corpus, alignments):
+            if (a.src_len, a.tgt_len) != (len(pair.source), len(pair.target)):
+                raise DataError(
+                    f"pair {pair.id}: alignment is ({a.src_len},{a.tgt_len}),"
+                    f" pair is ({len(pair.source)},{len(pair.target)})"
                 )
         links = [alignment.links for alignment in alignments]
     return tuple(

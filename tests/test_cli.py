@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from retrans import partials
 from retrans.cli import build_parser, main
-from retrans.corpus import corpus_lines, load_corpus, read_lines
+from retrans.corpus import detokenize, load_corpus, read_lines
 from retrans.errors import DataError
 from retrans.mixing import mix
 from retrans.partials import read_partial
@@ -96,6 +96,10 @@ _GEN_PARTIAL_USAGE = (
     "                           [--alignments ALIGNMENTS] [--min-i MIN_I]\n"
     "                           --out-prefix OUT_PREFIX\n"
 )
+_SCORE_USAGE = (
+    "usage: retrans score [-h] [--seed SEED] [-v] --hyp HYP --ref REF --metric\n"
+    "                     {bleu,gleu,wer} [--smooth]\n"
+)
 
 
 class TestStderrContract:
@@ -146,6 +150,36 @@ class TestStderrContract:
             f"out_prefix={prefix} src={src} tgt={tgt}\n"
             + _GEN_PARTIAL_USAGE
             + "error: --alignments is required with --method alignment\n"
+        )
+
+    def test_gen_partial_ratio_with_alignments(self, capsys, tmp_path, fixtures):
+        src, tgt, prefix = fixtures / "tiny.en", fixtures / "tiny.es", tmp_path / "p"
+        alignments = write(tmp_path / "a.align", "0-0\n" * 20)
+        code, stdout, err = run(
+            capsys, "gen-partial", "--src", str(src), "--tgt", str(tgt),
+            "--method", "ratio", "--alignments", str(alignments), "--out-prefix", str(prefix),
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"config: command=gen-partial seed=17 verbose=0 alignments={alignments} "
+            f"method=ratio min_i=1 out_prefix={prefix} src={src} tgt={tgt}\n"
+            + _GEN_PARTIAL_USAGE
+            + "error: --alignments is only used with --method alignment\n"
+        )
+        assert not list(tmp_path.glob("p*"))
+
+    @pytest.mark.parametrize("metric", ["gleu", "wer"])
+    def test_score_smooth_without_bleu(self, capsys, fixtures, metric):
+        hyp, ref = fixtures / "tiny.hyp.es", fixtures / "tiny.es"
+        code, stdout, err = run(
+            capsys, "score", "--hyp", str(hyp), "--ref", str(ref), "--metric", metric, "--smooth"
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"config: command=score seed=17 verbose=0 hyp={hyp} metric={metric} ref={ref} "
+            "smooth=True\n"
+            + _SCORE_USAGE
+            + "error: --smooth is only used with --metric bleu\n"
         )
 
     def test_dict_translator_without_file(self, capsys, fixtures):
@@ -524,7 +558,8 @@ def eager_mix(full: tuple[Path, Path], partial: tuple[Path, Path], seed: int) ->
     src, tgt = map(read_lines, partial)
     rows = read_partial(src, tgt, what=(str(partial[0]), str(partial[1])))
     mixed, _ = mix(load_corpus(*full), rows, seed)
-    return tuple("".join(line + "\n" for line in side).encode() for side in corpus_lines(mixed))
+    sides = ([p.source for p in mixed], [p.target for p in mixed])
+    return tuple("".join(detokenize(t) + "\n" for t in side).encode() for side in sides)
 
 
 class TestMixReadsPrefixFilesTwice:
@@ -1128,7 +1163,10 @@ def oracle_lines(lines) -> bytes:
 @given(walk_inputs_st(), st.integers(1, 3), st.integers(1, 4), st.booleans())
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 def test_commands_write_the_oracles_bytes(files, iterations, min_i, smooth):
-    """align, gen-partial, reseg and score, each output rebuilt from tests/oracles.py alone."""
+    """align, gen-partial, reseg and score, each output rebuilt from tests/oracles.py alone.
+
+    --alignments and --smooth are passed only where they apply; elsewhere they are refused.
+    """
     src, tgt, refs = (
         [line.split() for line in file_lines_reference(files[name])]
         for name in ("c.src", "c.tgt", "refs")
@@ -1175,16 +1213,139 @@ def test_commands_write_the_oracles_bytes(files, iterations, min_i, smooth):
         runs = [
             ["align", *corpus, "--iterations", str(iterations), "--out", str(d / "a.out"),
              "--table-out", str(d / "table.tsv")],
-            *(["gen-partial", *corpus, "--method", method, "--alignments", str(d / "a.out"),
-               "--min-i", str(min_i), "--out-prefix", str(d / method)]
-              for method in ("ratio", "alignment")),
+            ["gen-partial", *corpus, "--method", "ratio", "--min-i", str(min_i),
+             "--out-prefix", str(d / "ratio")],
+            ["gen-partial", *corpus, "--method", "alignment", "--alignments", str(d / "a.out"),
+             "--min-i", str(min_i), "--out-prefix", str(d / "alignment")],
             ["reseg", "--hyp-stream", str(d / "c.tgt"), "--refs", str(d / "refs"),
              "--out", str(d / "reseg.out")],
         ]
-        runs = [(argv, "") for argv in runs] + [
-            (["score", "--hyp", str(d / "c.tgt"), "--ref", str(d / "c.src"), "--metric", metric,
-              *(["--smooth"] if smooth else [])], text)
+        score = ["score", "--hyp", str(d / "c.tgt"), "--ref", str(d / "c.src"), "--metric"]
+        runs = [(argv, 0, "") for argv in runs] + [
+            ([*score, metric, *(["--smooth"] if smooth and metric == "bleu" else [])], 0, text)
             for metric, text in printed.items()
+        ]
+        refused = [
+            ["gen-partial", *corpus, "--method", "ratio", "--alignments", str(d / "a.out"),
+             "--out-prefix", str(d / "refused")],
+            [*score, "gleu", "--smooth"],
+            [*score, "wer", "--smooth"],
+        ]
+        for argv, code, text in runs + [(argv, 1, "") for argv in refused]:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == code, argv
+            assert stdout.getvalue() == text, argv
+        for name, data in expected.items():
+            assert (d / name).read_bytes() == data, name
+        assert not list(d.glob("refused*"))
+
+
+# Blank runs without a tab, which would end a lexicon line's source side.
+TABLESS_BLANKS = [" ", "\u3000", "\xa0"]
+
+
+@st.composite
+def session_inputs_st(draw) -> dict[str, bytes]:
+    """Prefix files for mix, grouped update events and a word-to-word lexicon for simulate.
+
+    The texts have walk_file_st's tokens and blank runs; lines end by LF or CRLF.
+    """
+    m = draw(st.integers(1, 8))
+    ends = st.sampled_from(["\n", "\r\n"])
+    events = ""
+    for utterance_id in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)):
+        for _ in range(draw(st.integers(1, 4))):
+            text = draw(walk_file_st(1, 1)).decode("utf-8").rstrip("\r\n")
+            kind = draw(st.sampled_from(["replace", "extend"]))
+            event = {"utterance_id": utterance_id, "kind": kind, "text": text}
+            events += json.dumps(event, ensure_ascii=draw(st.booleans())) + draw(ends)
+            events += draw(st.sampled_from(["", "", *TABLESS_BLANKS])) + draw(ends)
+    blank = st.sampled_from(["", *TABLESS_BLANKS])
+    words = st.sampled_from([*WALK_TOKENS, "x", "yé"])
+    lexicon = "".join(
+        draw(blank) + draw(words) + draw(blank) + "\t" + draw(blank) + draw(words) + draw(blank)
+        + draw(ends)
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    return {
+        "p.src": draw(walk_file_st(m, 1)),
+        "p.tgt": draw(walk_file_st(m, 0)),
+        "events": events.encode("utf-8"),
+        "lexicon": lexicon.encode("utf-8"),
+    }
+
+
+@given(walk_inputs_st(), session_inputs_st(), st.integers(0, 99), st.booleans())
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_mix_and_simulate_write_the_oracles_bytes(files, more, seed, with_refs):
+    """mix and simulate --translator dict:, each output rebuilt without the package.
+
+    mix's picks come from random.Random(seed) through the sample and shuffle calls
+    that mix makes; simulate's from event application, word-by-word lookup,
+    resegment_dp and bleu_reference.
+    """
+    files = {**files, **more}
+    lines = {name: file_lines_reference(data) for name, data in files.items()}
+    full = [(s.split(), t.split()) for s, t in zip(lines["c.src"], lines["c.tgt"])]
+    partial = [(s.split(), t.split()) for s, t in zip(lines["p.src"], lines["p.tgt"])]
+    rng = random.Random(seed)
+    sampled = partial
+    if len(full) < len(partial):
+        sampled = [partial[k] for k in sorted(rng.sample(range(len(partial)), len(full)))]
+    rows = full + sampled
+    rng.shuffle(rows)
+    counts = [("full_count", len(full)), ("partial_total", len(partial)),
+              ("partial_sampled", len(sampled)), ("seed", seed), ("output_size", len(rows))]
+    expected = {
+        "m.src": oracle_lines(" ".join(s) for s, _ in rows),
+        "m.tgt": oracle_lines(" ".join(t) for _, t in rows),
+        "m.manifest.txt": oracle_lines(f"{k}: {v}" for k, v in counts),
+    }
+
+    lexicon = dict(line.split() for line in lines["lexicon"] if line.strip())
+    sessions = []  # [utterance id, [(source, translation) per step]]
+    for record in (json.loads(line) for line in lines["events"] if line.strip()):
+        if not sessions or sessions[-1][0] != record["utterance_id"]:
+            sessions.append([record["utterance_id"], []])
+            source = []
+        words = record["text"].split()
+        source = words if record["kind"] == "replace" else source + words
+        sessions[-1][1].append((source, [lexicon.get(w, w) for w in source]))
+    expected["log.jsonl"] = oracle_lines(
+        json.dumps({"utterance_id": u, "step": k, "source": " ".join(source),
+                    "translation": " ".join(translation)}, ensure_ascii=False)
+        for u, steps in sessions
+        for k, (source, translation) in enumerate(steps)
+    )
+    word_up = mssg_up = updates = 0
+    for _, steps in sessions:
+        for (_, prev), (_, new) in zip(steps, steps[1:]):
+            kept = 0  # the common prefix; every word of prev after it is rewritten
+            while kept < min(len(prev), len(new)) and prev[kept] == new[kept]:
+                kept += 1
+            word_up += len(prev) - kept
+            mssg_up += kept < len(prev)
+            updates += 1
+    report = [f"word_up: {word_up}", f"mssg_up: {mssg_up}", f"updates_total: {updates}"]
+    if with_refs:
+        refs = [line.split() for line in lines["refs"]]
+        stream = [w for _, steps in sessions for w in steps[-1][1]]
+        report.insert(0, f"bleu: {bleu_reference(resegment_dp(stream, refs)[0], refs):.4f}")
+    expected["report.txt"] = oracle_lines(report)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, data in files.items():
+            (d / name).write_bytes(data)
+        runs = [
+            (["mix", "--full-src", str(d / "c.src"), "--full-tgt", str(d / "c.tgt"),
+              "--partial-src", str(d / "p.src"), "--partial-tgt", str(d / "p.tgt"),
+              "--out-prefix", str(d / "m"), "--seed", str(seed)], ""),
+            (["simulate", "--events", str(d / "events"), "--translator", f"dict:{d / 'lexicon'}",
+              *(["--refs", str(d / "refs")] if with_refs else []),
+              "--log-out", str(d / "log.jsonl"), "--report-out", str(d / "report.txt")],
+             expected["report.txt"].decode("utf-8")),
         ]
         for argv, text in runs:
             stdout = io.StringIO()

@@ -11,7 +11,6 @@ from retrans.corpus import (
     Alignment,
     LineFile,
     SentencePair,
-    corpus_lines,
     detokenize,
     format_alignment,
     load_corpus,
@@ -95,8 +94,8 @@ class TestReadParallel:
         src = [detokenize(s) for s in sentences]
         tgt = [detokenize(s[::-1]) for s in sentences]
         corpus = read_parallel(src, tgt)
-        assert corpus_lines(corpus) == (src, tgt)
-        assert read_parallel(*corpus_lines(corpus)) == corpus
+        assert [detokenize(p.source) for p in corpus] == src
+        assert [detokenize(p.target) for p in corpus] == tgt
 
 
 def parse_line(line: str, src_len: int, tgt_len: int) -> Alignment:

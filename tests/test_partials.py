@@ -24,7 +24,6 @@ from retrans.corpus import (
     write_lines,
 )
 from retrans.errors import (
-    AlignmentMissingError,
     AlignmentParseError,
     CorpusMismatchError,
     DataError,
@@ -203,25 +202,32 @@ class TestGeneratePartial:
         assert partial[1].target_prefix == ("x", "y")
 
     def test_missing_alignments(self):
-        with pytest.raises(AlignmentMissingError):
+        with pytest.raises(ValueError, match="^the alignment method needs alignments$"):
             generate_partial(corpus_of("a b", "x"), Method.ALIGNMENT, None)
+
+    @pytest.mark.parametrize("alignments", [[], [Alignment(1, 1, frozenset())]])
+    def test_ratio_method_refuses_alignments(self, alignments):
+        corpus = read_parallel(["a"], ["x"])[: len(alignments)]
+        with pytest.raises(ValueError, match="^the ratio method takes no alignments$"):
+            generate_partial(corpus, Method.RATIO, alignments)
+        with pytest.raises(ValueError, match="^the ratio method takes no alignments$"):
+            partial_blocks(corpus, Method.RATIO, [a.links for a in alignments])
 
     def test_alignment_list_too_short(self):
         corpus = read_parallel(["a", "b"], ["x", "y"])
-        with pytest.raises(AlignmentMissingError) as err:
+        with pytest.raises(DataError, match="^1 alignments for 2 pairs$"):
             generate_partial(corpus, Method.ALIGNMENT, [Alignment(1, 1, frozenset())])
-        assert err.value.pair_id == 1
 
     def test_alignment_list_too_long(self):
         # A surplus alignment means the list belongs to another corpus; it is
         # not cut off silently.
         corpus = read_parallel(["a"], ["x"])
         alignment = Alignment(1, 1, frozenset({(1, 1)}))
-        with pytest.raises(DataError, match="^too many alignments: 2 alignments for 1 pairs$"):
+        with pytest.raises(DataError, match="^2 alignments for 1 pairs$"):
             generate_partial(corpus, Method.ALIGNMENT, [alignment, alignment])
 
     def test_alignment_dimension_mismatch(self):
-        with pytest.raises(AlignmentMissingError):
+        with pytest.raises(DataError, match=r"^pair 0: alignment is \(9,9\), pair is \(2,1\)$"):
             generate_partial(
                 corpus_of("a b", "x"), Method.ALIGNMENT, [Alignment(9, 9, frozenset())]
             )
@@ -243,10 +249,10 @@ class TestPartialRows:
     @pytest.mark.parametrize(
         "alignments,error",
         [
-            ([], AlignmentMissingError),
+            ([], DataError),
             ([Alignment(1, 1, frozenset())] * 3, DataError),
-            ([Alignment(1, 1, frozenset()), Alignment(2, 1, frozenset())], AlignmentMissingError),
-            (None, AlignmentMissingError),
+            ([Alignment(1, 1, frozenset()), Alignment(2, 1, frozenset())], DataError),
+            (None, ValueError),
         ],
         ids=["short-list", "long-list", "length-mismatch", "no-list"],
     )
@@ -258,12 +264,12 @@ class TestPartialRows:
     def test_length_mismatch_after_good_pairs_raises_on_call(self):
         corpus = read_parallel(["a b", "c"], ["x", "y"])
         alignments = [Alignment(2, 1, frozenset()), Alignment(1, 2, frozenset())]
-        with pytest.raises(AlignmentMissingError) as err:
+        with pytest.raises(DataError, match=r"^pair 1: alignment is \(1,2\), pair is \(1,1\)$"):
             generate_partial(corpus, Method.ALIGNMENT, alignments)
-        assert err.value.pair_id == 1
 
     @pytest.mark.parametrize("method", list(Method))
     def test_bad_min_i_raises_on_call(self, method):
+        # min_i is checked first, before the ratio method refuses the links.
         with pytest.raises(ValueError, match="min_i"):
             partial_blocks(corpus_of("a", "x"), method, [[(1, 1)]], min_i=0)
 
@@ -297,7 +303,7 @@ class TestPartialRows:
         [
             ((SentencePair(0, ("a",), ()),), Method.RATIO, None, 1, ValueError),
             (corpus_of("a", "x"), Method.RATIO, None, 0, ValueError),
-            (corpus_of("a", "x"), Method.ALIGNMENT, None, 1, AlignmentMissingError),
+            (corpus_of("a", "x"), Method.ALIGNMENT, None, 1, ValueError),
             # An alignment line made for longer sentences than its pair's.
             (corpus_of("a", "x"), Method.ALIGNMENT, ["1-0"], 1, AlignmentParseError),
         ],
@@ -482,7 +488,8 @@ def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, min_i,
         ))
         for p in corpus
     ]
-    partial = generate_partial(corpus, method, alignments, min_i)
+    aligned = method is Method.ALIGNMENT
+    partial = generate_partial(corpus, method, alignments if aligned else None, min_i)
     src_lines, tgt_lines = partial_lines(partial)
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
@@ -493,7 +500,8 @@ def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, min_i,
         with contextlib.redirect_stderr(stderr):
             code = main([
                 "gen-partial", "--src", str(d / "c.src"), "--tgt", str(d / "c.tgt"),
-                "--method", method.value, "--alignments", str(d / "c.align"),
+                "--method", method.value,
+                *(["--alignments", str(d / "c.align")] if aligned else []),
                 "--min-i", str(min_i), "--out-prefix", str(d / "p"), "-v",
             ])
         assert code == 0

@@ -58,14 +58,21 @@ def walked(tmp_path_factory, fixtures):
 
 @pytest.mark.parametrize("command", list(NEEDS))
 def test_each_command_executes_only_its_modules(command, walked, fresh_python):
+    # Also prints the modules from outside retrans and the standard library that
+    # the command imports; what site imported before retrans.cli is not counted.
     proc = fresh_python(
         "-c",
         "import sys\n"
+        "before = set(sys.modules)\n"
         "import retrans.cli\n"
         "code = retrans.cli.main(sys.argv[1:])\n"
+        "ours = {'retrans', *sys.stdlib_module_names}\n"
+        "print(*sorted(n for n in sys.modules\n"
+        "              if n not in before and n.partition('.')[0] not in ours))\n"
         + _EXECUTED + "sys.exit(code)\n",
         *walked[command],
     )
     assert proc.returncode == 0, proc.stderr
-    executed = proc.stdout.splitlines()[-1].split()
-    assert executed == sorted(_ALWAYS + [f"retrans.{m}" for m in NEEDS[command]])
+    *_, foreign, executed = proc.stdout.splitlines()
+    assert foreign == "", "imports from outside retrans and the standard library"
+    assert executed.split() == sorted(_ALWAYS + [f"retrans.{m}" for m in NEEDS[command]])
