@@ -180,7 +180,7 @@ def cmd_reseg(args: argparse.Namespace) -> int:
 
 def _build_translator(spec: str, timeout: float) -> session.Translator | session.CommandTranslator:
     name, _, rest = spec.partition(":")
-    if name == "identity":
+    if spec == "identity":
         return session.dictionary_translator({})
     if name == "dict":
         if not rest:
@@ -202,7 +202,7 @@ def _build_translator(spec: str, timeout: float) -> session.Translator | session
         lexicon = session.load_tsv_map(_corpus.read_lines(rest), what=rest)
         return session.scripted_translator(lexicon)
     if name == "cmd":
-        if not rest:
+        if not rest.strip():
             raise UsageError("cmd translator needs a command: cmd:\"...\"")
         return session.CommandTranslator(rest, timeout=timeout)
     raise UsageError(f"unknown translator {spec!r}")
@@ -221,9 +221,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         logs = session.run_session(events, translator)
     except EventOrderError as err:
         raise DataError(f"{args.events}: {err}") from None
-    finally:
-        if isinstance(translator, session.CommandTranslator):
-            translator.close()
     if args.log_out:
         import json
 

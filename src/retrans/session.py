@@ -184,25 +184,20 @@ class CommandTranslator:
     Protocol: one detokenized source per line on stdin, one translation per
     line on stdout, as UTF-8 lines that end at "\n" only (corpus.read_lines'
     rule). stream() serves one session, and a second call raises at once.
-    One selector loop writes every source ahead of the replies, closes the
-    input after the last, and reads the output and the stderr; after the
-    last reply any byte of output is extra. The timeout bounds the wait for
-    each reply line and for the output's end. The child's stderr is passed
-    through, and its last 2 KiB end every failure.
+    The child starts when the stream's first reply is asked for, and the
+    stream ends it, whether its replies end, fail or are abandoned; its exit
+    status is not read. One selector loop writes every source ahead of the
+    replies, closes the input after the last, and reads the output and the
+    stderr; after the last reply any byte of output is extra. The timeout
+    bounds the wait for each reply line and for the output's end. The
+    child's stderr is passed through, and its last 2 KiB end every failure.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 30.0) -> None:
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
-        self.timeout = timeout
-        pipe = subprocess.PIPE
-        self._proc = proc = subprocess.Popen(argv, stdin=pipe, stdout=pipe, stderr=pipe)
-        os.set_blocking(proc.stdin.fileno(), False)
-        self._poller = selectors.DefaultSelector()
-        self._poller.register(proc.stdout, selectors.EVENT_READ)
-        self._poller.register(proc.stderr, selectors.EVENT_READ)
-        self._unsent, self._streamed = memoryview(b""), False
-        self._replies, self._ended = bytearray(), False  # unread output; whether it ended
-        self._tail, self._echo = b"", codecs.getincrementaldecoder("utf-8")("replace")
+        self._argv = shlex.split(command) if isinstance(command, str) else list(command)
+        if not self._argv:
+            raise ValueError("translator command is empty")
+        self.timeout, self._streamed = timeout, False
 
     def _poll(self, timeout: float) -> None:
         """Wait up to timeout for the pipes, then write and read what is ready.
@@ -258,41 +253,38 @@ class CommandTranslator:
         if self._streamed:
             raise RuntimeError("translator has served its one stream; start a new one")
         self._streamed = True
+        return self._read(sources)
+
+    def _read(self, sources: Sequence[Tokens]) -> Iterator[Tokens]:
         self._unsent = memoryview("".join(f"{detokenize(s)}\n" for s in sources).encode("utf-8"))
-        self._poller.register(self._proc.stdin, selectors.EVENT_WRITE)
-        return self._read(len(sources))
-
-    def _read(self, n: int) -> Iterator[Tokens]:
-        for _ in range(n):
-            if not (line := self._line("produced no output within {}s")):
-                raise self._fail(RuntimeError("translator process closed its output"))
+        self._replies, self._ended = bytearray(), False  # unread output; whether it ended
+        self._tail, self._echo = b"", codecs.getincrementaldecoder("utf-8")("replace")
+        pipe = subprocess.PIPE
+        with (
+            selectors.DefaultSelector() as self._poller,
+            subprocess.Popen(self._argv, stdin=pipe, stdout=pipe, stderr=pipe) as self._proc,
+        ):  # leaving closes the pipes and reaps the child
             try:
-                reply = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise self._fail(exc) from None
-            yield tuple(reply.split())  # drops the "\n" and a "\r" before it with the blanks
-        if extra := self._line("output did not end within {}s of its input closing"):
-            message = f"translator output ran past the last reply: {bytes(extra[:80])!r}"
-            raise self._fail(RuntimeError(message))
-
-    def close(self) -> None:
-        """Close the pipes and end the child; one never streamed to gets 5 s to exit."""
-        self._poller.close()
-        for pipe in (self._proc.stdin, self._proc.stdout, self._proc.stderr):
-            pipe.close()
-        with contextlib.suppress(subprocess.TimeoutExpired):
-            self._proc.wait(timeout=0 if self._streamed else 5)
-        self._proc.terminate()  # this and kill() do nothing once the child is reaped
-        with contextlib.suppress(subprocess.TimeoutExpired):
-            self._proc.wait(timeout=5)
-        self._proc.kill()
-        self._proc.wait()
-
-    def __enter__(self) -> "CommandTranslator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+                os.set_blocking(self._proc.stdin.fileno(), False)
+                self._poller.register(self._proc.stdin, selectors.EVENT_WRITE)
+                self._poller.register(self._proc.stdout, selectors.EVENT_READ)
+                self._poller.register(self._proc.stderr, selectors.EVENT_READ)
+                for _ in sources:
+                    if not (line := self._line("produced no output within {}s")):
+                        raise self._fail(RuntimeError("translator process closed its output"))
+                    try:
+                        reply = line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise self._fail(exc) from None
+                    yield tuple(reply.split())  # drops the "\n" and a "\r" before it with the blanks
+                if extra := self._line("output did not end within {}s of its input closing"):
+                    message = f"translator output ran past the last reply: {bytes(extra[:80])!r}"
+                    raise self._fail(RuntimeError(message))
+            finally:
+                self._proc.terminate()  # this and kill() do nothing once the child is reaped
+                with contextlib.suppress(subprocess.TimeoutExpired):
+                    self._proc.wait(timeout=5)
+                self._proc.kill()
 
 
 def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEvent]:

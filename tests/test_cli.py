@@ -194,6 +194,24 @@ class TestStderrContract:
             "error: dict translator needs a file: dict:FILE\n"
         )
 
+    @pytest.mark.parametrize(
+        "translator, message",
+        [("cmd:   ", 'cmd translator needs a command: cmd:"..."'),
+         ("identity:whatever", "unknown translator 'identity:whatever'")],
+        ids=["blank-cmd", "identity-suffix"],
+    )
+    def test_translator_spec_refused(self, capsys, fixtures, translator, message):
+        events = fixtures / "tiny.events.jsonl"
+        code, stdout, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", translator
+        )
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"config: command=simulate seed=17 verbose=0 events={events} "
+            f"timeout=30.0 translator={translator}\n"
+            f"error: {message}\n"
+        )
+
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
     def test_simulate_timeout_not_finite_and_positive(self, capsys, tmp_path, timeout):
         # The events file does not exist and the child would create `started`:
@@ -939,17 +957,43 @@ class TestSimulateCommandFaults:
             capsys, "simulate", "--events", str(events),
             "--translator", _cmd_spec(child), "--timeout", "10",
         )
-        pid = int(pid_file.read_text())
-        try:
-            assert (code, out) == (2, "")
-            assert err.splitlines()[-1] == (
-                f"error: {events}: utterance 0 reappears after other events"
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: {events}: utterance 0 reappears after other events"
+        )
+        assert not pid_file.exists()  # the order is checked before the child would start
+
+    def test_missing_executable_names_the_first_step(self, capsys, tmp_path):
+        events, missing = write(tmp_path / "events.jsonl", _EIGHT_EVENTS), tmp_path / "missing"
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", f"cmd:{missing}"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "error: translator failed on utterance 0, step 0: "
+            f"[Errno 2] No such file or directory: {str(missing)!r}"
+        )
+
+    def test_child_exit_status_is_ignored(self, capsys, tmp_path):
+        # The child answers every line, then fails on its way out; the replies
+        # are all there, so the run reports as the identity translator does.
+        events = write(tmp_path / "events.jsonl", _EIGHT_EVENTS)
+        child = (
+            "import sys\n"
+            "for line in sys.stdin: print(line.rstrip(), flush=True)\n"
+            "sys.stderr.write('fatal: model crashed on shutdown\\n')\n"
+            "sys.exit(3)"
+        )
+        outs = []
+        for spec in ("identity", _cmd_spec(child)):
+            code, out, err = run(
+                capsys, "simulate", "--events", str(events), "--translator", spec,
+                "--timeout", "10",
             )
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "fatal: model crashed on shutdown" in err
 
     def test_child_that_reads_all_input_before_answering(self, capsys, tmp_path):
         # The input is closed after the last source, so a batching child sees

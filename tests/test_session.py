@@ -195,89 +195,108 @@ class TestTranslators:
         assert translate(("hello",)) == ("hello",)
 
 
+def _pid_child(pid_file) -> list[str]:
+    """An echo child that first writes its pid to pid_file."""
+    code = f"import os\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\n" + _ECHO_CHILD
+    return [sys.executable, "-u", "-c", code]
+
+
 class TestCommandTranslator:
     def test_cat_behaves_as_identity(self):
-        with CommandTranslator([sys.executable, "-u", "-c", _ECHO_CHILD]) as translate:
-            assert list(translate.stream([("a", "b"), ("c",)])) == [("a", "b"), ("c",)]
+        translate = CommandTranslator([sys.executable, "-u", "-c", _ECHO_CHILD])
+        assert list(translate.stream([("a", "b"), ("c",)])) == [("a", "b"), ("c",)]
 
     def test_line_protocol_transform(self):
-        with CommandTranslator(
-            [sys.executable, "-u", "-c", _UPPER_CHILD], timeout=10
-        ) as translate:
-            assert list(translate.stream([("ab", "cd")])) == [("AB", "CD")]
+        translate = CommandTranslator([sys.executable, "-u", "-c", _UPPER_CHILD], timeout=10)
+        assert list(translate.stream([("ab", "cd")])) == [("AB", "CD")]
+
+    @pytest.mark.parametrize("command", [[], "", "   "], ids=["empty-list", "empty", "blank"])
+    def test_empty_command_raises(self, command):
+        with pytest.raises(ValueError, match="command is empty"):
+            CommandTranslator(command)
+
+    def test_child_starts_at_the_first_reply(self, tmp_path):
+        pid_file = tmp_path / "child.pid"
+        translate = CommandTranslator(_pid_child(pid_file), timeout=10)
+        replies = translate.stream([("a",)])
+        time.sleep(0.5)
+        assert not pid_file.exists()
+        del replies  # a stream never started has no child to end
+        assert not pid_file.exists()
+
+    def test_abandoned_stream_ends_its_child(self, tmp_path):
+        pid_file = tmp_path / "child.pid"
+        replies = CommandTranslator(_pid_child(pid_file), timeout=10).stream([("a",), ("b",)])
+        assert next(replies) == ("a",)
+        pid = int(pid_file.read_text())
+        start = time.monotonic()
+        del replies
+        assert time.monotonic() - start < 5
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     def test_timeout_raises(self):
-        with CommandTranslator(
-            [sys.executable, "-u", "-c", _SILENT_CHILD], timeout=0.3
-        ) as translate:
-            with pytest.raises(TimeoutError, match="no output within 0.3s"):
-                list(translate.stream([("a",)]))
+        translate = CommandTranslator([sys.executable, "-u", "-c", _SILENT_CHILD], timeout=0.3)
+        with pytest.raises(TimeoutError, match="no output within 0.3s"):
+            list(translate.stream([("a",)]))
 
     def test_timeout_poisons_later_calls(self):
         # The child answers its first source late, then echoes at once; the
         # late reply must never be returned, by this stream or another.
-        with CommandTranslator(
+        translate = CommandTranslator(
             [sys.executable, "-u", "-c", _LATE_FIRST_CHILD], timeout=0.2
-        ) as translate:
-            replies = translate.stream([("a",), ("b",)])
-            with pytest.raises(TimeoutError, match="no output within 0.2s"):
-                next(replies)
-            time.sleep(0.8)
-            assert list(replies) == []
-            start = time.monotonic()
-            with pytest.raises(RuntimeError, match="served its one stream"):
-                translate.stream([("c",)])
-            assert time.monotonic() - start < 1
+        )
+        replies = translate.stream([("a",), ("b",)])
+        with pytest.raises(TimeoutError, match="no output within 0.2s"):
+            next(replies)
+        time.sleep(0.8)
+        assert list(replies) == []
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="served its one stream"):
+            translate.stream([("c",)])
+        assert time.monotonic() - start < 1
 
     def test_dead_process_raises(self):
-        with CommandTranslator(
-            [sys.executable, "-c", "pass"], timeout=5
-        ) as translate:
-            with pytest.raises(RuntimeError, match="closed its output"):
-                list(translate.stream([("a",)]))
+        translate = CommandTranslator([sys.executable, "-c", "pass"], timeout=5)
+        with pytest.raises(RuntimeError, match="closed its output"):
+            list(translate.stream([("a",)]))
 
     def test_shell_style_command_string(self):
-        with CommandTranslator(
-            f"{sys.executable} -u -c '{_ECHO_CHILD}'", timeout=10
-        ) as translate:
-            assert list(translate.stream([("x",)])) == [("x",)]
+        translate = CommandTranslator(f"{sys.executable} -u -c '{_ECHO_CHILD}'", timeout=10)
+        assert list(translate.stream([("x",)])) == [("x",)]
 
     def test_lone_carriage_return_stays_inside_the_reply(self):
-        with CommandTranslator(
+        translate = CommandTranslator(
             [sys.executable, "-u", "-c", _CR_INSIDE_CHILD], timeout=10
-        ) as translate:
-            assert list(translate.stream([("x",), ("y",)])) == [("A", "B", "x"), ("A", "B", "y")]
+        )
+        assert list(translate.stream([("x",), ("y",)])) == [("A", "B", "x"), ("A", "B", "y")]
 
     def test_crlf_replies(self):
-        with CommandTranslator(
-            [sys.executable, "-u", "-c", _CRLF_CHILD], timeout=10
-        ) as translate:
-            assert list(translate.stream([("x",), ("y", "z")])) == [("x",), ("y", "z")]
+        translate = CommandTranslator([sys.executable, "-u", "-c", _CRLF_CHILD], timeout=10)
+        assert list(translate.stream([("x",), ("y", "z")])) == [("x",), ("y", "z")]
 
     def test_invalid_utf8_raises_at_once(self):
-        with CommandTranslator(
-            [sys.executable, "-u", "-c", _BAD_UTF8_CHILD], timeout=10
-        ) as translate:
-            start = time.monotonic()
-            with pytest.raises(UnicodeDecodeError):
-                list(translate.stream([("x",), ("y",)]))
-            assert time.monotonic() - start < 5
+        translate = CommandTranslator([sys.executable, "-u", "-c", _BAD_UTF8_CHILD], timeout=10)
+        start = time.monotonic()
+        with pytest.raises(UnicodeDecodeError):
+            list(translate.stream([("x",), ("y",)]))
+        assert time.monotonic() - start < 5
 
     def test_extra_line_poisons_later_calls(self):
         # The reply and the extra line arrive in one flush; every later reply
         # is shifted by one, so the last runs past the end of the session.
         events = [UpdateEvent(0, "replace", "a"), UpdateEvent(0, "extend", "b")]
-        with CommandTranslator(
+        translate = CommandTranslator(
             [sys.executable, "-u", "-c", _EXTRA_LINE_CHILD], timeout=10
-        ) as translate:
-            with pytest.raises(TranslatorError, match="ran past the last reply") as err:
-                run_session(events, translate)
-            assert (err.value.utterance_id, err.value.step) == (0, 1)
-            assert repr(b"a b\n") in str(err.value)
-            with pytest.raises(RuntimeError, match="served its one stream"):
-                translate.stream([("c",)])
+        )
+        with pytest.raises(TranslatorError, match="ran past the last reply") as err:
+            run_session(events, translate)
+        assert (err.value.utterance_id, err.value.step) == (0, 1)
+        assert repr(b"a b\n") in str(err.value)
+        with pytest.raises(RuntimeError, match="served its one stream"):
+            translate.stream([("c",)])
 
-    def test_close_returns_while_a_grandchild_holds_the_pipe(self, tmp_path):
+    def test_stream_end_returns_while_a_grandchild_holds_the_pipe(self, tmp_path):
         pid_file = tmp_path / "grandchild.pid"
         translate = CommandTranslator(
             [sys.executable, "-u", "-c", _GRANDCHILD_CHILD, str(pid_file)], timeout=10
@@ -285,31 +304,29 @@ class TestCommandTranslator:
         try:
             start = time.monotonic()
             assert list(translate.stream([("a",)])) == [("a",)]
-            translate.close()
             assert time.monotonic() - start < 5
         finally:
             os.kill(int(pid_file.read_text()), signal.SIGKILL)
-        assert translate._proc.stdin.closed and translate._proc.stdout.closed
+        proc = translate._proc
+        assert proc.stdin.closed and proc.stdout.closed and proc.returncode is not None
 
     def test_run_session_wraps_failures(self):
-        with CommandTranslator(
-            [sys.executable, "-u", "-c", _SILENT_CHILD], timeout=0.3
-        ) as translate:
-            with pytest.raises(TranslatorError):
-                run_session([UpdateEvent(0, "replace", "a")], translate)
+        translate = CommandTranslator([sys.executable, "-u", "-c", _SILENT_CHILD], timeout=0.3)
+        with pytest.raises(TranslatorError):
+            run_session([UpdateEvent(0, "replace", "a")], translate)
 
     def test_stream_failure_names_the_step_that_failed(self):
         events = [UpdateEvent(4, "replace", "a"), UpdateEvent(5, "replace", "b"),
                   UpdateEvent(5, "extend", "c"), UpdateEvent(5, "extend", "d")]
-        with CommandTranslator(
+        translate = CommandTranslator(
             [sys.executable, "-u", "-c", _BAD_THIRD_REPLY_CHILD], timeout=10
-        ) as translate:
-            with pytest.raises(TranslatorError) as err:
-                run_session(events, translate)
-            assert isinstance(err.value.__cause__, UnicodeDecodeError)
-            assert (err.value.utterance_id, err.value.step) == (5, 1)
-            with pytest.raises(RuntimeError, match="served its one stream"):
-                translate.stream([("e",)])
+        )
+        with pytest.raises(TranslatorError) as err:
+            run_session(events, translate)
+        assert isinstance(err.value.__cause__, UnicodeDecodeError)
+        assert (err.value.utterance_id, err.value.step) == (5, 1)
+        with pytest.raises(RuntimeError, match="served its one stream"):
+            translate.stream([("e",)])
 
     def test_event_order_is_checked_before_any_translation(self):
         calls = []
@@ -319,12 +336,13 @@ class TestCommandTranslator:
             run_session(events, lambda source: calls.append(source) or source)
         assert calls == []
 
-    def test_close_closes_every_pipe(self):
+    def test_stream_end_closes_every_pipe(self):
         translate = CommandTranslator([sys.executable, "-u", "-c", _ECHO_CHILD], timeout=10)
+        start = time.monotonic()
         assert run_session([UpdateEvent(0, "replace", "a")], translate)[0].steps == (
             (("a",), ("a",)),
         )
-        translate.close()
+        assert time.monotonic() - start < 5
         proc = translate._proc
         assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
         assert proc.returncode is not None
@@ -373,8 +391,8 @@ grouped_events_st = st.lists(
 @given(grouped_events_st)
 @settings(max_examples=15, deadline=None)
 def test_stream_matches_the_rule_run_in_process(events):
-    with CommandTranslator([sys.executable, "-u", "-c", _CRC_CHILD], timeout=10) as child:
-        logs = run_session(events, child)
+    child = CommandTranslator([sys.executable, "-u", "-c", _CRC_CHILD], timeout=10)
+    logs = run_session(events, child)
     # run_session maps a plain function over the sources, one at a time.
     assert run_session(events, lambda s: tokenize(_crc_rule(detokenize(s) + "\n"))) == logs
     assert [len(log.steps) for log in logs] == [
