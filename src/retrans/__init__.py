@@ -1,9 +1,9 @@
 """Toolkit for partial-sentence translation data and retranslation evaluation.
 
-Covers prefix-pair corpus generation (length-ratio and alignment-based),
-lexical alignment training by EM, multi-task dataset mixing, incremental
-session simulation against pluggable translators, and quality/stability
-scoring (BLEU, GLEU, rewrite counts, WER-minimizing resegmentation).
+Covers prefix-pair generation by length ratio or word alignment (one entry
+point each: ratio_prefix_lens, alignment_prefix_lens), EM lexical alignment,
+multi-task dataset mixing, session simulation against pluggable translators,
+and quality/stability scoring (BLEU, GLEU, rewrites, WER-minimizing resegmentation).
 
 Each exported name is imported from its home submodule on first use (PEP 562).
 """
@@ -19,8 +19,8 @@ _HOMES = {
     "metrics": "CorrectionReport bleu corrected_words correction_report edit_distance gleu"
     " mean_gleu resegment wer",
     "mixing": "MixManifest mix",
-    "partials": "Method PartialCorpus PartialPair alignment_prefix_len generate_partial"
-    " ratio_prefix_len",
+    "partials": "Method PartialCorpus PartialPair alignment_prefix_lens generate_partial"
+    " ratio_prefix_lens",
     "session": "CommandTranslator SessionLog Translator UpdateEvent apply_event"
     " dictionary_translator evaluate_sessions read_events run_session scripted_translator",
 }

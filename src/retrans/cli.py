@@ -204,7 +204,10 @@ def _build_translator(spec: str, timeout: float) -> session.Translator | session
     if name == "cmd":
         if not rest.strip():
             raise UsageError("cmd translator needs a command: cmd:\"...\"")
-        return session.CommandTranslator(rest, timeout=timeout)
+        try:
+            return session.CommandTranslator(rest, timeout=timeout)
+        except ValueError as err:  # shlex cannot split it, as in an unclosed quote
+            raise UsageError(f"--translator {spec!r}: {err}") from None
     raise UsageError(f"unknown translator {spec!r}")
 
 

@@ -171,20 +171,25 @@ def _line_blocks(path: str | Path) -> Iterator[list[str]]:
     first = 1
     with open(path, "rb") as f:
         while block := f.read(1 << 16) + f.readline():  # the read's last line, completed
-            try:
-                text = block.decode("utf-8")
+            mark = block.find(b"\xef\xbb\xbf")  # no mark straddles blocks, which end at line ends
+            try:  # up to a mark, so that the first fault is the one reported
+                text = (block[:mark] if mark >= 0 else block).decode("utf-8")
             except UnicodeDecodeError as err:
-                no = first + block.count(b"\n", 0, err.start)
-                column = err.start - block.rfind(b"\n", 0, err.start)
-                raise DataError(
-                    f"{path} line {no}: invalid UTF-8 byte 0x{block[err.start]:02x} "
-                    f"at column {column} ({err.reason})"
-                ) from None
+                byte = f"invalid UTF-8 byte 0x{block[err.start]:02x}"
+                raise _byte_error(path, first, block, err.start, byte, f" ({err.reason})") from None
+            if mark >= 0:
+                raise _byte_error(path, first, block, mark, "byte-order mark (U+FEFF)")
             lines = text.removesuffix("\n").split("\n")
             if "\r" in text:
                 lines = [line[:-1] if line.endswith("\r") else line for line in lines]
             first += len(lines)
             yield lines
+
+
+def _byte_error(path: str | Path, first: int, block: bytes, at: int, what: str, end: str = "") -> DataError:
+    """DataError for what at block[at], naming its line and byte column; block starts at line first."""
+    no, column = first + block.count(b"\n", 0, at), at - block.rfind(b"\n", 0, at)
+    return DataError(f"{path} line {no}: {what} at column {column}{end}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +208,9 @@ def read_lines(path: str | Path) -> list[str]:
     Lines end at "\n" only, so form feeds, U+2028 and the other characters
     str.splitlines() also breaks on stay inside their line; one "\r" before
     the "\n" (a CRLF file) is dropped. The inverse of write_lines for lines
-    that hold no "\n" and do not end in "\r". Invalid UTF-8 raises
-    DataError naming the path, the 1-based line and the byte column.
+    that hold no "\n" or U+FEFF and do not end in "\r". Invalid UTF-8 and
+    U+FEFF (a byte-order mark) raise DataError naming the path, the 1-based
+    line and the byte column.
     """
     return list(LineFile(path))
 

@@ -37,16 +37,6 @@ def ngram_counts(tokens: Sequence[str]) -> Counter:
     return Counter(chain.from_iterable(zip(*tails[:n]) for n in range(1, MAX_ORDER + 1)))
 
 
-def common_prefix_len(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common prefix of two token sequences."""
-    k = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        k += 1
-    return k
-
-
 def bleu(
     hypotheses: Sequence[Tokens],
     references: Sequence[Tokens],
@@ -135,7 +125,10 @@ def corrected_words(prev: Tokens, new: Tokens) -> int:
     len(prev) minus the common prefix length. Zero exactly when new extends
     prev without touching it.
     """
-    return len(prev) - common_prefix_len(prev, new)
+    for k, (x, y) in enumerate(zip(prev, new)):
+        if x != y:
+            return len(prev) - k
+    return max(0, len(prev) - len(new))
 
 
 @dataclass(frozen=True)
@@ -172,14 +165,8 @@ def correction_report(translations: Sequence[Tokens]) -> CorrectionReport:
     """Tally rewrites over consecutive displayed translations of one utterance."""
     if not translations:
         raise ValueError("need at least one displayed translation")
-    words = 0
-    messages = 0
-    for prev, new in zip(translations, translations[1:]):
-        changed = corrected_words(prev, new)
-        words += changed
-        if changed > 0:
-            messages += 1
-    return CorrectionReport(words, messages, len(translations) - 1)
+    changed = list(map(corrected_words, translations, translations[1:]))
+    return CorrectionReport(sum(changed), len(changed) - changed.count(0), len(changed))
 
 
 def edit_distance(a: Sequence[str], b: Sequence[str]) -> int:

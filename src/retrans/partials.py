@@ -1,8 +1,9 @@
 """Prefix-pair training data: source prefixes paired with reference prefixes.
 
 For a source sentence of length I, every prefix length i in [min_i, I] yields
-one training row. The target prefix length is chosen either by length ratio
-or from a word alignment, and in both cases the target prefix for a shorter
+one training row. The target prefix length j is chosen either by length ratio
+(ratio_prefix_lens) or from a word alignment (alignment_prefix_lens), for
+every i of a pair at once; in both cases the target prefix for a shorter
 source prefix is a prefix of the one for any longer source prefix, so a
 system trained on these rows never has to retract words as input grows.
 """
@@ -28,17 +29,20 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class PartialPair:
-    """A source prefix of length i with its chosen target prefix.
+    """A source prefix of length i with its chosen target prefix of length j.
 
     method is None for rows loaded back from plain prefix files, where the
     generation method is no longer known.
     """
 
     parent_id: int
-    i: int
     source_prefix: Tokens
     target_prefix: Tokens
     method: Method | None
+
+    @property
+    def i(self) -> int:
+        return len(self.source_prefix)
 
     @property
     def j(self) -> int:
@@ -49,44 +53,26 @@ PartialCorpus = tuple[PartialPair, ...]
 """Prefix rows, grouped by parent pair in increasing i."""
 
 
-def ratio_prefix_len(src_len: int, i: int, tgt_len: int) -> int:
-    """Target prefix length proportional to the source prefix length.
+def ratio_prefix_lens(src_len: int, tgt_len: int) -> list[int]:
+    """j for every i in [1, src_len]: i * tgt_len / src_len, rounded half up.
 
-    Rounds half up, computed in exact integer arithmetic, so i == src_len
-    always maps to the full target length.
+    Exact integer arithmetic, so i == src_len maps to tgt_len. Both lengths
+    must be >= 1 (ValueError otherwise).
     """
-    if not 1 <= i <= src_len:
-        raise ValueError(f"need 1 <= i <= src_len, got i={i}, src_len={src_len}")
-    if tgt_len < 1:
-        raise ValueError(f"tgt_len must be >= 1, got {tgt_len}")
-    return _ratio_lens(src_len, tgt_len)[i - 1]
-
-
-def _ratio_lens(src_len: int, tgt_len: int) -> list[int]:
-    """ratio_prefix_len for every i in [1, src_len]."""
+    if src_len < 1 or tgt_len < 1:
+        raise ValueError(f"need src_len >= 1 and tgt_len >= 1, got {src_len} and {tgt_len}")
     return [(2 * i * tgt_len + src_len) // (2 * src_len) for i in range(1, src_len + 1)]
 
 
-def alignment_prefix_len(alignment: Alignment, i: int) -> int:
-    """Longest target prefix whose aligned source words all fall within i.
+def alignment_prefix_lens(
+    src_len: int, tgt_len: int, links: Iterable[tuple[int, int]], where: str = ""
+) -> list[int]:
+    """j for every i in [1, src_len]: the longest target prefix whose links all fall within i.
 
-    A target position blocks the prefix as soon as any of its links points
-    past source position i; unaligned target positions impose no constraint.
-    Returns 0 when the first target position is already blocked.
-    """
-    if not 1 <= i <= alignment.src_len:
-        raise ValueError(
-            f"need 1 <= i <= src_len, got i={i}, src_len={alignment.src_len}"
-        )
-    return _prefix_lens(alignment.src_len, alignment.tgt_len, alignment.links)[i - 1]
-
-
-def _prefix_lens(src_len: int, tgt_len: int, links: Iterable[tuple[int, int]], where: str = "") -> list[int]:
-    """alignment_prefix_len for every i in [1, src_len], from 1-based links, in one pass.
-
-    The answer never shrinks as i grows, so one pointer walks the target
-    positions while each source prefix length admits them. A link outside
-    the lengths raises ValueError, its message prefixed with where.
+    links are 1-based (source, target) positions. A target position with a link
+    past source position i blocks the prefix there; unaligned positions impose
+    no constraint. j never shrinks as i grows, so one pointer walks the target
+    positions. A link outside the lengths raises ValueError prefixed with where.
     """
     max_link = [0] * (tgt_len + 1)
     for si, tj in links:
@@ -94,8 +80,7 @@ def _prefix_lens(src_len: int, tgt_len: int, links: Iterable[tuple[int, int]], w
             raise ValueError(f"{where}link ({si},{tj}) outside sentence lengths ({src_len},{tgt_len})")
         if si > max_link[tj]:
             max_link[tj] = si
-    lens = []
-    j = 0
+    lens, j = [], 0
     for i in range(1, src_len + 1):
         while j < tgt_len and max_link[j + 1] <= i:
             j += 1
@@ -123,10 +108,13 @@ def _target_lens(
         for pair in corpus:
             if not pair.target and len(pair.source) >= min_i:
                 raise ValueError(f"pair {pair.id}: the ratio method needs a non-empty target")
-        lens = (_ratio_lens(len(pair.source), len(pair.target)) for pair in corpus)
+        # An empty target got past the check only on a pair without rows.
+        lens = (ratio_prefix_lens(len(p.source), len(p.target)) if p.target else [] for p in corpus)
     else:
-        pairs = zip(corpus, links, strict=True)
-        lens = [_prefix_lens(len(p.source), len(p.target), ls, f"pair {p.id}: ") for p, ls in pairs]
+        lens = [
+            alignment_prefix_lens(len(p.source), len(p.target), ls, f"pair {p.id}: ")
+            for p, ls in zip(corpus, links, strict=True)
+        ]
     return ((pair, js[min_i - 1 :]) for pair, js in zip(corpus, lens) if len(js) >= min_i)
 
 
@@ -188,7 +176,7 @@ def generate_partial(
                 )
         links = [alignment.links for alignment in alignments]
     return tuple(
-        PartialPair(pair.id, i, pair.source[:i], pair.target[:j], method)
+        PartialPair(pair.id, pair.source[:i], pair.target[:j], method)
         for pair, js in _target_lens(corpus, method, links, min_i)
         for i, j in enumerate(js, min_i)
     )
@@ -234,8 +222,7 @@ class _PartialLines(Sequence[PartialPair]):
             if row is None:  # a stream read again came out shorter
                 raise DataError(f"prefix row {k + 1} is gone: a stream changed while it was read")
             self._next = k + 1
-        source = tuple(row[0].split())
-        return PartialPair(k, len(source), source, tuple(row[1].split()), None)
+        return PartialPair(k, tuple(row[0].split()), tuple(row[1].split()), None)
 
 
 def read_partial(

@@ -326,15 +326,20 @@ def load_tsv_map(lines: Iterable[str], *, what: str) -> dict[str, str]:
     """Load a two-column tab-separated mapping (lexicon or replay script).
 
     Keys are whitespace-normalised as input lines are tokenised, so a key
-    with inner runs of spaces matches the detokenized source. what names the
-    lines in error messages, such as the path they came from.
+    with inner runs of spaces matches the detokenized source; two lines whose
+    keys normalise alike raise DataError. what names the lines in error
+    messages, such as the path they came from.
     """
     mapping: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         left, sep, right = line.partition("\t")
         if not sep or not left.strip() or not right.strip():
             raise DataError(f"{what} line {no}: expected 'source<TAB>target'")
-        mapping[" ".join(left.split())] = right.strip()
+        key = " ".join(left.split())
+        if (seen := first_line.setdefault(key, no)) != no:
+            raise DataError(f"{what} line {no}: duplicate source {key!r} (first on line {seen})")
+        mapping[key] = right.strip()
     return mapping

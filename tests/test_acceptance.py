@@ -27,7 +27,7 @@ from retrans.corpus import (
 )
 from retrans.metrics import bleu, correction_report, edit_distance, gleu, resegment
 from retrans.mixing import mix
-from retrans.partials import Method, PartialCorpus, PartialPair, alignment_prefix_len, generate_partial
+from retrans.partials import Method, PartialCorpus, PartialPair, alignment_prefix_lens, generate_partial
 from retrans.session import (
     UpdateEvent,
     dictionary_translator,
@@ -102,9 +102,9 @@ def test_criterion_3_prefix_length_oracle_equivalence():
             (rng.randint(1, src_len), rng.randint(1, tgt_len))
             for _ in range(rng.randint(0, src_len * tgt_len // 2))
         )
-        alignment = Alignment(src_len, tgt_len, links)
         i = rng.randint(1, src_len)
-        if alignment_prefix_len(alignment, i) != prefix_len_bruteforce(links, i, tgt_len):
+        j = alignment_prefix_lens(src_len, tgt_len, links)[i - 1]
+        if j != prefix_len_bruteforce(links, i, tgt_len):
             disagreements += 1
     elapsed = time.perf_counter() - started
     assert disagreements == 0
@@ -148,7 +148,7 @@ def test_criterion_5_mixer_size_law():
         )
         partial = PartialCorpus(
             tuple(
-                PartialPair(k, 1, (f"p{k}",), (f"q{k}",), None)
+                PartialPair(k, (f"p{k}",), (f"q{k}",), None)
                 for k in range(n_partial)
             )
         )

@@ -197,8 +197,9 @@ class TestStderrContract:
     @pytest.mark.parametrize(
         "translator, message",
         [("cmd:   ", 'cmd translator needs a command: cmd:"..."'),
-         ("identity:whatever", "unknown translator 'identity:whatever'")],
-        ids=["blank-cmd", "identity-suffix"],
+         ("identity:whatever", "unknown translator 'identity:whatever'"),
+         ('cmd:"unclosed', """--translator 'cmd:"unclosed': No closing quotation""")],
+        ids=["blank-cmd", "identity-suffix", "unclosed-quote"],
     )
     def test_translator_spec_refused(self, capsys, fixtures, translator, message):
         events = fixtures / "tiny.events.jsonl"
@@ -888,6 +889,48 @@ class TestSimulate:
         )
 
 
+    @pytest.mark.parametrize("kind", ["dict", "script"])
+    def test_repeated_tsv_source_names_both_lines(self, capsys, tmp_path, fixtures, kind):
+        # Before, the later line silently won: the replay said "two".
+        bad = write(tmp_path / "bad.tsv", "x\tone\n\nx\ttwo\n")
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--events", str(fixtures / "tiny.events.jsonl"),
+            "--translator", f"{kind}:{bad}",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: {bad} line 3: duplicate source 'x' (first on line 1)"
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"\xef\xbb\xbfhello world\n", 1), (b"a b\n\xef\xbb\xbfhello world\n", 2)],
+        ids=["file-start", "later-line"],
+    )
+    def test_byte_order_mark_in_a_corpus_or_a_lexicon(self, capsys, tmp_path, fixtures, data, line):
+        # Before, the mark became part of the first token: the prefix "\ufeffhello".
+        src, out = tmp_path / "bom.en", tmp_path / "partial"
+        src.write_bytes(data)
+        tgt = write(tmp_path / "plain.es", "hola mundo\n" * line)
+        code, stdout, err = run(
+            capsys, "gen-partial", "--src", str(src), "--tgt", str(tgt),
+            "--method", "ratio", "--out-prefix", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        mark = "byte-order mark (U+FEFF) at column 1"
+        assert err.splitlines()[-1] == f"error: {src} line {line}: {mark}"
+        assert not Path(f"{out}.src").exists()
+        # A lexicon saved with a mark never matched its first key.
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_bytes(data.replace(b" ", b"\t"))
+        code, stdout, err = run(
+            capsys, "simulate", "--events", str(fixtures / "tiny.events.jsonl"),
+            "--translator", f"dict:{lexicon}",
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == f"error: {lexicon} line {line}: {mark}"
+
+
 def test_determinism_across_runs(capsys, tmp_path, fixtures):
     outputs = []
     for run_dir in ("a", "b"):
@@ -1347,7 +1390,14 @@ def test_mix_and_simulate_write_the_oracles_bytes(files, more, seed, with_refs):
         "m.manifest.txt": oracle_lines(f"{k}: {v}" for k, v in counts),
     }
 
-    lexicon = dict(line.split() for line in lines["lexicon"] if line.strip())
+    lexicon, first, repeated = {}, {}, None
+    for no, line in enumerate(lines["lexicon"], start=1):
+        if line.strip():
+            key, value = line.split()
+            if key in first and repeated is None:
+                repeated = f"line {no}: duplicate source {key!r} (first on line {first[key]})"
+            first.setdefault(key, no)
+            lexicon[key] = value
     sessions = []  # [utterance id, [(source, translation) per step]]
     for record in (json.loads(line) for line in lines["events"] if line.strip()):
         if not sessions or sessions[-1][0] != record["utterance_id"]:
@@ -1382,19 +1432,24 @@ def test_mix_and_simulate_write_the_oracles_bytes(files, more, seed, with_refs):
         d = Path(tmp)
         for name, data in files.items():
             (d / name).write_bytes(data)
+        if repeated is not None:  # simulate stops before it writes a file
+            del expected["log.jsonl"], expected["report.txt"]
         runs = [
             (["mix", "--full-src", str(d / "c.src"), "--full-tgt", str(d / "c.tgt"),
               "--partial-src", str(d / "p.src"), "--partial-tgt", str(d / "p.tgt"),
-              "--out-prefix", str(d / "m"), "--seed", str(seed)], ""),
+              "--out-prefix", str(d / "m"), "--seed", str(seed)], 0, ""),
             (["simulate", "--events", str(d / "events"), "--translator", f"dict:{d / 'lexicon'}",
               *(["--refs", str(d / "refs")] if with_refs else []),
               "--log-out", str(d / "log.jsonl"), "--report-out", str(d / "report.txt")],
-             expected["report.txt"].decode("utf-8")),
+             0 if repeated is None else 2, expected.get("report.txt", b"").decode("utf-8")),
         ]
-        for argv, text in runs:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                assert main(argv) == 0, argv
+        for argv, code, text in runs:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                assert main(argv) == code, argv
             assert stdout.getvalue() == text, argv
+        if repeated is not None:
+            assert stderr.getvalue().splitlines()[-1] == f"error: {d / 'lexicon'} {repeated}"
+            assert not (d / "log.jsonl").exists() and not (d / "report.txt").exists()
         for name, data in expected.items():
             assert (d / name).read_bytes() == data, name

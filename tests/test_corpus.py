@@ -175,11 +175,11 @@ def test_read_alignments_count_mismatch():
 
 
 class TestLineIO:
-    # Any text UTF-8 can encode, without "\n" and not ending in "\r":
+    # Any text UTF-8 can encode, without "\n" or U+FEFF and not ending in "\r":
     # form feeds, U+2028 and the like included.
-    line_st = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n")).filter(
-        lambda line: not line.endswith("\r")
-    )
+    line_st = st.text(
+        st.characters(exclude_categories=("Cs",), exclude_characters="\n\ufeff")
+    ).filter(lambda line: not line.endswith("\r"))
 
     @given(st.lists(line_st))
     def test_round_trip(self, lines):
@@ -268,6 +268,38 @@ class TestLineIO:
                 f"{path} line {bad_line}: invalid UTF-8 byte 0xff at column {column} "
                 "(invalid start byte)"
             )
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"\xef\xbb\xbfhello world\n", "line 1: byte-order mark (U+FEFF) at column 1"),
+            # Two files joined by cat, the second saved with a mark.
+            (b"a b\r\n\xef\xbb\xbfc d\n", "line 2: byte-order mark (U+FEFF) at column 1"),
+            ("\xe9\n\na\ufeffb".encode(), "line 3: byte-order mark (U+FEFF) at column 2"),
+            # The first fault of a block is the one reported.
+            (b"\xff\n\xef\xbb\xbf\n", "line 1: invalid UTF-8 byte 0xff at column 1 (invalid start byte)"),
+            (b"\xef\xbb\xbf\n\xff\n", "line 1: byte-order mark (U+FEFF) at column 1"),
+        ],
+        ids=["file-start", "later-line", "inside-a-line", "invalid-byte-first", "mark-first"],
+    )
+    def test_byte_order_mark_names_path_line_and_column(self, tmp_path, data, where):
+        path = tmp_path / "text.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataError) as err:
+            read_lines(path)
+        assert str(err.value) == f"{path} {where}"
+
+    @pytest.mark.parametrize("bad_line", [1, 2501, 5999])
+    def test_byte_order_mark_in_a_later_block_names_its_line(self, tmp_path, bad_line):
+        lines = [f"line {k} ".encode() + b"\xc3\xa9" * (k % 97) for k in range(6000)]
+        lines[2500] = b"x" * 200_000
+        column = len(lines[bad_line - 1]) + 1
+        lines[bad_line - 1] += "\ufeff".encode()
+        path = tmp_path / "big.txt"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        with pytest.raises(DataError) as err:
+            list(LineFile(path))
+        assert str(err.value) == f"{path} line {bad_line}: byte-order mark (U+FEFF) at column {column}"
 
     def test_line_separator_keeps_pairs_aligned(self, tmp_path):
         src = tmp_path / "corpus.src"

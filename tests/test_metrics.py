@@ -12,7 +12,6 @@ from retrans.corpus import Tokens, tokenize
 from retrans.metrics import (
     CorrectionReport,
     bleu,
-    common_prefix_len,
     corrected_words,
     correction_report,
     edit_distance,
@@ -455,9 +454,10 @@ class TestResegment:
         assert sum(segments, ()) == stream
 
 
-def test_common_prefix_len():
-    assert common_prefix_len(("a", "b", "c"), ("a", "b", "x")) == 2
-    assert common_prefix_len((), ("a",)) == 0
+@given(short_sentence_st, short_sentence_st)
+def test_corrected_words_counts_past_the_common_prefix(prev, new):
+    common = max(k for k in range(min(len(prev), len(new)) + 1) if prev[:k] == new[:k])
+    assert corrected_words(prev, new) == len(prev) - common
 
 
 def test_ngram_counts_totals():

@@ -22,7 +22,7 @@ def full_corpus(n: int) -> ParallelCorpus:
 
 def partial_corpus(n: int) -> PartialCorpus:
     return PartialCorpus(
-        tuple(PartialPair(k, 1, (f"p{k}",), (f"q{k}",), None) for k in range(n))
+        tuple(PartialPair(k, (f"p{k}",), (f"q{k}",), None) for k in range(n))
     )
 
 

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import retrans
 
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
 # The public names as of release 0.1.0, less the retired SessionReport,
-# identity_translator, read_alignment_line and subsample.
+# identity_translator, read_alignment_line and subsample, and with the two
+# prefix rules' one-position functions replaced by the every-i
+# ratio_prefix_lens and alignment_prefix_lens.
 EXPORTED = {
     "Alignment",
     "CommandTranslator",
@@ -25,7 +31,7 @@ EXPORTED = {
     "Translator",
     "UpdateEvent",
     "align_corpus",
-    "alignment_prefix_len",
+    "alignment_prefix_lens",
     "apply_event",
     "bleu",
     "corrected_words",
@@ -40,7 +46,7 @@ EXPORTED = {
     "log_likelihood",
     "mean_gleu",
     "mix",
-    "ratio_prefix_len",
+    "ratio_prefix_lens",
     "read_alignments",
     "read_events",
     "read_parallel",
@@ -62,6 +68,21 @@ def test_each_name_is_its_home_module_object():
     for name in retrans.__all__:
         home = importlib.import_module(f"retrans.{retrans._HOME[name]}")
         assert getattr(retrans, name) is getattr(home, name), name
+
+
+def test_every_traced_name_is_a_callable_of_retrans():
+    # perfbench/tracing.py rebinds (module, attribute) pairs listed in TARGETS;
+    # read from its source, as the tracer is not imported by the tests.
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    targets = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    )
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert pairs
+    for module, attr in pairs:
+        home = importlib.import_module(f"retrans.{module}")
+        assert callable(getattr(home, attr, None)), f"retrans.{module}.{attr}"
 
 
 def test_star_import_and_dir_list_every_name():

@@ -32,14 +32,12 @@ from retrans.errors import (
 from retrans.partials import (
     Method,
     PartialPair,
-    _prefix_lens,
-    _ratio_lens,
-    alignment_prefix_len,
+    alignment_prefix_lens,
     generate_partial,
     manifest_lines,
     partial_blocks,
     partial_lines,
-    ratio_prefix_len,
+    ratio_prefix_lens,
     read_partial,
 )
 
@@ -61,78 +59,79 @@ def random_alignment(rng: random.Random, max_len=12) -> Alignment:
     return Alignment(src_len, tgt_len, links)
 
 
+def lens_of(alignment: Alignment) -> list[int]:
+    """The alignment rule's j for every i of an Alignment."""
+    return alignment_prefix_lens(alignment.src_len, alignment.tgt_len, alignment.links)
+
+
 class TestRatioPrefixLen:
     def test_full_prefix_maps_to_full_reference(self):
-        assert ratio_prefix_len(5, 5, 6) == 6
+        assert ratio_prefix_lens(5, 6)[-1] == 6
 
     def test_round_half_up_down_case(self):
-        assert ratio_prefix_len(5, 2, 6) == 2  # 2.4 rounds down
+        assert ratio_prefix_lens(5, 6) == [1, 2, 4, 5, 6]  # 1.2, 2.4 round down; 3.6, 4.8 up
 
     def test_exact_value(self):
-        assert ratio_prefix_len(4, 1, 8) == 2  # exactly 2.0
+        assert ratio_prefix_lens(4, 8) == [2, 4, 6, 8]  # exactly 2.0, 4.0, 6.0
 
     def test_half_rounds_up(self):
-        assert ratio_prefix_len(2, 1, 5) == 3  # 2.5 rounds up
+        assert ratio_prefix_lens(2, 5) == [3, 5]  # 2.5 rounds up
 
     def test_zero_possible_for_short_targets(self):
-        assert ratio_prefix_len(3, 1, 1) == 0  # 0.33 rounds down
+        assert ratio_prefix_lens(3, 1) == [0, 1, 1]  # 0.33 rounds down, 0.67 up
 
-    @pytest.mark.parametrize("src_len,i,tgt_len", [(3, 0, 2), (3, 4, 2), (3, 1, 0)])
-    def test_preconditions(self, src_len, i, tgt_len):
-        with pytest.raises(ValueError):
-            ratio_prefix_len(src_len, i, tgt_len)
+    @pytest.mark.parametrize("src_len,tgt_len", [(3, 0), (0, 2)])
+    def test_preconditions(self, src_len, tgt_len):
+        with pytest.raises(ValueError, match="^need src_len >= 1 and tgt_len >= 1"):
+            ratio_prefix_lens(src_len, tgt_len)
 
-    @given(
-        st.integers(1, 40),
-        st.integers(1, 40),
-        st.data(),
-    )
-    def test_monotone_and_complete(self, src_len, tgt_len, data):
-        i = data.draw(st.integers(1, src_len))
-        j = ratio_prefix_len(src_len, i, tgt_len)
-        assert 0 <= j <= tgt_len
-        if i < src_len:
-            assert j <= ratio_prefix_len(src_len, i + 1, tgt_len)
-        assert ratio_prefix_len(src_len, src_len, tgt_len) == tgt_len
+    @given(st.integers(1, 40), st.integers(1, 40))
+    def test_monotone_and_complete(self, src_len, tgt_len):
+        lens = ratio_prefix_lens(src_len, tgt_len)
+        assert len(lens) == src_len
+        assert all(0 <= j <= tgt_len for j in lens)
+        assert lens == sorted(lens)
+        assert lens[-1] == tgt_len
 
     @given(st.integers(1, 40), st.integers(1, 40))
     @settings(max_examples=300)
     def test_one_list_matches_the_rule_at_every_i(self, src_len, tgt_len):
-        lens = _ratio_lens(src_len, tgt_len)
-        assert lens == [ratio_prefix_len(src_len, i, tgt_len) for i in range(1, src_len + 1)]
-        assert lens == [
+        assert ratio_prefix_lens(src_len, tgt_len) == [
             ratio_len_reference(src_len, i, tgt_len) for i in range(1, src_len + 1)
         ]
 
 
 class TestAlignmentPrefixLen:
     def test_worked_example_blocks_last_word(self):
-        assert alignment_prefix_len(EXAMPLE_ALIGNMENT, 4) == 4
+        # At i = 4 the link (5, 5) still blocks "ustedes".
+        assert lens_of(EXAMPLE_ALIGNMENT) == [1, 3, 4, 4, 5]
 
     def test_full_source_admits_full_target(self):
         rng = random.Random(5)
         for _ in range(20):
             a = random_alignment(rng)
-            assert alignment_prefix_len(a, a.src_len) == a.tgt_len
+            assert lens_of(a)[-1] == a.tgt_len
 
     def test_blocked_first_position_gives_empty_prefix(self):
         a = Alignment(2, 1, frozenset({(2, 1)}))
-        assert alignment_prefix_len(a, 1) == 0
+        assert lens_of(a) == [0, 1]
 
     def test_unaligned_positions_impose_no_constraint(self):
         a = Alignment(3, 3, frozenset())
-        assert alignment_prefix_len(a, 1) == 3
+        assert lens_of(a) == [3, 3, 3]
 
     def test_precondition(self):
-        with pytest.raises(ValueError):
-            alignment_prefix_len(EXAMPLE_ALIGNMENT, 0)
+        for si, tj in [(3, 1), (0, 1), (1, 3)]:
+            message = f"^pair 7: link \\({si},{tj}\\) outside sentence lengths \\(2,2\\)$"
+            with pytest.raises(ValueError, match=message):
+                alignment_prefix_lens(2, 2, [(1, 1), (si, tj)], "pair 7: ")
 
     def test_matches_bruteforce_on_random_instances(self):
         rng = random.Random(314)
         for _ in range(500):
             a = random_alignment(rng)
             i = rng.randint(1, a.src_len)
-            assert alignment_prefix_len(a, i) == prefix_len_bruteforce(a.links, i, a.tgt_len)
+            assert lens_of(a)[i - 1] == prefix_len_bruteforce(a.links, i, a.tgt_len)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
     @settings(max_examples=300)
@@ -140,7 +139,7 @@ class TestAlignmentPrefixLen:
         # Many-to-many links, unaligned positions and empty link sets included.
         cells = st.tuples(st.integers(1, src_len), st.integers(1, tgt_len))
         a = Alignment(src_len, tgt_len, data.draw(st.frozensets(cells)))
-        assert _prefix_lens(src_len, tgt_len, a.links) == [
+        assert alignment_prefix_lens(src_len, tgt_len, a.links) == [
             prefix_len_bruteforce(a.links, i, tgt_len) for i in range(1, src_len + 1)
         ]
 
@@ -167,9 +166,10 @@ def test_scanned_prefix_lens_match_the_parsed_alignment(pairs, min_i):
     blocks = partial_blocks(corpus, Method.ALIGNMENT, alignment_links(lines, corpus), min_i)
     manifest = "".join(block[3] for block in blocks)
     expected = "".join(
-        f"{k}\t{i}\t{alignment_prefix_len(alignment, i)}\talignment\n"
+        f"{k}\t{i}\t{j}\talignment\n"
         for k, alignment in enumerate(read_alignments(lines, corpus))
-        for i in range(min_i, alignment.src_len + 1)
+        for i, j in enumerate(lens_of(alignment), start=1)
+        if i >= min_i
     )
     assert manifest == expected
 
@@ -405,7 +405,7 @@ def test_lazy_read_partial_matches_eager_tokenisation(pairs):
     assert not isinstance(rows, Iterator)
     assert len(rows) == len(pairs)
     expected = [
-        PartialPair(k, len(s.split()), tuple(s.split()), tuple(t.split()), None)
+        PartialPair(k, tuple(s.split()), tuple(t.split()), None)
         for k, (s, t) in enumerate(pairs)
     ]
     assert [rows[k] for k in range(len(rows))] == expected
@@ -455,7 +455,7 @@ def test_read_partial_rows_may_be_read_from_two_threads():
     a.join()
     b.join()
     assert (got["a"].source_prefix, got["b"].source_prefix) == (("s5",), ("s1",))
-    assert rows[5] == PartialPair(5, 1, ("s6",), ("t6",), None)
+    assert rows[5] == PartialPair(5, ("s6",), ("t6",), None)
 
 
 # Corpus lines with runs of tabs, spaces, U+3000 and U+00A0 between tokens and

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import inspect
+import json
 import os
 import signal
 import sys
@@ -400,6 +401,125 @@ def test_stream_matches_the_rule_run_in_process(events):
     ]
 
 
+def _plan_reply(line, k):
+    """The plan child's reply to input line k: the line's words reversed, then "#k"."""
+    return " ".join([*reversed(line.split()), f"#{k}"])
+
+
+def _step_bytes(reply, step):
+    """The plan child's output for one reply: the text, with 0xff before character
+    step["bad"] if that is set, the line end, then an extra line if step["extra"]."""
+    data = reply.encode()
+    if step["bad"] is not None:
+        at = len(reply[: step["bad"]].encode())
+        data = data[:at] + b"\xff" + data[at:]
+    return data + step["end"].encode() + (b"EXTRA\n" if step["extra"] else b"")
+
+
+# A child that follows a plan (argv[1], JSON): each reply is written in pieces,
+# each piece after its stderr text and its pause. "stop" ends the child before
+# reply "at" (len(steps): after the last): exit, hang, or close stdout and hang.
+# It exits quietly right after an invalid reply, and with "status" at the end.
+_PLAN_CHILD = inspect.getsource(_plan_reply) + inspect.getsource(_step_bytes) + """
+import json, os, sys, time
+plan = json.loads(sys.argv[1])
+steps, stop = plan["steps"], plan["stop"]
+for k in range(len(steps) + 1):
+    if stop["at"] == k:
+        os.write(2, stop["err"].encode())
+        if stop["how"] == "exit":
+            sys.exit(3)
+        if stop["how"] == "close":
+            os.close(1)
+        time.sleep(60)
+    if k == len(steps):
+        break
+    data = _step_bytes(_plan_reply(sys.stdin.buffer.readline().decode(), k), steps[k])
+    start = 0
+    for cut, pause, err in steps[k]["pieces"]:
+        os.write(2, err.encode())
+        time.sleep(pause)
+        os.write(1, data[start:cut])
+        start = cut
+    if steps[k]["bad"] is not None:
+        sys.exit(0)
+sys.exit(plan["status"])
+"""
+
+_stderr_st = st.sampled_from(["", "", "", "log é\n", "w"])
+
+
+@pytest.mark.parametrize("fault", [None, "exit", "close", "hang", "hang-after-last", "invalid", "extra"])
+@given(events=grouped_events_st, data=st.data())
+@settings(max_examples=3, derandomize=True, database=None, deadline=None)
+def test_command_protocol_matches_its_model(fault, events, data):
+    """A child that follows a generated plan gives what a pure model of the protocol predicts.
+
+    Replies come in random pieces (inside a multi-byte character, between "\r"
+    and "\n"), after pauses below the timeout and stderr writes, with at most
+    one fault. The model gives the translations, or the TranslatorError's
+    utterance, step and message with the stderr tail; an exit status is not read.
+    """
+    logs = run_session(events, lambda source: source)
+    sources = [source for log in logs for source, _ in log.steps]
+    positions = [(log.utterance_id, k) for log in logs for k in range(len(log.steps))]
+    n = len(sources)
+    at = n if fault == "hang-after-last" else data.draw(st.integers(0, n - 1))
+    fault = "hang" if fault == "hang-after-last" else fault
+    steps, outputs = [], []
+    for k, source in enumerate(sources):
+        reply = _plan_reply(detokenize(source), k)
+        step = {
+            "bad": data.draw(st.integers(0, len(reply))) if (fault, at) == ("invalid", k) else None,
+            "extra": (fault, at) == ("extra", k),
+            "end": data.draw(st.sampled_from(["\n", "\r\n"])),
+        }
+        outputs.append(_step_bytes(reply, step))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(outputs[-1]) - 1), max_size=3)))
+        pause_st = st.sampled_from([0, 0, 0.002])
+        step["pieces"] = [[cut, data.draw(pause_st), data.draw(_stderr_st)] for cut in [*cuts, None]]
+        steps.append(step)
+    stops = fault in ("exit", "hang", "close")
+    stop = {"at": at if stops else None, "how": fault, "err": data.draw(_stderr_st) if stops else ""}
+    plan = {"steps": steps, "stop": stop, "status": data.draw(st.sampled_from([0, 3]))}
+    timeout = 0.3 if fault == "hang" else 10.0
+
+    # The model: stderr before the fault, the message, and the position charged.
+    errs = ["".join(err for _, _, err in step["pieces"]) for step in steps]
+    if fault in ("exit", "close", "hang") and at < n:
+        stderr, charged = "".join(errs[:at]) + stop["err"], at
+        message = "translator process closed its output"
+        if fault == "hang":
+            message = f"translator produced no output within {timeout}s"
+    elif fault == "hang":
+        stderr, charged = "".join(errs) + stop["err"], n - 1
+        message = f"translator output did not end within {timeout}s of its input closing"
+    elif fault == "invalid":
+        stderr, charged = "".join(errs[: at + 1]), at
+        position = outputs[at].index(b"\xff")
+        message = f"'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte"
+    elif fault == "extra":
+        # The extra line shifts every later reply by one; line n is left over.
+        leftover = b"".join(outputs).split(b"\n")[n] + b"\n"
+        stderr, charged = "".join(errs), n - 1
+        message = f"translator output ran past the last reply: {leftover[:80]!r}"
+
+    child = CommandTranslator(
+        [sys.executable, "-I", "-S", "-c", _PLAN_CHILD, json.dumps(plan)], timeout=timeout
+    )
+    if fault is None:
+        got = [translation for log in run_session(events, child) for _, translation in log.steps]
+        assert got == [(*reversed(source), f"#{k}") for k, source in enumerate(sources)]
+        return
+    with pytest.raises(TranslatorError) as err:
+        run_session(events, child)
+    tail = stderr.encode()[-2048:].decode("utf-8", "replace")
+    u, step = positions[charged]
+    detail = message + (f"; its stderr ends {tail!r}" if tail else "")
+    assert (err.value.utterance_id, err.value.step) == (u, step)
+    assert str(err.value) == f"translator failed on utterance {u}, step {step}: {detail}"
+
+
 _ECHO_CHILD = "import sys\nfor line in sys.stdin: print(line.rstrip())"
 _UPPER_CHILD = "import sys\nfor line in sys.stdin: print(line.rstrip().upper())"
 _SILENT_CHILD = "import time\ntime.sleep(60)"
@@ -548,6 +668,12 @@ class TestEventIO:
     def test_tsv_map_rejects_missing_tab(self):
         with pytest.raises(DataError):
             load_tsv_map(["no tab here"], what="lexicon")
+
+    def test_tsv_map_rejects_a_key_that_normalises_to_an_earlier_one(self):
+        lines = ["i encourage\tyo animo", "", "x\ty", "i  encourage\tyo"]
+        message = "^lexicon line 4: duplicate source 'i encourage' \\(first on line 1\\)$"
+        with pytest.raises(DataError, match=message):
+            load_tsv_map(lines, what="lexicon")
 
     def test_tsv_map_skips_blank_lines(self):
         mapping = load_tsv_map(["a\tb", ""], what="lexicon")
