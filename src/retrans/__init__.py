@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 _HOMES = {
     "aligner": "NULL TranslationTable align_corpus log_likelihood train_model1 viterbi_align",
-    "corpus": "Alignment ParallelCorpus SentencePair Tokens detokenize format_alignment"
-    " read_alignments read_parallel tokenize",
+    "corpus": "ParallelCorpus SentencePair Tokens detokenize format_alignment read_alignments"
+    " read_parallel tokenize",
     "metrics": "CorrectionReport bleu corrected_words correction_report edit_distance gleu"
     " mean_gleu resegment wer",
     "mixing": "MixManifest mix",

@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import chain
 from operator import add, itemgetter, truediv
 
-from .corpus import Alignment, ParallelCorpus, SentencePair
+from .corpus import ParallelCorpus, SentencePair
 
 NULL = None
 """Distinguished null source token; kept distinct from every real token."""
@@ -134,8 +134,8 @@ def log_likelihood(table: TranslationTable, corpus: ParallelCorpus) -> float:
     return ll
 
 
-def viterbi_align(table: TranslationTable, pair: SentencePair) -> Alignment:
-    """Link each target position to its most probable source position.
+def viterbi_align(table: TranslationTable, pair: SentencePair) -> frozenset[tuple[int, int]]:
+    """Link each target position to its most probable source position, as 1-based links.
 
     Ties between source positions break toward the smallest position. A
     target position is left unaligned only when the null token strictly
@@ -154,10 +154,12 @@ def viterbi_align(table: TranslationTable, pair: SentencePair) -> Alignment:
                 best_i = i
         if null_row.get(f, EPSILON) <= best_p:
             links.add((best_i, j))
-    return Alignment(len(pair.source), len(pair.target), frozenset(links))
+    return frozenset(links)
 
 
-def align_corpus(table: TranslationTable, corpus: ParallelCorpus) -> list[Alignment]:
+def align_corpus(
+    table: TranslationTable, corpus: ParallelCorpus
+) -> list[frozenset[tuple[int, int]]]:
     """Viterbi-align every pair, preserving corpus order."""
     return [viterbi_align(table, pair) for pair in corpus]
 

@@ -41,7 +41,7 @@ DEFAULT_SEED = 17
 
 
 class UsageError(Exception):
-    def __init__(self, message: str, usage: str = "") -> None:
+    def __init__(self, message: str, usage: str) -> None:
         self.usage = usage
         super().__init__(message)
 
@@ -178,13 +178,15 @@ def cmd_reseg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_translator(spec: str, timeout: float) -> session.Translator | session.CommandTranslator:
+def _build_translator(args: argparse.Namespace) -> session.Translator | session.CommandTranslator:
+    """The --translator spec's translator; a malformed spec is a usage error."""
+    spec = args.translator
     name, _, rest = spec.partition(":")
     if spec == "identity":
         return session.dictionary_translator({})
     if name == "dict":
         if not rest:
-            raise UsageError("dict translator needs a file: dict:FILE")
+            args.parser.error("dict translator needs a file: dict:FILE")
         lines = _corpus.read_lines(rest)
         lexicon = session.load_tsv_map(lines, what=rest)
         for no, line in enumerate(lines, start=1):
@@ -198,28 +200,28 @@ def _build_translator(spec: str, timeout: float) -> session.Translator | session
         return session.dictionary_translator(lexicon)
     if name == "script":
         if not rest:
-            raise UsageError("script translator needs a file: script:FILE")
+            args.parser.error("script translator needs a file: script:FILE")
         lexicon = session.load_tsv_map(_corpus.read_lines(rest), what=rest)
         return session.scripted_translator(lexicon)
     if name == "cmd":
         if not rest.strip():
-            raise UsageError("cmd translator needs a command: cmd:\"...\"")
+            args.parser.error("cmd translator needs a command: cmd:\"...\"")
         try:
-            return session.CommandTranslator(rest, timeout=timeout)
+            return session.CommandTranslator(rest, timeout=args.timeout)
         except ValueError as err:  # shlex cannot split it, as in an unclosed quote
-            raise UsageError(f"--translator {spec!r}: {err}") from None
-    raise UsageError(f"unknown translator {spec!r}")
+            args.parser.error(f"--translator {spec!r}: {err}")
+    args.parser.error(f"unknown translator {spec!r}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if not 0 < args.timeout < float("inf"):
         args.parser.error("--timeout must be a finite number > 0")
+    translator = _build_translator(args)  # before the events: a bad spec is a usage error
     events = session.read_events(_corpus.read_lines(args.events), what=args.events)
     # The references are checked before any translator work is done.
     refs = _read_refs(args.refs) if args.refs else None
     if refs and not events:
         raise DataError(f"{args.events}: need at least one event when --refs is given")
-    translator = _build_translator(args.translator, args.timeout)
     try:
         logs = session.run_session(events, translator)
     except EventOrderError as err:

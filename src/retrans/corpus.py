@@ -59,29 +59,6 @@ ParallelCorpus = tuple[SentencePair, ...]
 """An ordered collection of sentence pairs, ids matching line order."""
 
 
-@dataclass(frozen=True)
-class Alignment:
-    """Word links for one sentence pair, as 1-based (source, target) positions.
-
-    A target position may be unaligned or carry several links; many-to-many
-    link sets are kept as-is.
-    """
-
-    src_len: int
-    tgt_len: int
-    links: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if self.src_len < 1 or self.tgt_len < 1:
-            raise ValueError("alignment requires src_len >= 1 and tgt_len >= 1")
-        for i, j in self.links:
-            if not (1 <= i <= self.src_len) or not (1 <= j <= self.tgt_len):
-                raise ValueError(
-                    f"link ({i},{j}) outside sentence lengths "
-                    f"({self.src_len},{self.tgt_len})"
-                )
-
-
 def read_parallel(
     src_lines: Iterable[str],
     tgt_lines: Iterable[str],
@@ -117,16 +94,19 @@ def _links(line: str, src_len: int, tgt_len: int, where: str = "") -> Iterator[t
         i, _, j = token.partition("-")
         if not (token.isascii() and i.isdigit() and j.isdigit()):
             raise AlignmentParseError(token, where=where)
-        i, j = int(i) + 1, int(j) + 1
+        try:
+            i, j = int(i) + 1, int(j) + 1
+        except ValueError:  # a digit run longer than int() converts is out of range too
+            i = j = float("inf")
         if i > src_len or j > tgt_len:
             detail = f"index out of range for lengths ({src_len},{tgt_len})"
             raise AlignmentParseError(token, detail, where)
         yield i, j
 
 
-def format_alignment(alignment: Alignment) -> str:
-    """Render links as sorted 0-based "i-j" pairs (inverse of parsing)."""
-    return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(alignment.links))
+def format_alignment(links: Iterable[tuple[int, int]]) -> str:
+    """Render 1-based links as sorted 0-based "i-j" pairs (inverse of parsing)."""
+    return " ".join(f"{i - 1}-{j - 1}" for i, j in sorted(links))
 
 
 def alignment_links(
@@ -153,17 +133,14 @@ def read_alignments(
     corpus: ParallelCorpus,
     *,
     what: tuple[str, str] = ("corpus", "alignments"),
-) -> list[Alignment]:
-    """Parse one line of space-separated 0-based "i-j" links per corpus pair, in corpus order.
+) -> list[frozenset[tuple[int, int]]]:
+    """Each pair's set of 1-based links from one line of 0-based "i-j" pairs, in corpus order.
 
     A blank line is a fully unaligned pair, and duplicate links collapse.
     Raises AlignmentParseError, naming the line, on a malformed token or an
     index outside [0, len), and CorpusMismatchError (see alignment_links).
     """
-    return [
-        Alignment(len(pair.source), len(pair.target), frozenset(links))
-        for pair, links in zip(corpus, alignment_links(lines, corpus, what=what))
-    ]
+    return [frozenset(links) for links in alignment_links(lines, corpus, what=what)]
 
 
 def _line_blocks(path: str | Path) -> Iterator[list[str]]:

@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, islice
 
-from .corpus import Alignment, ParallelCorpus, SentencePair, Tokens, detokenize
+from .corpus import ParallelCorpus, SentencePair, Tokens, detokenize
 from .errors import CorpusMismatchError, DataError, EmptySentenceError
 
 
@@ -128,8 +128,10 @@ def partial_blocks(
 
     Each block is the newline-terminated lines that partial_lines and
     manifest_lines give for the pair's rows. links go with the alignment
-    method only (ValueError otherwise), each pair's as corpus.alignment_links
-    gives them. Every check runs first.
+    method only (ValueError otherwise): each pair's 1-based links, as
+    aligner.align_corpus or corpus.alignment_links give them. Every check
+    runs first: a count other than the corpus's, or a link outside its
+    pair's lengths, raises ValueError.
     """
     lens = _target_lens(corpus, method, links, min_i)
     return (_block(pair, js, method.value, min_i) for pair, js in lens)
@@ -153,28 +155,16 @@ def _running_joins(tokens: Tokens) -> list[str]:
 def generate_partial(
     corpus: ParallelCorpus,
     method: Method,
-    alignments: Sequence[Alignment] | None = None,
+    links: Iterable[Iterable[tuple[int, int]]] | None = None,
     min_i: int = 1,
 ) -> PartialCorpus:
     """Emit one prefix row per pair and per source prefix length in [min_i, I].
 
     Rows whose target prefix is empty are kept: the empty translation is the
     correct label for such prefixes. The ratio method requires a non-empty
-    target for every pair that yields rows (ValueError otherwise). The
-    alignment method, and only it, takes alignments (ValueError otherwise):
-    one per pair, with the pair's sentence lengths (DataError otherwise).
+    target for every pair that yields rows (ValueError otherwise). Takes
+    partial_blocks' arguments and runs its checks, all before any row.
     """
-    links = None
-    if alignments is not None:
-        if len(alignments) != len(corpus):
-            raise DataError(f"{len(alignments)} alignments for {len(corpus)} pairs")
-        for pair, a in zip(corpus, alignments):
-            if (a.src_len, a.tgt_len) != (len(pair.source), len(pair.target)):
-                raise DataError(
-                    f"pair {pair.id}: alignment is ({a.src_len},{a.tgt_len}),"
-                    f" pair is ({len(pair.source)},{len(pair.target)})"
-                )
-        links = [alignment.links for alignment in alignments]
     return tuple(
         PartialPair(pair.id, pair.source[:i], pair.target[:j], method)
         for pair, js in _target_lens(corpus, method, links, min_i)

@@ -300,7 +300,7 @@ def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEve
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or a digit run past int()'s limit
             raise EventParseError(f"{what} line {no}: invalid JSON: {exc}") from None
         if not isinstance(record, dict):
             raise EventParseError(f"{what} line {no}: expected an object")

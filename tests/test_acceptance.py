@@ -18,7 +18,6 @@ import pytest
 from retrans.aligner import log_likelihood, train_model1
 from retrans.cli import main
 from retrans.corpus import (
-    Alignment,
     ParallelCorpus,
     SentencePair,
     read_lines,
@@ -126,8 +125,7 @@ def test_criterion_4_prefix_monotonicity():
             (rng.randint(1, src_len), rng.randint(1, tgt_len))
             for _ in range(rng.randint(0, src_len * tgt_len // 2))
         )
-        alignments = [Alignment(src_len, tgt_len, links)]
-        for method, supplied in ((Method.RATIO, None), (Method.ALIGNMENT, alignments)):
+        for method, supplied in ((Method.RATIO, None), (Method.ALIGNMENT, [links])):
             rows = list(generate_partial(corpus, method, supplied))
             for shorter, longer in zip(rows, rows[1:]):
                 if longer.target_prefix[: shorter.j] != shorter.target_prefix:

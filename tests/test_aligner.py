@@ -176,7 +176,7 @@ class TestViterbiAlign:
     def test_converged_table_aligns_diagonally(self, la_maison):
         table = train_model1(la_maison, 10)
         alignment = viterbi_align(table, la_maison[0])
-        assert alignment.links == {(1, 1), (2, 2)}
+        assert alignment == {(1, 1), (2, 2)}
 
     def test_matches_reference_viterbi(self):
         rng = random.Random(23)
@@ -188,7 +188,7 @@ class TestViterbiAlign:
             )
             for pair in corpus:
                 want = viterbi_reference(reference, pair.source, pair.target)
-                assert viterbi_align(table, pair).links == want
+                assert viterbi_align(table, pair) == want
 
     @given(st.integers(1, 4).flatmap(small_corpora), st.data())
     @settings(max_examples=200, deadline=None)
@@ -201,14 +201,14 @@ class TestViterbiAlign:
         held_out = data.draw(small_corpora(5))
         for pair in (*corpus, *held_out):
             want = viterbi_reference(reference, pair.source, pair.target)
-            assert viterbi_align(table, pair).links == want
+            assert viterbi_align(table, pair) == want
 
     def test_null_dominance_leaves_unaligned(self):
         table = TranslationTable(
             {NULL: {"x": 0.9, "y": 0.1}, "a": {"x": 0.1, "y": 0.9}}
         )
         pair = SentencePair(0, ("a",), ("x",))
-        assert viterbi_align(table, pair).links == frozenset()
+        assert viterbi_align(table, pair) == frozenset()
 
     def test_tie_breaks_to_smallest_position(self):
         table = TranslationTable(
@@ -219,12 +219,12 @@ class TestViterbiAlign:
             }
         )
         pair = SentencePair(0, ("a", "b"), ("x",))
-        assert viterbi_align(table, pair).links == {(1, 1)}
+        assert viterbi_align(table, pair) == {(1, 1)}
 
     def test_null_tie_keeps_link(self):
         table = TranslationTable({NULL: {"x": 0.5, "y": 0.5}, "a": {"x": 0.5, "y": 0.5}})
         pair = SentencePair(0, ("a",), ("x",))
-        assert viterbi_align(table, pair).links == {(1, 1)}
+        assert viterbi_align(table, pair) == {(1, 1)}
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
@@ -233,7 +233,7 @@ class TestViterbiAlign:
         corpus = random_corpus(rng)
         table = train_model1(corpus, 2)
         for pair in corpus:
-            links = viterbi_align(table, pair).links
+            links = viterbi_align(table, pair)
             targets = [j for _, j in links]
             assert len(targets) == len(set(targets))
 
@@ -276,8 +276,7 @@ class TestAlignCorpus:
     def test_length_and_order(self, la_maison):
         table = train_model1(la_maison, 5)
         result = align_corpus(table, la_maison)
-        assert len(result) == 2
-        assert result[1].src_len == 1
+        assert result == [viterbi_align(table, pair) for pair in la_maison]
 
 
 def test_table_rows_sorted_null_first(la_maison):

@@ -100,6 +100,11 @@ _SCORE_USAGE = (
     "usage: retrans score [-h] [--seed SEED] [-v] --hyp HYP --ref REF --metric\n"
     "                     {bleu,gleu,wer} [--smooth]\n"
 )
+_SIMULATE_USAGE = (
+    "usage: retrans simulate [-h] [--seed SEED] [-v] --events EVENTS --translator\n"
+    "                        TRANSLATOR [--refs REFS] [--log-out LOG_OUT]\n"
+    "                        [--report-out REPORT_OUT] [--timeout TIMEOUT]\n"
+)
 
 
 class TestStderrContract:
@@ -191,15 +196,17 @@ class TestStderrContract:
         assert err == (
             f"config: command=simulate seed=17 verbose=0 events={events} "
             f"timeout=30.0 translator=dict:\n"
-            "error: dict translator needs a file: dict:FILE\n"
+            + _SIMULATE_USAGE
+            + "error: dict translator needs a file: dict:FILE\n"
         )
 
     @pytest.mark.parametrize(
         "translator, message",
         [("cmd:   ", 'cmd translator needs a command: cmd:"..."'),
          ("identity:whatever", "unknown translator 'identity:whatever'"),
-         ('cmd:"unclosed', """--translator 'cmd:"unclosed': No closing quotation""")],
-        ids=["blank-cmd", "identity-suffix", "unclosed-quote"],
+         ('cmd:"unclosed', """--translator 'cmd:"unclosed': No closing quotation"""),
+         ("script:", "script translator needs a file: script:FILE")],
+        ids=["blank-cmd", "identity-suffix", "unclosed-quote", "script-without-file"],
     )
     def test_translator_spec_refused(self, capsys, fixtures, translator, message):
         events = fixtures / "tiny.events.jsonl"
@@ -210,8 +217,17 @@ class TestStderrContract:
         assert err == (
             f"config: command=simulate seed=17 verbose=0 events={events} "
             f"timeout=30.0 translator={translator}\n"
-            f"error: {message}\n"
+            + _SIMULATE_USAGE
+            + f"error: {message}\n"
         )
+
+    def test_translator_spec_refused_before_the_events_are_read(self, capsys, tmp_path):
+        events = tmp_path / "missing.jsonl"
+        code, stdout, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", "bogus"
+        )
+        assert (code, stdout) == (1, "")
+        assert err.endswith(_SIMULATE_USAGE + "error: unknown translator 'bogus'\n")
 
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
     def test_simulate_timeout_not_finite_and_positive(self, capsys, tmp_path, timeout):
@@ -399,6 +415,21 @@ class TestAlignmentTokens:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == f"error: {alignments} line 5: bad alignment token {bad!r}"
         assert not list(tmp_path.glob("p.*"))
+
+    def test_a_digit_run_past_ints_limit_names_file_and_line(self, capsys, tmp_path):
+        # int() refuses a run of more than 4,300 digits, even of zeros.
+        src, tgt = write(tmp_path / "c.src", "a\nb c\n"), write(tmp_path / "c.tgt", "x\ny\n")
+        token = "0-" + "0" * 5000
+        alignments = write(tmp_path / "c.align", f"0-0\n{token}\n")
+        code, out, err = run(
+            capsys, "gen-partial", "--src", str(src), "--tgt", str(tgt), "--method", "alignment",
+            "--alignments", str(alignments), "--out-prefix", str(tmp_path / "p"),
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: {alignments} line 2: bad alignment token {token!r}: "
+            "index out of range for lengths (2,1)"
+        )
 
 
 class TestScore:
@@ -848,6 +879,16 @@ class TestSimulate:
         assert err.splitlines()[-1] == (
             f"error: {events} line 2: invalid JSON: Expecting value: line 1 column 1 (char 0)"
         )
+
+    def test_a_digit_run_past_ints_limit_names_file_and_line(self, capsys, tmp_path):
+        # json.loads raises ValueError, not JSONDecodeError, past int()'s 4,300 digits.
+        event = '{"utterance_id": %s, "kind": "replace", "text": "a"}\n'
+        events = write(tmp_path / "ev.jsonl", event % 0 + event % ("9" * 5001))
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", "identity"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(f"error: {events} line 2: invalid JSON: Exceeds ")
 
     def test_empty_replace_event_names_file_and_line(self, capsys, tmp_path):
         events = write(

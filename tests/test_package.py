@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,11 @@ import retrans
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # The public names as of release 0.1.0, less the retired SessionReport,
-# identity_translator, read_alignment_line and subsample, and with the two
+# identity_translator, read_alignment_line, subsample and Alignment (a pair's
+# alignment is its set of 1-based links), and with the two
 # prefix rules' one-position functions replaced by the every-i
 # ratio_prefix_lens and alignment_prefix_lens.
 EXPORTED = {
-    "Alignment",
     "CommandTranslator",
     "CorrectionReport",
     "Method",
@@ -71,18 +72,34 @@ def test_each_name_is_its_home_module_object():
 
 
 def test_every_traced_name_is_a_callable_of_retrans():
-    # perfbench/tracing.py rebinds (module, attribute) pairs listed in TARGETS;
-    # read from its source, as the tracer is not imported by the tests.
+    # perfbench/tracing.py rebinds (module, attribute) pairs listed in TARGETS,
+    # and their name functions and counters read the call's arguments as
+    # b["parameter"]; read from its source, as the tracer is not imported by the tests.
     tree = ast.parse(TRACING.read_text(encoding="utf-8"))
     targets = next(
         node.value for node in tree.body
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
     )
-    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
-    assert pairs
-    for module, attr in pairs:
-        home = importlib.import_module(f"retrans.{module}")
-        assert callable(getattr(home, attr, None)), f"retrans.{module}.{attr}"
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read = set()
+    assert targets.elts
+    for entry in targets.elts:
+        module, attr = (node.value for node in entry.elts[:2])
+        target = getattr(importlib.import_module(f"retrans.{module}"), attr, None)
+        assert callable(target), f"retrans.{module}.{attr}"
+        parameters = inspect.signature(target).parameters
+        for reader in entry.elts[2:]:
+            reader = functions.get(getattr(reader, "id", None), reader)
+            if not isinstance(reader, (ast.Lambda, ast.FunctionDef)):
+                continue  # a fixed span name, or no counter
+            bound = reader.args.args[0].arg
+            keys = {
+                node.slice.value for node in ast.walk(reader)
+                if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == bound
+            }
+            assert keys <= parameters.keys(), f"retrans.{module}.{attr} lacks {keys - parameters.keys()}"
+            read |= keys
+    assert {"method", "partial", "argv"} <= read
 
 
 def test_star_import_and_dir_list_every_name():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from retrans.cli import main
 from retrans.corpus import (
-    Alignment,
     ParallelCorpus,
     SentencePair,
     alignment_links,
@@ -26,7 +25,6 @@ from retrans.corpus import (
 from retrans.errors import (
     AlignmentParseError,
     CorpusMismatchError,
-    DataError,
     EmptySentenceError,
 )
 from retrans.partials import (
@@ -46,22 +44,17 @@ from oracles import prefix_len_bruteforce, ratio_len_reference
 # The running worked example: source "I encourage all of you" against target
 # "yo animo a todos ustedes" with links (source, target) 1-based.
 EXAMPLE_LINKS = frozenset({(1, 1), (2, 2), (2, 3), (3, 4), (5, 5)})
-EXAMPLE_ALIGNMENT = Alignment(5, 5, EXAMPLE_LINKS)
 
 
-def random_alignment(rng: random.Random, max_len=12) -> Alignment:
+def random_alignment(rng: random.Random, max_len=12) -> tuple[int, int, frozenset[tuple[int, int]]]:
+    """Random sentence lengths and a set of links within them."""
     src_len = rng.randint(1, max_len)
     tgt_len = rng.randint(1, max_len)
     n_links = rng.randint(0, src_len * tgt_len // 2)
     links = frozenset(
         (rng.randint(1, src_len), rng.randint(1, tgt_len)) for _ in range(n_links)
     )
-    return Alignment(src_len, tgt_len, links)
-
-
-def lens_of(alignment: Alignment) -> list[int]:
-    """The alignment rule's j for every i of an Alignment."""
-    return alignment_prefix_lens(alignment.src_len, alignment.tgt_len, alignment.links)
+    return src_len, tgt_len, links
 
 
 class TestRatioPrefixLen:
@@ -104,21 +97,19 @@ class TestRatioPrefixLen:
 class TestAlignmentPrefixLen:
     def test_worked_example_blocks_last_word(self):
         # At i = 4 the link (5, 5) still blocks "ustedes".
-        assert lens_of(EXAMPLE_ALIGNMENT) == [1, 3, 4, 4, 5]
+        assert alignment_prefix_lens(5, 5, EXAMPLE_LINKS) == [1, 3, 4, 4, 5]
 
     def test_full_source_admits_full_target(self):
         rng = random.Random(5)
         for _ in range(20):
-            a = random_alignment(rng)
-            assert lens_of(a)[-1] == a.tgt_len
+            src_len, tgt_len, links = random_alignment(rng)
+            assert alignment_prefix_lens(src_len, tgt_len, links)[-1] == tgt_len
 
     def test_blocked_first_position_gives_empty_prefix(self):
-        a = Alignment(2, 1, frozenset({(2, 1)}))
-        assert lens_of(a) == [0, 1]
+        assert alignment_prefix_lens(2, 1, {(2, 1)}) == [0, 1]
 
     def test_unaligned_positions_impose_no_constraint(self):
-        a = Alignment(3, 3, frozenset())
-        assert lens_of(a) == [3, 3, 3]
+        assert alignment_prefix_lens(3, 3, frozenset()) == [3, 3, 3]
 
     def test_precondition(self):
         for si, tj in [(3, 1), (0, 1), (1, 3)]:
@@ -129,18 +120,19 @@ class TestAlignmentPrefixLen:
     def test_matches_bruteforce_on_random_instances(self):
         rng = random.Random(314)
         for _ in range(500):
-            a = random_alignment(rng)
-            i = rng.randint(1, a.src_len)
-            assert lens_of(a)[i - 1] == prefix_len_bruteforce(a.links, i, a.tgt_len)
+            src_len, tgt_len, links = random_alignment(rng)
+            i = rng.randint(1, src_len)
+            lens = alignment_prefix_lens(src_len, tgt_len, links)
+            assert lens[i - 1] == prefix_len_bruteforce(links, i, tgt_len)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.data())
     @settings(max_examples=300)
     def test_one_pass_matches_bruteforce_at_every_i(self, src_len, tgt_len, data):
         # Many-to-many links, unaligned positions and empty link sets included.
         cells = st.tuples(st.integers(1, src_len), st.integers(1, tgt_len))
-        a = Alignment(src_len, tgt_len, data.draw(st.frozensets(cells)))
-        assert alignment_prefix_lens(src_len, tgt_len, a.links) == [
-            prefix_len_bruteforce(a.links, i, tgt_len) for i in range(1, src_len + 1)
+        links = data.draw(st.frozensets(cells))
+        assert alignment_prefix_lens(src_len, tgt_len, links) == [
+            prefix_len_bruteforce(links, i, tgt_len) for i in range(1, src_len + 1)
         ]
 
 
@@ -166,9 +158,9 @@ def test_scanned_prefix_lens_match_the_parsed_alignment(pairs, min_i):
     blocks = partial_blocks(corpus, Method.ALIGNMENT, alignment_links(lines, corpus), min_i)
     manifest = "".join(block[3] for block in blocks)
     expected = "".join(
-        f"{k}\t{i}\t{j}\talignment\n"
-        for k, alignment in enumerate(read_alignments(lines, corpus))
-        for i, j in enumerate(lens_of(alignment), start=1)
+        f"{pair.id}\t{i}\t{j}\talignment\n"
+        for pair, links in zip(corpus, read_alignments(lines, corpus))
+        for i, j in enumerate(alignment_prefix_lens(len(pair.source), len(pair.target), links), 1)
         if i >= min_i
     )
     assert manifest == expected
@@ -187,7 +179,7 @@ class TestGeneratePartial:
 
     def test_worked_example_target_lengths(self):
         corpus = corpus_of("I encourage all of you", "yo animo a todos ustedes")
-        partial = generate_partial(corpus, Method.ALIGNMENT, [EXAMPLE_ALIGNMENT])
+        partial = generate_partial(corpus, Method.ALIGNMENT, [EXAMPLE_LINKS])
         assert [p.j for p in partial] == [1, 3, 4, 4, 5]
         assert partial[1].target_prefix == ("yo", "animo", "a")
 
@@ -196,8 +188,8 @@ class TestGeneratePartial:
         assert [p.i for p in partial] == [2, 3]
 
     def test_empty_target_prefixes_are_kept(self):
-        a = Alignment(2, 2, frozenset({(2, 1), (2, 2)}))
-        partial = generate_partial(corpus_of("a b", "x y"), Method.ALIGNMENT, [a])
+        links = {(2, 1), (2, 2)}
+        partial = generate_partial(corpus_of("a b", "x y"), Method.ALIGNMENT, [links])
         assert partial[0].target_prefix == ()
         assert partial[1].target_prefix == ("x", "y")
 
@@ -205,32 +197,12 @@ class TestGeneratePartial:
         with pytest.raises(ValueError, match="^the alignment method needs alignments$"):
             generate_partial(corpus_of("a b", "x"), Method.ALIGNMENT, None)
 
-    @pytest.mark.parametrize("alignments", [[], [Alignment(1, 1, frozenset())]])
+    @pytest.mark.parametrize("alignments", [[], [frozenset()]])
     def test_ratio_method_refuses_alignments(self, alignments):
         corpus = read_parallel(["a"], ["x"])[: len(alignments)]
-        with pytest.raises(ValueError, match="^the ratio method takes no alignments$"):
-            generate_partial(corpus, Method.RATIO, alignments)
-        with pytest.raises(ValueError, match="^the ratio method takes no alignments$"):
-            partial_blocks(corpus, Method.RATIO, [a.links for a in alignments])
-
-    def test_alignment_list_too_short(self):
-        corpus = read_parallel(["a", "b"], ["x", "y"])
-        with pytest.raises(DataError, match="^1 alignments for 2 pairs$"):
-            generate_partial(corpus, Method.ALIGNMENT, [Alignment(1, 1, frozenset())])
-
-    def test_alignment_list_too_long(self):
-        # A surplus alignment means the list belongs to another corpus; it is
-        # not cut off silently.
-        corpus = read_parallel(["a"], ["x"])
-        alignment = Alignment(1, 1, frozenset({(1, 1)}))
-        with pytest.raises(DataError, match="^2 alignments for 1 pairs$"):
-            generate_partial(corpus, Method.ALIGNMENT, [alignment, alignment])
-
-    def test_alignment_dimension_mismatch(self):
-        with pytest.raises(DataError, match=r"^pair 0: alignment is \(9,9\), pair is \(2,1\)$"):
-            generate_partial(
-                corpus_of("a b", "x"), Method.ALIGNMENT, [Alignment(9, 9, frozenset())]
-            )
+        for entry in (generate_partial, partial_blocks):
+            with pytest.raises(ValueError, match="^the ratio method takes no alignments$"):
+                entry(corpus, Method.RATIO, alignments)
 
     def test_bad_min_i(self):
         with pytest.raises(ValueError):
@@ -243,29 +215,30 @@ class TestGeneratePartial:
         assert generate_partial(corpus, Method.RATIO, min_i=3) == ()
 
 
+def both_entry_points(names: str, cases: dict[str, tuple]):
+    """Parametrize entry over partial_blocks and generate_partial, which take the same arguments.
+
+    partial_blocks' cases keep their ids; generate_partial's get a "generate_partial-" prefix.
+    """
+    return pytest.mark.parametrize(f"entry,{names}", [
+        pytest.param(entry, *case, id=prefix + name)
+        for entry, prefix in ((partial_blocks, ""), (generate_partial, "generate_partial-"))
+        for name, case in cases.items()
+    ])
+
+
 class TestPartialRows:
     """Every check runs when generate_partial or partial_blocks is called, before any row."""
 
     @pytest.mark.parametrize(
-        "alignments,error",
-        [
-            ([], DataError),
-            ([Alignment(1, 1, frozenset())] * 3, DataError),
-            ([Alignment(1, 1, frozenset()), Alignment(2, 1, frozenset())], DataError),
-            (None, ValueError),
-        ],
+        "links",
+        [[], [frozenset()] * 3, [frozenset(), {(2, 1)}], None],
         ids=["short-list", "long-list", "length-mismatch", "no-list"],
     )
-    def test_bad_alignments_raise_on_call(self, alignments, error):
+    def test_bad_alignments_raise_on_call(self, links):
         corpus = read_parallel(["a", "b"], ["x", "y"])
-        with pytest.raises(error):
-            generate_partial(corpus, Method.ALIGNMENT, alignments)
-
-    def test_length_mismatch_after_good_pairs_raises_on_call(self):
-        corpus = read_parallel(["a b", "c"], ["x", "y"])
-        alignments = [Alignment(2, 1, frozenset()), Alignment(1, 2, frozenset())]
-        with pytest.raises(DataError, match=r"^pair 1: alignment is \(1,2\), pair is \(1,1\)$"):
-            generate_partial(corpus, Method.ALIGNMENT, alignments)
+        with pytest.raises(ValueError):
+            generate_partial(corpus, Method.ALIGNMENT, links)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_bad_min_i_raises_on_call(self, method):
@@ -298,40 +271,50 @@ class TestPartialRows:
         assert next(blocks) == (1, "d\n", "z\n", "1\t1\t1\tratio\n")
         assert next(blocks, None) is None
 
-    @pytest.mark.parametrize(
-        "corpus,method,lines,min_i,error",
-        [
-            ((SentencePair(0, ("a",), ()),), Method.RATIO, None, 1, ValueError),
-            (corpus_of("a", "x"), Method.RATIO, None, 0, ValueError),
-            (corpus_of("a", "x"), Method.ALIGNMENT, None, 1, ValueError),
+    @both_entry_points(
+        "corpus,method,lines,min_i,error,message",
+        {
+            "ratio-empty-target": ((SentencePair(0, ("a",), ()),), Method.RATIO, None, 1,
+                                   ValueError, "pair 0: the ratio method needs a non-empty target"),
+            "min-i": (corpus_of("a", "x"), Method.RATIO, None, 0,
+                      ValueError, "min_i must be >= 1, got 0"),
+            "no-list": (corpus_of("a", "x"), Method.ALIGNMENT, None, 1,
+                        ValueError, "the alignment method needs alignments"),
             # An alignment line made for longer sentences than its pair's.
-            (corpus_of("a", "x"), Method.ALIGNMENT, ["1-0"], 1, AlignmentParseError),
-        ],
-        ids=["ratio-empty-target", "min-i", "no-list", "length-mismatch"],
+            "length-mismatch": (corpus_of("a", "x"), Method.ALIGNMENT, ["1-0"], 1,
+                                AlignmentParseError, "alignments line 1: bad alignment token"
+                                " '1-0': index out of range for lengths (1,1)"),
+        },
     )
-    def test_partial_blocks_runs_the_same_checks_on_call(self, corpus, method, lines, min_i, error):
+    def test_partial_blocks_runs_the_same_checks_on_call(
+        self, entry, corpus, method, lines, min_i, error, message
+    ):
         links = None if lines is None else alignment_links(lines, corpus)
-        with pytest.raises(error):
-            partial_blocks(corpus, method, links, min_i)
+        with pytest.raises(error) as err:
+            entry(corpus, method, links, min_i)
+        assert str(err.value) == message
 
-    @pytest.mark.parametrize(
+    @both_entry_points(
         "link",
-        [(3, 1), (0, 0), (1, 5)],
-        ids=["source-past-end", "position-zero", "target-past-end"],
+        {"source-past-end": ((3, 1),), "position-zero": ((0, 0),), "target-past-end": ((1, 5),)},
     )
-    def test_partial_blocks_rejects_a_link_outside_its_pair(self, link):
+    def test_partial_blocks_rejects_a_link_outside_its_pair(self, entry, link):
         corpus = read_parallel(["c", "a b"], ["z", "x y"])
         message = f"^pair 1: link \\({link[0]},{link[1]}\\) outside sentence lengths \\(2,2\\)$"
         with pytest.raises(ValueError, match=message):
-            partial_blocks(corpus, Method.ALIGNMENT, [[(1, 1)], [(1, 1), link]])
+            entry(corpus, Method.ALIGNMENT, [[(1, 1)], [(1, 1), link]])
 
-    @pytest.mark.parametrize("count", [1, 3], ids=["one-short", "one-long"])
-    @pytest.mark.parametrize("form", [list, iter])
-    def test_partial_blocks_never_truncates_a_links_list(self, count, form):
+    @both_entry_points(
+        "form,count",
+        {f"{form.__name__}-one-{way}": (form, count)
+         for form in (list, iter) for way, count in (("short", 1), ("long", 3))},
+    )
+    def test_partial_blocks_never_truncates_a_links_list(self, entry, form, count):
+        # A surplus link set means the list belongs to another corpus: it is not cut off.
         corpus = read_parallel(["a b", "c"], ["x", "y"])
         links = form([[(1, 1)]] * count)
         with pytest.raises(ValueError, match="^zip\\(\\) argument 2 is (shorter|longer) than"):
-            partial_blocks(corpus, Method.ALIGNMENT, links)
+            entry(corpus, Method.ALIGNMENT, links)
 
 
 sentence_st = st.lists(
@@ -352,8 +335,7 @@ def test_prefix_monotonicity_both_methods(source, target, data):
             max_size=len(source) * len(target),
         )
     )
-    alignment = Alignment(len(source), len(target), links)
-    for method, alignments in ((Method.RATIO, None), (Method.ALIGNMENT, [alignment])):
+    for method, alignments in ((Method.RATIO, None), (Method.ALIGNMENT, [links])):
         partial = generate_partial(corpus, method, alignments)
         rows = list(partial)
         for shorter, longer in zip(rows, rows[1:]):
@@ -482,10 +464,10 @@ def corpus_line_st(draw) -> str:
 def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, min_i, rng):
     corpus = read_parallel([s for s, _ in pairs], [t for _, t in pairs])
     alignments = [
-        Alignment(len(p.source), len(p.target), frozenset(
+        frozenset(
             (rng.randint(1, len(p.source)), rng.randint(1, len(p.target)))
             for _ in range(rng.randint(0, 4))
-        ))
+        )
         for p in corpus
     ]
     aligned = method is Method.ALIGNMENT
