@@ -39,9 +39,10 @@ class SentencePair:
     """One row of a parallel corpus.
 
     The source side is always non-empty. The target side is non-empty for
-    pairs read from corpus files, but may be empty for rows that originate
-    from partial-sentence generation (an empty translation is a legal label
-    for a very short source prefix).
+    pairs read from corpus files, but may be empty for prefix rows (an empty
+    translation is a legal label for a very short source prefix). A pair
+    read from files has its line index as id; a generated prefix row has its
+    parent pair's id.
     """
 
     id: int
@@ -56,7 +57,7 @@ class SentencePair:
 
 
 ParallelCorpus = tuple[SentencePair, ...]
-"""An ordered collection of sentence pairs, ids matching line order."""
+"""An ordered collection of sentence pairs; read_parallel's ids match line order."""
 
 
 def read_parallel(

@@ -12,7 +12,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, SentencePair
-from .partials import PartialPair
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class MixManifest:
 
 
 def mix(
-    full: ParallelCorpus, partial: Sequence[PartialPair], seed: int
+    full: Sequence[SentencePair], partial: Sequence[SentencePair], seed: int
 ) -> tuple[ParallelCorpus, MixManifest]:
     """Union of the full corpus with an equal-size prefix subsample, shuffled.
 
@@ -43,9 +42,8 @@ def mix(
     if len(full) < len(partial):
         # The draw needs only the count; picks read in increasing order walk a lazy partial once.
         sampled = tuple(partial[k] for k in sorted(rng.sample(range(len(partial)), len(full))))
-    rows = [(p.source, p.target) for p in full]
-    rows += [(q.source_prefix, q.target_prefix) for q in sampled]
+    rows = [*full, *sampled]
     rng.shuffle(rows)
-    pairs = tuple(SentencePair(k, s, t) for k, (s, t) in enumerate(rows))
+    pairs = tuple(SentencePair(k, p.source, p.target) for k, p in enumerate(rows))
     manifest = MixManifest(len(full), len(partial), len(sampled), seed)
     return pairs, manifest

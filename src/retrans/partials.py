@@ -6,14 +6,17 @@ one training row. The target prefix length j is chosen either by length ratio
 every i of a pair at once; in both cases the target prefix for a shorter
 source prefix is a prefix of the one for any longer source prefix, so a
 system trained on these rows never has to retract words as input grows.
+
+A row is a SentencePair of a source prefix of length i and a target prefix of
+length j; its id is its parent pair's id, or k for read_partial's row k.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import threading
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from .corpus import ParallelCorpus, SentencePair, Tokens, detokenize
@@ -25,32 +28,6 @@ class Method(enum.Enum):
 
     RATIO = "ratio"
     ALIGNMENT = "alignment"
-
-
-@dataclass(frozen=True)
-class PartialPair:
-    """A source prefix of length i with its chosen target prefix of length j.
-
-    method is None for rows loaded back from plain prefix files, where the
-    generation method is no longer known.
-    """
-
-    parent_id: int
-    source_prefix: Tokens
-    target_prefix: Tokens
-    method: Method | None
-
-    @property
-    def i(self) -> int:
-        return len(self.source_prefix)
-
-    @property
-    def j(self) -> int:
-        return len(self.target_prefix)
-
-
-PartialCorpus = tuple[PartialPair, ...]
-"""Prefix rows, grouped by parent pair in increasing i."""
 
 
 def ratio_prefix_lens(src_len: int, tgt_len: int) -> list[int]:
@@ -157,16 +134,17 @@ def generate_partial(
     method: Method,
     links: Iterable[Iterable[tuple[int, int]]] | None = None,
     min_i: int = 1,
-) -> PartialCorpus:
+) -> ParallelCorpus:
     """Emit one prefix row per pair and per source prefix length in [min_i, I].
 
     Rows whose target prefix is empty are kept: the empty translation is the
     correct label for such prefixes. The ratio method requires a non-empty
     target for every pair that yields rows (ValueError otherwise). Takes
-    partial_blocks' arguments and runs its checks, all before any row.
+    partial_blocks' arguments and runs its checks, all before any row. A
+    row's id is its parent pair's id.
     """
     return tuple(
-        PartialPair(pair.id, pair.source[:i], pair.target[:j], method)
+        SentencePair(pair.id, pair.source[:i], pair.target[:j])
         for pair, js in _target_lens(corpus, method, links, min_i)
         for i, j in enumerate(js, min_i)
     )
@@ -176,43 +154,47 @@ MANIFEST_HEADER = "parent_id\ti\tj\tmethod"
 """First line of a prefix manifest; the rows' lines follow it."""
 
 
-def partial_lines(partial: PartialCorpus) -> tuple[list[str], list[str]]:
+def partial_lines(partial: Sequence[SentencePair]) -> tuple[list[str], list[str]]:
     """Render prefix rows to (source lines, target lines); targets may be empty."""
-    src = [detokenize(p.source_prefix) for p in partial]
-    return src, [detokenize(p.target_prefix) for p in partial]
+    src = [detokenize(p.source) for p in partial]
+    return src, [detokenize(p.target) for p in partial]
 
 
-def manifest_lines(partial: PartialCorpus) -> list[str]:
+def manifest_lines(partial: Sequence[SentencePair], method: Method) -> list[str]:
     """Tab-separated manifest rows: parent_id, i, j, method (with header)."""
     return [MANIFEST_HEADER] + [
-        f"{p.parent_id}\t{p.i}\t{p.j}\t{getattr(p.method, 'value', 'unknown')}" for p in partial
+        f"{p.id}\t{len(p.source)}\t{len(p.target)}\t{method.value}" for p in partial
     ]
 
 
-class _PartialLines(Sequence[PartialPair]):
+class _PartialLines(Sequence[SentencePair]):
     """n prefix rows over two line streams; row k is tokenised when it is read.
 
     Reads walk both streams forward, so the increasing k of mixing.mix's sample
-    pass each line once; a read behind the walk starts it again.
+    pass each line once; a read behind the walk starts it again. what names the
+    streams in errors.
     """
 
-    def __init__(self, n: int, src: Iterable[str], tgt: Iterable[str]) -> None:
-        self._n, self._src, self._tgt = n, src, tgt
+    def __init__(self, n: int, src: Iterable[str], tgt: Iterable[str], what: tuple[str, str]) -> None:
+        self._n, self._src, self._tgt, self._what = n, src, tgt, what
         self._walk, self._next, self._lock = zip(src, tgt), 0, threading.Lock()
 
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, index: int) -> PartialPair:
-        k = range(self._n)[index]  # parent_id k for a negative index too
+    def __getitem__(self, index: int) -> SentencePair:
+        k = range(self._n)[operator.index(index)]  # id k for a negative index too
         with self._lock:
             if k < self._next:
                 self._walk, self._next = zip(self._src, self._tgt), 0
             row = next(islice(self._walk, k - self._next, None), None)
             if row is None:  # a stream read again came out shorter
-                raise DataError(f"prefix row {k + 1} is gone: a stream changed while it was read")
+                what = " or ".join(self._what)
+                raise DataError(f"prefix row {k + 1} is gone: {what} changed while it was read")
             self._next = k + 1
-        return PartialPair(k, tuple(row[0].split()), tuple(row[1].split()), None)
+        if not (source := tuple(row[0].split())):  # a line blanked after the first pass
+            raise EmptySentenceError(f"{self._what[0]} line {k + 1}")
+        return SentencePair(k, source, tuple(row[1].split()))
 
 
 def read_partial(
@@ -220,15 +202,14 @@ def read_partial(
     tgt_lines: Iterable[str],
     *,
     what: tuple[str, str] = ("source", "target"),
-) -> Sequence[PartialPair]:
-    """Load prefix rows from parallel prefix files.
+) -> Sequence[SentencePair]:
+    """Load prefix rows from parallel prefix files; row k gets id k.
 
     Target lines may be empty (empty translations are legal rows); source
     lines may not. A first pass checks the line counts and every source
     line; rows come from a second pass, each tokenised when it is read (an
-    iterator is copied to a list first). Provenance comes from line order
-    and token counts, with method unknown. what names the streams in
-    errors, such as the paths they came from.
+    iterator is copied to a list first). what names the streams in errors,
+    such as the paths they came from.
     """
     src, tgt = (list(s) if iter(s) is s else s for s in (src_lines, tgt_lines))
     src_count = blank = 0
@@ -241,4 +222,4 @@ def read_partial(
         raise CorpusMismatchError(src_count, tgt_count, what)
     if blank:
         raise EmptySentenceError(f"{what[0]} line {blank}")
-    return _PartialLines(src_count, src, tgt)
+    return _PartialLines(src_count, src, tgt, what)

@@ -26,7 +26,7 @@ from retrans.corpus import (
 )
 from retrans.metrics import bleu, correction_report, edit_distance, gleu, resegment
 from retrans.mixing import mix
-from retrans.partials import Method, PartialCorpus, PartialPair, alignment_prefix_lens, generate_partial
+from retrans.partials import Method, alignment_prefix_lens, generate_partial
 from retrans.session import (
     UpdateEvent,
     dictionary_translator,
@@ -128,9 +128,9 @@ def test_criterion_4_prefix_monotonicity():
         for method, supplied in ((Method.RATIO, None), (Method.ALIGNMENT, [links])):
             rows = list(generate_partial(corpus, method, supplied))
             for shorter, longer in zip(rows, rows[1:]):
-                if longer.target_prefix[: shorter.j] != shorter.target_prefix:
+                if longer.target[: len(shorter.target)] != shorter.target:
                     violations += 1
-            if rows[-1].target_prefix != target:
+            if rows[-1].target != target:
                 violations += 1
     assert violations == 0
     verdict(4, "10000 random rows, both methods: prefixes nest and complete at i=I")
@@ -144,11 +144,8 @@ def test_criterion_5_mixer_size_law():
         full = ParallelCorpus(
             tuple(SentencePair(k, (f"s{k}",), (f"t{k}",)) for k in range(n_full))
         )
-        partial = PartialCorpus(
-            tuple(
-                PartialPair(k, (f"p{k}",), (f"q{k}",), None)
-                for k in range(n_partial)
-            )
+        partial = ParallelCorpus(
+            tuple(SentencePair(k, (f"p{k}",), (f"q{k}",)) for k in range(n_partial))
         )
         seed = rng.randint(0, 2**32)
         mixed, manifest = mix(full, partial, seed)
@@ -156,7 +153,7 @@ def test_criterion_5_mixer_size_law():
         assert manifest.partial_sampled == n_full
         out_rows = Counter((p.source, p.target) for p in mixed)
         in_rows = Counter((p.source, p.target) for p in full)
-        in_rows += Counter((q.source_prefix, q.target_prefix) for q in partial)
+        in_rows += Counter((q.source, q.target) for q in partial)
         assert all(out_rows[row] <= in_rows[row] for row in out_rows)
         assert sum(out_rows.values()) == 2 * n_full
         again, _ = mix(full, partial, seed)

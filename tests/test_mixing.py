@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from retrans.cli import main
 from retrans.corpus import ParallelCorpus, SentencePair
 from retrans.mixing import MixManifest, mix
-from retrans.partials import PartialCorpus, PartialPair, read_partial
+from retrans.partials import read_partial
 
 
 def full_corpus(n: int) -> ParallelCorpus:
@@ -20,9 +20,9 @@ def full_corpus(n: int) -> ParallelCorpus:
     )
 
 
-def partial_corpus(n: int) -> PartialCorpus:
-    return PartialCorpus(
-        tuple(PartialPair(k, (f"p{k}",), (f"q{k}",), None) for k in range(n))
+def partial_corpus(n: int) -> ParallelCorpus:
+    return ParallelCorpus(
+        tuple(SentencePair(k, (f"p{k}",), (f"q{k}",)) for k in range(n))
     )
 
 
@@ -53,7 +53,7 @@ class TestSubsample:
         partial = partial_corpus(5)
         for n_full in (5, 99):
             mixed, _ = mix(full_corpus(n_full), partial, seed=1)
-            assert sampled_sources(mixed) == Counter(q.source_prefix for q in partial)
+            assert sampled_sources(mixed) == Counter(q.source for q in partial)
 
     def test_empty_sample(self, reads):
         mixed, manifest = mix(full_corpus(0), read_partial(*prefix_lines(5)), seed=1)
@@ -108,7 +108,7 @@ class TestMix:
         mixed, manifest = mix(full, partial, seed=11)
         assert manifest.partial_sampled == 5
         expected = Counter((p.source, p.target) for p in full)
-        expected += Counter((q.source_prefix, q.target_prefix) for q in partial)
+        expected += Counter((q.source, q.target) for q in partial)
         assert Counter((p.source, p.target) for p in mixed) == expected
 
     def test_seed_determinism(self):

@@ -12,10 +12,10 @@ import retrans
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # The public names as of release 0.1.0, less the retired SessionReport,
-# identity_translator, read_alignment_line, subsample and Alignment (a pair's
-# alignment is its set of 1-based links), and with the two
-# prefix rules' one-position functions replaced by the every-i
-# ratio_prefix_lens and alignment_prefix_lens.
+# identity_translator, read_alignment_line, subsample, Alignment (a pair's
+# alignment is its set of 1-based links), PartialPair and PartialCorpus (a
+# prefix row is a SentencePair), and with the two prefix rules' one-position
+# functions replaced by the every-i ratio_prefix_lens and alignment_prefix_lens.
 EXPORTED = {
     "CommandTranslator",
     "CorrectionReport",
@@ -23,8 +23,6 @@ EXPORTED = {
     "MixManifest",
     "NULL",
     "ParallelCorpus",
-    "PartialCorpus",
-    "PartialPair",
     "SentencePair",
     "SessionLog",
     "Tokens",
@@ -155,3 +153,15 @@ def test_plain_imports_leave_no_lazy_placeholder(module, fresh_python):
         "              if n.startswith('retrans') and type(m) is not types.ModuleType))\n",
     )
     assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
+
+
+def test_importing_mixing_executes_no_partials(fresh_python):
+    proc = fresh_python(
+        "-c",
+        "import sys, types\nimport retrans.mixing\n"
+        "print(*sorted(n for n, m in sys.modules.items()\n"
+        "              if n.startswith('retrans') and type(m) is types.ModuleType))\n",
+    )
+    assert (proc.returncode, proc.stdout) == (
+        0, "retrans retrans.corpus retrans.errors retrans.mixing\n"
+    ), proc.stderr

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from retrans.cli import main
 from retrans.corpus import (
+    LineFile,
     ParallelCorpus,
     SentencePair,
     alignment_links,
@@ -25,11 +26,11 @@ from retrans.corpus import (
 from retrans.errors import (
     AlignmentParseError,
     CorpusMismatchError,
+    DataError,
     EmptySentenceError,
 )
 from retrans.partials import (
     Method,
-    PartialPair,
     alignment_prefix_lens,
     generate_partial,
     manifest_lines,
@@ -173,25 +174,25 @@ def corpus_of(src: str, tgt: str) -> ParallelCorpus:
 class TestGeneratePartial:
     def test_one_row_per_prefix_length(self):
         partial = generate_partial(corpus_of("a b c", "x y"), Method.RATIO)
-        assert [p.i for p in partial] == [1, 2, 3]
-        assert partial[2].source_prefix == ("a", "b", "c")
-        assert partial[2].target_prefix == ("x", "y")
+        assert [len(p.source) for p in partial] == [1, 2, 3]
+        assert partial[2].source == ("a", "b", "c")
+        assert partial[2].target == ("x", "y")
 
     def test_worked_example_target_lengths(self):
         corpus = corpus_of("I encourage all of you", "yo animo a todos ustedes")
         partial = generate_partial(corpus, Method.ALIGNMENT, [EXAMPLE_LINKS])
-        assert [p.j for p in partial] == [1, 3, 4, 4, 5]
-        assert partial[1].target_prefix == ("yo", "animo", "a")
+        assert [len(p.target) for p in partial] == [1, 3, 4, 4, 5]
+        assert partial[1].target == ("yo", "animo", "a")
 
     def test_min_i_skips_short_prefixes(self):
         partial = generate_partial(corpus_of("a b c", "x y"), Method.RATIO, min_i=2)
-        assert [p.i for p in partial] == [2, 3]
+        assert [len(p.source) for p in partial] == [2, 3]
 
     def test_empty_target_prefixes_are_kept(self):
         links = {(2, 1), (2, 2)}
         partial = generate_partial(corpus_of("a b", "x y"), Method.ALIGNMENT, [links])
-        assert partial[0].target_prefix == ()
-        assert partial[1].target_prefix == ("x", "y")
+        assert partial[0].target == ()
+        assert partial[1].target == ("x", "y")
 
     def test_missing_alignments(self):
         with pytest.raises(ValueError, match="^the alignment method needs alignments$"):
@@ -339,8 +340,8 @@ def test_prefix_monotonicity_both_methods(source, target, data):
         partial = generate_partial(corpus, method, alignments)
         rows = list(partial)
         for shorter, longer in zip(rows, rows[1:]):
-            assert longer.target_prefix[: shorter.j] == shorter.target_prefix
-        assert rows[-1].target_prefix == target
+            assert longer.target[: len(shorter.target)] == shorter.target
+        assert rows[-1].target == target
 
 
 def test_partial_lines_round_trip():
@@ -348,14 +349,15 @@ def test_partial_lines_round_trip():
     generated = generate_partial(corpus, Method.RATIO)
     src_lines, tgt_lines = partial_lines(generated)
     loaded = read_partial(src_lines, tgt_lines)
-    assert [p.source_prefix for p in loaded] == [p.source_prefix for p in generated]
-    assert [p.target_prefix for p in loaded] == [p.target_prefix for p in generated]
-    assert all(p.method is None for p in loaded)
+    assert [p.source for p in loaded] == [p.source for p in generated]
+    assert [p.target for p in loaded] == [p.target for p in generated]
+    assert [p.id for p in generated] == [0, 0, 0]  # the parent pair's id
+    assert [p.id for p in loaded] == [0, 1, 2]  # the line index
 
 
 def test_manifest_lines_layout():
     corpus = corpus_of("a b", "x y")
-    lines = manifest_lines(generate_partial(corpus, Method.RATIO))
+    lines = manifest_lines(generate_partial(corpus, Method.RATIO), Method.RATIO)
     assert lines[0] == "parent_id\ti\tj\tmethod"
     assert lines[1] == "0\t1\t1\tratio"
     assert lines[2] == "0\t2\t2\tratio"
@@ -387,8 +389,7 @@ def test_lazy_read_partial_matches_eager_tokenisation(pairs):
     assert not isinstance(rows, Iterator)
     assert len(rows) == len(pairs)
     expected = [
-        PartialPair(k, tuple(s.split()), tuple(t.split()), None)
-        for k, (s, t) in enumerate(pairs)
+        SentencePair(k, tuple(s.split()), tuple(t.split())) for k, (s, t) in enumerate(pairs)
     ]
     assert [rows[k] for k in range(len(rows))] == expected
     assert list(rows) == expected
@@ -400,6 +401,39 @@ def test_lazy_read_partial_matches_eager_tokenisation(pairs):
 def test_read_partial_count_mismatch_names_both_files():
     with pytest.raises(CorpusMismatchError, match="^p.tgt has 1 lines but p.src has 2$"):
         read_partial(["a", "b"], ["x"], what=("p.src", "p.tgt"))
+
+
+def test_read_partial_rows_take_an_integer_index_only():
+    rows = read_partial(["a b", "c"], ["x", ""])
+    with pytest.raises(TypeError, match="^'slice' object cannot be interpreted as an integer$"):
+        rows[0:1]
+    assert rows[1] == SentencePair(1, ("c",), ())
+
+
+def line_files(tmp_path: Path, src: list[str], tgt: list[str]) -> tuple[LineFile, LineFile]:
+    write_lines(tmp_path / "p.src", src)
+    write_lines(tmp_path / "p.tgt", tgt)
+    return LineFile(tmp_path / "p.src"), LineFile(tmp_path / "p.tgt")
+
+
+def test_read_partial_names_both_files_when_a_row_is_gone(tmp_path):
+    src, tgt = line_files(tmp_path, ["a", "b", "c"], ["x", "y", "z"])
+    rows = read_partial(src, tgt, what=("p.src", "p.tgt"))
+    assert rows[1] == SentencePair(1, ("b",), ("y",))
+    write_lines(src.path, ["a"])
+    assert rows[0] == SentencePair(0, ("a",), ("x",))  # behind the walk: it starts again
+    with pytest.raises(DataError) as err:
+        rows[2]
+    assert str(err.value) == "prefix row 3 is gone: p.src or p.tgt changed while it was read"
+
+
+def test_read_partial_names_the_line_of_a_source_blanked_after_the_check(tmp_path):
+    src, tgt = line_files(tmp_path, ["a", "b"], ["x", "y"])
+    rows = read_partial(src, tgt, what=("p.src", "p.tgt"))
+    write_lines(src.path, ["a", " "])
+    with pytest.raises(EmptySentenceError) as err:
+        rows[1]
+    assert str(err.value) == "p.src line 2: empty sentence"
 
 
 class _PausingLines:
@@ -424,7 +458,7 @@ def test_read_partial_rows_may_be_read_from_two_threads():
     # comes back as line 2 once A is done; locked, B waits for A.
     src = _PausingLines([f"s{k}" for k in range(1, 9)])
     rows = read_partial(src, [f"t{k}" for k in range(1, 9)])
-    assert rows[0].source_prefix == ("s1",)
+    assert rows[0].source == ("s1",)
     src.armed = True
     got = {}
     a = threading.Thread(target=lambda: got.setdefault("a", rows[4]))
@@ -436,8 +470,8 @@ def test_read_partial_rows_may_be_read_from_two_threads():
     src.resume.set()
     a.join()
     b.join()
-    assert (got["a"].source_prefix, got["b"].source_prefix) == (("s5",), ("s1",))
-    assert rows[5] == PartialPair(5, ("s6",), ("t6",), None)
+    assert (got["a"].source, got["b"].source) == (("s5",), ("s1",))
+    assert rows[5] == SentencePair(5, ("s6",), ("t6",))
 
 
 # Corpus lines with runs of tabs, spaces, U+3000 and U+00A0 between tokens and
@@ -488,7 +522,7 @@ def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, min_i,
             ])
         assert code == 0
         for suffix, lines in (
-            ("src", src_lines), ("tgt", tgt_lines), ("manifest.tsv", manifest_lines(partial))
+            ("src", src_lines), ("tgt", tgt_lines), ("manifest.tsv", manifest_lines(partial, method))
         ):
             written = (d / f"p.{suffix}").read_bytes()
             assert written == "".join(line + "\n" for line in lines).encode("utf-8")
