@@ -178,7 +178,7 @@ def cmd_reseg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_translator(args: argparse.Namespace) -> session.Translator | session.CommandTranslator:
+def _build_translator(args: argparse.Namespace) -> session.Translator:
     """The --translator spec's translator; a malformed spec is a usage error."""
     spec = args.translator
     name, _, rest = spec.partition(":")

@@ -34,8 +34,8 @@ from .errors import (
 )
 from .metrics import CorrectionReport, bleu, correction_report, resegment
 
-Translator = Callable[[Tokens], Tokens]
-"""Total deterministic function from a (possibly partial) source to a translation."""
+Translator = Callable[[Sequence[Tokens]], Iterable[Tokens]]
+"""Deterministic map from a session's sources, in order, to one translation each."""
 
 KINDS = ("replace", "extend")
 
@@ -87,16 +87,15 @@ def apply_event(current: Tokens, event: UpdateEvent) -> Tokens:
     return current + tokenize(event.text)
 
 
-def run_session(
-    events: Sequence[UpdateEvent], translator: Translator | CommandTranslator
-) -> list[SessionLog]:
+def run_session(events: Sequence[UpdateEvent], translator: Translator) -> list[SessionLog]:
     """Replay update events through a translator, one log per utterance.
 
     Events must arrive grouped by utterance id, which is checked, with every
-    source built, before the first translation. A CommandTranslator gets the
-    sources as one stream, so it serves one session; any other translator is
-    called once per source. Each event produces exactly one step; a
-    translator exception aborts with the utterance id and step that failed.
+    source built, before the first translation. The translator is called
+    once, with every source, and must yield exactly one translation each, so
+    each event produces exactly one step. A translator exception, or a
+    translation too few or too many, aborts with the utterance id and step
+    that failed.
     """
     sources: list[Tokens] = []
     positions: list[tuple[int, int]] = []  # (utterance id, step) of each source
@@ -112,14 +111,10 @@ def run_session(
             positions.append((utterance_id, step))
     if not sources:
         return []
-    if isinstance(translator, CommandTranslator):
-        replies: Iterable[Tokens] = translator.stream(sources)
-    else:
-        replies = map(translator, sources)
     translations: list[Tokens] = []
     try:
-        # Pulled to its end: a stream checks for extra output after its last reply.
-        for translation in replies:
+        # Pulled to its end: a cmd: child checks for extra output after its last reply.
+        for _, translation in zip(sources, translator(sources), strict=True):
             translations.append(tuple(translation))
     except Exception as exc:
         utterance_id, step = positions[min(len(translations), len(positions) - 1)]
@@ -157,8 +152,8 @@ def dictionary_translator(lexicon: Mapping[str, str]) -> Translator:
     translation.
     """
 
-    def translate(source: Tokens) -> Tokens:
-        return tuple(lexicon.get(token, token) for token in source)
+    def translate(sources: Sequence[Tokens]) -> Iterator[Tokens]:
+        return (tuple(lexicon.get(token, token) for token in source) for source in sources)
 
     return translate
 
@@ -169,11 +164,10 @@ def scripted_translator(script: Mapping[str, str]) -> Translator:
     Unscripted sources are copied through.
     """
 
-    def translate(source: Tokens) -> Tokens:
-        line = script.get(detokenize(source))
-        if line is None:
-            return source
-        return tokenize(line)
+    def translate(sources: Sequence[Tokens]) -> Iterator[Tokens]:
+        for source in sources:
+            line = script.get(detokenize(source))
+            yield source if line is None else tokenize(line)
 
     return translate
 
@@ -183,108 +177,107 @@ class CommandTranslator:
 
     Protocol: one detokenized source per line on stdin, one translation per
     line on stdout, as UTF-8 lines that end at "\n" only (corpus.read_lines'
-    rule). stream() serves one session, and a second call raises at once.
-    The child starts when the stream's first reply is asked for, and the
-    stream ends it, whether its replies end, fail or are abandoned; its exit
-    status is not read. One selector loop writes every source ahead of the
-    replies, closes the input after the last, and reads the output and the
-    stderr; after the last reply any byte of output is extra. The timeout
-    bounds the wait for each reply line and for the output's end. The
-    child's stderr is passed through, and its last 2 KiB end every failure.
+    rule). Each call runs a child of its own for the sources it is given. The
+    child starts when the first reply is asked for, and the call's replies
+    end it, whether they end, fail or are abandoned; its exit status is not
+    read. One selector loop writes every source ahead of the replies, closes
+    the input after the last, and reads the output and the stderr; after the
+    last reply any byte of output is extra. The timeout bounds the wait for
+    each reply line and for the output's end. The child's stderr is passed
+    through, and its last 2 KiB end every failure.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 30.0) -> None:
         self._argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not self._argv:
             raise ValueError("translator command is empty")
-        self.timeout, self._streamed = timeout, False
+        if not 0 < timeout < float("inf"):
+            raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
+        self.timeout = timeout
 
-    def _poll(self, timeout: float) -> None:
-        """Wait up to timeout for the pipes, then write and read what is ready.
+    def __call__(self, sources: Sequence[Tokens]) -> Iterator[Tokens]:
+        """Translate sources in order; the output must end after the last reply."""
+        unsent = memoryview("".join(f"{detokenize(s)}\n" for s in sources).encode("utf-8"))
+        replies, ended = bytearray(), False  # unread output; whether it ended
+        tail, echo = b"", codecs.getincrementaldecoder("utf-8")("replace")
+        # poll, fail and read_line work on the child and selector that the with below opens.
 
-        Once the child has exited, a read that finds no output ends the output,
-        even while a grandchild still holds the pipe.
-        """
-        exited = self._proc.poll() is not None
-        ready = self._poller.select(0 if exited else timeout)
-        self._ended |= exited and all(key.fileobj is not self._proc.stdout for key, _ in ready)
-        for key, _ in ready:
-            if key.fileobj is self._proc.stdin:
-                try:
-                    self._unsent = self._unsent[os.write(key.fd, self._unsent) :]
-                except BrokenPipeError:  # the child is gone; what it wrote is still read
-                    self._unsent = self._unsent[:0]
-                if not self._unsent:
-                    self._poller.unregister(self._proc.stdin)
-                    self._proc.stdin.close()
-            elif not (chunk := os.read(key.fd, 65536)):
-                self._poller.unregister(key.fileobj)
-                self._ended |= key.fileobj is self._proc.stdout
-            elif key.fileobj is self._proc.stdout:
-                self._replies += chunk
-            else:
-                self._tail = (self._tail + chunk)[-2048:]
-                sys.stderr.write(self._echo.decode(chunk))
+        def poll(timeout: float) -> None:
+            """Wait up to timeout for the pipes, then write and read what is ready.
 
-    def _fail(self, exc: Exception) -> Exception:
-        """End exc's message with the stderr tail."""
-        self._poll(0)
-        if self._tail:
-            tail = f"; its stderr ends {self._tail.decode('utf-8', 'replace')!r}"
-            if isinstance(exc, UnicodeDecodeError):
-                exc.reason += tail
-            else:
-                exc.args = (f"{exc}{tail}",)
-        return exc
+            Once the child has exited, a read that finds no output ends the
+            output, even while a grandchild still holds the pipe.
+            """
+            nonlocal unsent, ended, tail
+            exited = proc.poll() is not None
+            ready = poller.select(0 if exited else timeout)
+            ended |= exited and all(key.fileobj is not proc.stdout for key, _ in ready)
+            for key, _ in ready:
+                if key.fileobj is proc.stdin:
+                    try:
+                        unsent = unsent[os.write(key.fd, unsent) :]
+                    except BrokenPipeError:  # the child is gone; what it wrote is still read
+                        unsent = unsent[:0]
+                    if not unsent:
+                        poller.unregister(proc.stdin)
+                        proc.stdin.close()
+                elif not (chunk := os.read(key.fd, 65536)):
+                    poller.unregister(key.fileobj)
+                    ended |= key.fileobj is proc.stdout
+                elif key.fileobj is proc.stdout:
+                    replies.extend(chunk)
+                else:
+                    tail = (tail + chunk)[-2048:]
+                    sys.stderr.write(echo.decode(chunk))
 
-    def _line(self, wait: str) -> bytearray:
-        """The next output line, or the rest at the output's end; a timeout raises, naming wait."""
-        deadline = time.monotonic() + self.timeout
-        while (end := self._replies.find(b"\n") + 1) == 0 and not self._ended:
-            if (left := deadline - time.monotonic()) <= 0:
-                raise self._fail(TimeoutError("translator " + wait.format(self.timeout)))
-            self._poll(min(left, 0.05))  # short waits notice an exited child
-        line = self._replies[: end or len(self._replies)]
-        del self._replies[: len(line)]
-        return line
+        def fail(exc: Exception) -> Exception:
+            """End exc's message with the stderr tail."""
+            poll(0)
+            if tail:
+                message = f"; its stderr ends {tail.decode('utf-8', 'replace')!r}"
+                if isinstance(exc, UnicodeDecodeError):
+                    exc.reason += message
+                else:
+                    exc.args = (f"{exc}{message}",)
+            return exc
 
-    def stream(self, sources: Sequence[Tokens]) -> Iterator[Tokens]:
-        """Translate sources in order, once; the output must end after the last reply."""
-        if self._streamed:
-            raise RuntimeError("translator has served its one stream; start a new one")
-        self._streamed = True
-        return self._read(sources)
+        def read_line(wait: str) -> bytearray:
+            """The next output line, or the rest at the output's end; a timeout raises, naming wait."""
+            deadline = time.monotonic() + self.timeout
+            while (end := replies.find(b"\n") + 1) == 0 and not ended:
+                if (left := deadline - time.monotonic()) <= 0:
+                    raise fail(TimeoutError("translator " + wait.format(self.timeout)))
+                poll(min(left, 0.05))  # short waits notice an exited child
+            line = replies[: end or len(replies)]
+            del replies[: len(line)]
+            return line
 
-    def _read(self, sources: Sequence[Tokens]) -> Iterator[Tokens]:
-        self._unsent = memoryview("".join(f"{detokenize(s)}\n" for s in sources).encode("utf-8"))
-        self._replies, self._ended = bytearray(), False  # unread output; whether it ended
-        self._tail, self._echo = b"", codecs.getincrementaldecoder("utf-8")("replace")
         pipe = subprocess.PIPE
         with (
-            selectors.DefaultSelector() as self._poller,
-            subprocess.Popen(self._argv, stdin=pipe, stdout=pipe, stderr=pipe) as self._proc,
+            selectors.DefaultSelector() as poller,
+            subprocess.Popen(self._argv, stdin=pipe, stdout=pipe, stderr=pipe) as proc,
         ):  # leaving closes the pipes and reaps the child
             try:
-                os.set_blocking(self._proc.stdin.fileno(), False)
-                self._poller.register(self._proc.stdin, selectors.EVENT_WRITE)
-                self._poller.register(self._proc.stdout, selectors.EVENT_READ)
-                self._poller.register(self._proc.stderr, selectors.EVENT_READ)
+                os.set_blocking(proc.stdin.fileno(), False)
+                poller.register(proc.stdin, selectors.EVENT_WRITE)
+                poller.register(proc.stdout, selectors.EVENT_READ)
+                poller.register(proc.stderr, selectors.EVENT_READ)
                 for _ in sources:
-                    if not (line := self._line("produced no output within {}s")):
-                        raise self._fail(RuntimeError("translator process closed its output"))
+                    if not (line := read_line("produced no output within {}s")):
+                        raise fail(RuntimeError("translator process closed its output"))
                     try:
                         reply = line.decode("utf-8")
                     except UnicodeDecodeError as exc:
-                        raise self._fail(exc) from None
+                        raise fail(exc) from None
                     yield tuple(reply.split())  # drops the "\n" and a "\r" before it with the blanks
-                if extra := self._line("output did not end within {}s of its input closing"):
+                if extra := read_line("output did not end within {}s of its input closing"):
                     message = f"translator output ran past the last reply: {bytes(extra[:80])!r}"
-                    raise self._fail(RuntimeError(message))
+                    raise fail(RuntimeError(message))
             finally:
-                self._proc.terminate()  # this and kill() do nothing once the child is reaped
+                proc.terminate()  # this and kill() do nothing once the child is reaped
                 with contextlib.suppress(subprocess.TimeoutExpired):
-                    self._proc.wait(timeout=5)
-                self._proc.kill()
+                    proc.wait(timeout=5)
+                proc.kill()
 
 
 def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEvent]:

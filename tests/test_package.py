@@ -100,6 +100,16 @@ def test_every_traced_name_is_a_callable_of_retrans():
     assert {"method", "partial", "argv"} <= read
 
 
+def test_the_traced_translator_call_is_the_translators_own():
+    # perfbench/tracing.py wraps CommandTranslator.__call__ as session.translator,
+    # so the class must define the call itself; inherited, it would be type.__call__.
+    from retrans.session import CommandTranslator
+
+    assert "CommandTranslator.__call__" in TRACING.read_text(encoding="utf-8")
+    assert "__call__" in vars(CommandTranslator)
+    assert "sources" in inspect.signature(CommandTranslator.__call__).parameters
+
+
 def test_star_import_and_dir_list_every_name():
     namespace: dict = {}
     exec("from retrans import *", namespace)

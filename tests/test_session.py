@@ -138,9 +138,21 @@ class TestRunSession:
 
         events = [UpdateEvent(7, "replace", "a"), UpdateEvent(7, "extend", "b")]
         with pytest.raises(TranslatorError) as err:
-            run_session(events, broken)
+            run_session(events, lambda sources: map(broken, sources))
         assert err.value.utterance_id == 7
         assert err.value.step == 1
+
+    @pytest.mark.parametrize("drop, step", [(1, 2), (3, 0)])
+    def test_too_few_translations_fail_the_first_step_without_one(self, drop, step):
+        with pytest.raises(TranslatorError, match="shorter") as err:
+            run_session(EXAMPLE_EVENTS, lambda sources: sources[drop:])
+        assert (err.value.utterance_id, err.value.step) == (0, step)
+
+    def test_an_extra_translation_fails_the_last_step(self):
+        events = [*EXAMPLE_EVENTS, UpdateEvent(1, "replace", "a")]
+        with pytest.raises(TranslatorError, match="longer") as err:
+            run_session(events, lambda sources: [*sources, ("x",)])
+        assert (err.value.utterance_id, err.value.step) == (1, 0)
 
     def test_replay_is_deterministic(self):
         translator = scripted_translator(EXAMPLE_SCRIPT)
@@ -166,34 +178,41 @@ class TestRunSession:
 class TestTranslators:
     def test_dictionary_lookup_with_copy_through(self):
         translate = dictionary_translator({"I": "yo"})
-        assert translate(("I", "you")) == ("yo", "you")
+        assert list(translate([("I", "you"), ("I",)])) == [("yo", "you"), ("yo",)]
 
     def test_empty_lexicon_is_identity(self):
         translate = dictionary_translator({})
-        assert translate(("a", "b")) == ("a", "b")
+        assert list(translate([("a", "b")])) == [("a", "b")]
 
     def test_scripted_replay_baseline_column(self):
         script = load_tsv_map(
             ["now, I should\tahora debería , debería , debería ."], what="script"
         )
         translate = scripted_translator(script)
-        assert translate(("now,", "I", "should")) == (
-            "ahora",
-            "debería",
-            ",",
-            "debería",
-            ",",
-            "debería",
-            ".",
-        )
+        assert list(translate([("now,", "I", "should")])) == [
+            ("ahora", "debería", ",", "debería", ",", "debería", "."),
+        ]
 
     def test_scripted_replay_multitask_column(self):
         translate = scripted_translator({"now, I should": "ahora debería"})
-        assert translate(("now,", "I", "should")) == ("ahora", "debería")
+        assert list(translate([("now,", "I", "should")])) == [("ahora", "debería")]
 
     def test_scripted_fallback_is_identity(self):
         translate = scripted_translator({"a": "b"})
-        assert translate(("hello",)) == ("hello",)
+        assert list(translate([("hello",)])) == [("hello",)]
+
+    @pytest.mark.parametrize("make", [dictionary_translator, scripted_translator])
+    def test_a_failing_lookup_is_charged_to_its_own_step(self, make):
+        class Table(dict):
+            def get(self, key, default=None):
+                if "b" in key:
+                    raise LookupError("no entry for b")
+                return default
+
+        events = [UpdateEvent(2, "replace", "a"), UpdateEvent(2, "extend", "b")]
+        with pytest.raises(TranslatorError, match="no entry for b") as err:
+            run_session(events, make(Table()))
+        assert (err.value.utterance_id, err.value.step) == (2, 1)
 
 
 def _pid_child(pid_file) -> list[str]:
@@ -202,32 +221,44 @@ def _pid_child(pid_file) -> list[str]:
     return [sys.executable, "-u", "-c", code]
 
 
+def _open_fds() -> int:
+    """How many file descriptors this process has open (Linux)."""
+    return len(os.listdir("/proc/self/fd"))
+
+
 class TestCommandTranslator:
     def test_cat_behaves_as_identity(self):
         translate = CommandTranslator([sys.executable, "-u", "-c", _ECHO_CHILD])
-        assert list(translate.stream([("a", "b"), ("c",)])) == [("a", "b"), ("c",)]
+        assert list(translate([("a", "b"), ("c",)])) == [("a", "b"), ("c",)]
 
     def test_line_protocol_transform(self):
         translate = CommandTranslator([sys.executable, "-u", "-c", _UPPER_CHILD], timeout=10)
-        assert list(translate.stream([("ab", "cd")])) == [("AB", "CD")]
+        assert list(translate([("ab", "cd")])) == [("AB", "CD")]
 
     @pytest.mark.parametrize("command", [[], "", "   "], ids=["empty-list", "empty", "blank"])
     def test_empty_command_raises(self, command):
         with pytest.raises(ValueError, match="command is empty"):
             CommandTranslator(command)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0, -1])
+    def test_bad_timeout_raises_before_any_child_starts(self, tmp_path, timeout):
+        pid_file = tmp_path / "child.pid"
+        with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
+            list(CommandTranslator(_pid_child(pid_file), timeout)([("a",)]))
+        assert not pid_file.exists()
+
     def test_child_starts_at_the_first_reply(self, tmp_path):
         pid_file = tmp_path / "child.pid"
         translate = CommandTranslator(_pid_child(pid_file), timeout=10)
-        replies = translate.stream([("a",)])
+        replies = translate([("a",)])
         time.sleep(0.5)
         assert not pid_file.exists()
-        del replies  # a stream never started has no child to end
+        del replies  # replies never asked for have no child to end
         assert not pid_file.exists()
 
     def test_abandoned_stream_ends_its_child(self, tmp_path):
         pid_file = tmp_path / "child.pid"
-        replies = CommandTranslator(_pid_child(pid_file), timeout=10).stream([("a",), ("b",)])
+        replies = CommandTranslator(_pid_child(pid_file), timeout=10)([("a",), ("b",)])
         assert next(replies) == ("a",)
         pid = int(pid_file.read_text())
         start = time.monotonic()
@@ -239,48 +270,47 @@ class TestCommandTranslator:
     def test_timeout_raises(self):
         translate = CommandTranslator([sys.executable, "-u", "-c", _SILENT_CHILD], timeout=0.3)
         with pytest.raises(TimeoutError, match="no output within 0.3s"):
-            list(translate.stream([("a",)]))
+            list(translate([("a",)]))
 
     def test_timeout_poisons_later_calls(self):
         # The child answers its first source late, then echoes at once; the
-        # late reply must never be returned, by this stream or another.
+        # late reply must never be returned, by this call or another.
         translate = CommandTranslator(
             [sys.executable, "-u", "-c", _LATE_FIRST_CHILD], timeout=0.2
         )
-        replies = translate.stream([("a",), ("b",)])
+        replies = translate([("a",), ("b",)])
         with pytest.raises(TimeoutError, match="no output within 0.2s"):
             next(replies)
         time.sleep(0.8)
         assert list(replies) == []
-        start = time.monotonic()
-        with pytest.raises(RuntimeError, match="served its one stream"):
-            translate.stream([("c",)])
-        assert time.monotonic() - start < 1
+        # A second call runs a child of its own, which is late on its own first reply.
+        with pytest.raises(TimeoutError, match="no output within 0.2s"):
+            next(translate([("c",)]))
 
     def test_dead_process_raises(self):
         translate = CommandTranslator([sys.executable, "-c", "pass"], timeout=5)
         with pytest.raises(RuntimeError, match="closed its output"):
-            list(translate.stream([("a",)]))
+            list(translate([("a",)]))
 
     def test_shell_style_command_string(self):
         translate = CommandTranslator(f"{sys.executable} -u -c '{_ECHO_CHILD}'", timeout=10)
-        assert list(translate.stream([("x",)])) == [("x",)]
+        assert list(translate([("x",)])) == [("x",)]
 
     def test_lone_carriage_return_stays_inside_the_reply(self):
         translate = CommandTranslator(
             [sys.executable, "-u", "-c", _CR_INSIDE_CHILD], timeout=10
         )
-        assert list(translate.stream([("x",), ("y",)])) == [("A", "B", "x"), ("A", "B", "y")]
+        assert list(translate([("x",), ("y",)])) == [("A", "B", "x"), ("A", "B", "y")]
 
     def test_crlf_replies(self):
         translate = CommandTranslator([sys.executable, "-u", "-c", _CRLF_CHILD], timeout=10)
-        assert list(translate.stream([("x",), ("y", "z")])) == [("x",), ("y", "z")]
+        assert list(translate([("x",), ("y", "z")])) == [("x",), ("y", "z")]
 
     def test_invalid_utf8_raises_at_once(self):
         translate = CommandTranslator([sys.executable, "-u", "-c", _BAD_UTF8_CHILD], timeout=10)
         start = time.monotonic()
         with pytest.raises(UnicodeDecodeError):
-            list(translate.stream([("x",), ("y",)]))
+            list(translate([("x",), ("y",)]))
         assert time.monotonic() - start < 5
 
     def test_extra_line_poisons_later_calls(self):
@@ -294,22 +324,25 @@ class TestCommandTranslator:
             run_session(events, translate)
         assert (err.value.utterance_id, err.value.step) == (0, 1)
         assert repr(b"a b\n") in str(err.value)
-        with pytest.raises(RuntimeError, match="served its one stream"):
-            translate.stream([("c",)])
+        # A second call runs a child of its own, which answers its own first source.
+        assert next(translate([("c",)])) == ("c",)
 
     def test_stream_end_returns_while_a_grandchild_holds_the_pipe(self, tmp_path):
-        pid_file = tmp_path / "grandchild.pid"
+        pid_file = tmp_path / "pids"
         translate = CommandTranslator(
             [sys.executable, "-u", "-c", _GRANDCHILD_CHILD, str(pid_file)], timeout=10
         )
+        fds = _open_fds()
         try:
             start = time.monotonic()
-            assert list(translate.stream([("a",)])) == [("a",)]
+            assert list(translate([("a",)])) == [("a",)]
             assert time.monotonic() - start < 5
         finally:
-            os.kill(int(pid_file.read_text()), signal.SIGKILL)
-        proc = translate._proc
-        assert proc.stdin.closed and proc.stdout.closed and proc.returncode is not None
+            child, grandchild = map(int, pid_file.read_text().split())
+            os.kill(grandchild, signal.SIGKILL)
+        assert _open_fds() == fds
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
 
     def test_run_session_wraps_failures(self):
         translate = CommandTranslator([sys.executable, "-u", "-c", _SILENT_CHILD], timeout=0.3)
@@ -326,27 +359,29 @@ class TestCommandTranslator:
             run_session(events, translate)
         assert isinstance(err.value.__cause__, UnicodeDecodeError)
         assert (err.value.utterance_id, err.value.step) == (5, 1)
-        with pytest.raises(RuntimeError, match="served its one stream"):
-            translate.stream([("e",)])
+        # A second call runs a child of its own, whose third reply is the invalid one.
+        assert list(translate([("e",)])) == [("e",)]
 
     def test_event_order_is_checked_before_any_translation(self):
         calls = []
         events = [UpdateEvent(0, "replace", "a"), UpdateEvent(1, "replace", "b"),
                   UpdateEvent(0, "extend", "c")]
         with pytest.raises(EventOrderError):
-            run_session(events, lambda source: calls.append(source) or source)
+            run_session(events, lambda sources: calls.append(sources) or sources)
         assert calls == []
 
-    def test_stream_end_closes_every_pipe(self):
-        translate = CommandTranslator([sys.executable, "-u", "-c", _ECHO_CHILD], timeout=10)
+    def test_stream_end_closes_every_pipe(self, tmp_path):
+        pid_file = tmp_path / "child.pid"
+        translate = CommandTranslator(_pid_child(pid_file), timeout=10)
+        fds = _open_fds()
         start = time.monotonic()
         assert run_session([UpdateEvent(0, "replace", "a")], translate)[0].steps == (
             (("a",), ("a",)),
         )
         assert time.monotonic() - start < 5
-        proc = translate._proc
-        assert proc.stdin.closed and proc.stdout.closed and proc.stderr.closed
-        assert proc.returncode is not None
+        assert _open_fds() == fds  # the three pipes and the selector
+        with pytest.raises(ProcessLookupError):  # reaped
+            os.kill(int(pid_file.read_text()), 0)
 
 
 def _crc_rule(line):
@@ -394,8 +429,9 @@ grouped_events_st = st.lists(
 def test_stream_matches_the_rule_run_in_process(events):
     child = CommandTranslator([sys.executable, "-u", "-c", _CRC_CHILD], timeout=10)
     logs = run_session(events, child)
-    # run_session maps a plain function over the sources, one at a time.
-    assert run_session(events, lambda s: tokenize(_crc_rule(detokenize(s) + "\n"))) == logs
+    # The same rule run in-process, one source at a time.
+    rule = lambda sources: (tokenize(_crc_rule(detokenize(s) + "\n")) for s in sources)  # noqa: E731
+    assert run_session(events, rule) == logs
     assert [len(log.steps) for log in logs] == [
         sum(1 for e in events if e.utterance_id == log.utterance_id) for log in logs
     ]
@@ -548,9 +584,9 @@ _BAD_UTF8_CHILD = (
     "    sys.stdout.buffer.flush()"
 )
 _GRANDCHILD_CHILD = (
-    "import subprocess, sys\n"
+    "import os, subprocess, sys\n"
     "sleeper = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
-    "with open(sys.argv[1], 'w') as f: f.write(str(sleeper.pid))\n"
+    "with open(sys.argv[1], 'w') as f: f.write(f'{os.getpid()} {sleeper.pid}')\n"
     "for line in sys.stdin: print(line.rstrip())"
 )
 _BAD_THIRD_REPLY_CHILD = (
