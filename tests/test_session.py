@@ -74,7 +74,7 @@ class TestApplyEvent:
         assert result == current
 
     def test_empty_replace_is_an_error(self):
-        with pytest.raises(EmptySentenceError):
+        with pytest.raises(EmptySentenceError, match="^empty sentence$"):
             apply_event(("a",), UpdateEvent(0, "replace", ""))
 
     def test_bad_kind_rejected_on_construction(self):
@@ -687,18 +687,20 @@ class TestEventIO:
         assert len(read_events(lines)) == 1
 
     @pytest.mark.parametrize(
-        "line",
+        "line,message",
         [
-            "not json",
-            "[1, 2]",
-            '{"utterance_id": "x", "kind": "replace", "text": "a"}',
-            '{"utterance_id": 0, "kind": "restart", "text": "a"}',
-            '{"utterance_id": 0, "kind": "replace"}',
-            '{"utterance_id": true, "kind": "replace", "text": "a"}',
+            ("not json", "invalid JSON: Expecting value: line 1 column 1 \\(char 0\\)"),
+            ("[1, 2]", "expected an object"),
+            ('{"utterance_id": "x", "kind": "replace", "text": "a"}',
+             "utterance_id must be an integer"),
+            ('{"utterance_id": 0, "kind": "restart", "text": "a"}', "bad kind or text"),
+            ('{"utterance_id": 0, "kind": "replace"}', "missing key 'text'"),
+            ('{"utterance_id": true, "kind": "replace", "text": "a"}',
+             "utterance_id must be an integer"),
         ],
     )
-    def test_malformed_events_rejected(self, line):
-        with pytest.raises(EventParseError):
+    def test_malformed_events_rejected(self, line, message):
+        with pytest.raises(EventParseError, match=f"^events line 1: {message}$"):
             read_events([line])
 
     def test_tsv_map_rejects_missing_tab(self):
