@@ -13,7 +13,7 @@ import sys
 from types import ModuleType
 from typing import NoReturn
 
-from .errors import CorpusMismatchError, DataError, EventOrderError, TranslatorError
+from .errors import DataError, TranslatorError, count_mismatch
 
 
 def _lazy(name: str) -> ModuleType:
@@ -136,7 +136,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     hyps = _corpus.token_lines(args.hyp)
     refs = _corpus.token_lines(args.ref)
     if len(hyps) != len(refs):
-        raise CorpusMismatchError(len(hyps), len(refs), (args.hyp, args.ref))
+        raise count_mismatch(len(hyps), len(refs), (args.hyp, args.ref))
     if not hyps:
         raise DataError(f"nothing to score: {args.hyp} and {args.ref} are both empty")
     if args.metric != "bleu":
@@ -224,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise DataError(f"{args.events}: need at least one event when --refs is given")
     try:
         logs = session.run_session(events, translator)
-    except EventOrderError as err:
+    except DataError as err:  # the events' fault: a translator's is raised as TranslatorError
         raise DataError(f"{args.events}: {err}") from None
     if args.log_out:
         import json

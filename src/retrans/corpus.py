@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 
-from .errors import AlignmentParseError, CorpusMismatchError, DataError, EmptySentenceError
+from .errors import DataError, count_mismatch
 
 Tokens = tuple[str, ...]
 """A sentence as an ordered tuple of non-empty, whitespace-free tokens."""
@@ -21,11 +21,11 @@ Tokens = tuple[str, ...]
 def tokenize(line: str) -> Tokens:
     """Split a line on runs of whitespace, ignoring leading/trailing space.
 
-    Raises EmptySentenceError if the line contains no tokens.
+    Raises DataError ("empty sentence") if the line contains no tokens.
     """
     tokens = tuple(line.split())
     if not tokens:
-        raise EmptySentenceError()
+        raise DataError("empty sentence")
     return tokens
 
 
@@ -68,19 +68,19 @@ def read_parallel(
 ) -> ParallelCorpus:
     """Build a corpus from two aligned line streams; pair k gets id k.
 
-    Raises CorpusMismatchError on unequal lengths and EmptySentenceError
-    (naming the stream and line) on blank lines. what names the two streams,
-    such as the paths they came from. Equal tokens share one string.
+    Raises DataError on unequal lengths and on blank lines (naming the
+    stream and line). what names the two streams, such as the paths they
+    came from. Equal tokens share one string.
     """
     src, tgt = list(src_lines), list(tgt_lines)
     if len(src) != len(tgt):
-        raise CorpusMismatchError(len(src), len(tgt), what)
+        raise count_mismatch(len(src), len(tgt), what)
     share = {}.setdefault
 
     def tokens(line: str, where: str, k: int) -> Tokens:
         found = line.split()
         if not found:
-            raise EmptySentenceError(f"{where} line {k + 1}")
+            raise DataError(f"{where} line {k + 1}: empty sentence")
         return tuple(map(share, found, found))
 
     return tuple(
@@ -89,19 +89,19 @@ def read_parallel(
     )
 
 
-def _links(line: str, src_len: int, tgt_len: int, where: str = "") -> Iterator[tuple[int, int]]:
+def _links(line: str, src_len: int, tgt_len: int, where: str) -> Iterator[tuple[int, int]]:
     """The 1-based links of one line of 0-based "i-j" pairs, each checked as it is read."""
     for token in line.split():
         i, _, j = token.partition("-")
         if not (token.isascii() and i.isdigit() and j.isdigit()):
-            raise AlignmentParseError(token, where=where)
+            raise DataError(f"{where}: bad alignment token {token!r}")
         try:
             i, j = int(i) + 1, int(j) + 1
         except ValueError:  # a digit run longer than int() converts is out of range too
             i = j = float("inf")
         if i > src_len or j > tgt_len:
             detail = f"index out of range for lengths ({src_len},{tgt_len})"
-            raise AlignmentParseError(token, detail, where)
+            raise DataError(f"{where}: bad alignment token {token!r}: {detail}")
         yield i, j
 
 
@@ -122,7 +122,7 @@ def alignment_links(
     """
     lines = list(lines)
     if len(lines) != len(corpus):
-        raise CorpusMismatchError(len(corpus), len(lines), what)
+        raise count_mismatch(len(corpus), len(lines), what)
     return (
         _links(line, len(pair.source), len(pair.target), f"{what[1]} line {no}")
         for no, (line, pair) in enumerate(zip(lines, corpus), start=1)
@@ -138,8 +138,8 @@ def read_alignments(
     """Each pair's set of 1-based links from one line of 0-based "i-j" pairs, in corpus order.
 
     A blank line is a fully unaligned pair, and duplicate links collapse.
-    Raises AlignmentParseError, naming the line, on a malformed token or an
-    index outside [0, len), and CorpusMismatchError (see alignment_links).
+    Raises DataError, naming the line, on a malformed token or an index
+    outside [0, len), and on a line count unequal to the corpus's.
     """
     return [frozenset(links) for links in alignment_links(lines, corpus, what=what)]
 

@@ -4,58 +4,16 @@ from __future__ import annotations
 
 
 class DataError(Exception):
-    """Base class for malformed or inconsistent input data."""
+    """Malformed or inconsistent input data; the message names the file and line where known."""
 
 
-class EmptySentenceError(DataError):
-    """A sentence line was empty or whitespace-only.
+def count_mismatch(src_count: int, tgt_count: int, what: tuple[str, str]) -> DataError:
+    """DataError for two parallel line streams of unequal lengths, for the caller to raise.
 
-    where names the line, such as "PATH line K", and leads the message.
+    what names the two streams, such as their paths; the message names the second first,
+    as the one checked against the first: "a.txt has 1 lines but s.txt has 2".
     """
-
-    def __init__(self, where: str = "") -> None:
-        self.where = where
-        super().__init__(f"{f'{where}: ' if where else ''}empty sentence")
-
-
-class CorpusMismatchError(DataError):
-    """Two parallel line streams had different lengths.
-
-    what names the two streams, such as the paths they came from. The
-    message names the second stream first, as the one checked against the
-    first: "a.txt has 1 lines but s.txt has 2".
-    """
-
-    def __init__(
-        self, src_count: int, tgt_count: int, what: tuple[str, str] = ("source", "target")
-    ) -> None:
-        self.src_count = src_count
-        self.tgt_count = tgt_count
-        src_what, tgt_what = what
-        super().__init__(f"{tgt_what} has {tgt_count} lines but {src_what} has {src_count}")
-
-
-class AlignmentParseError(DataError):
-    """An alignment line contained a malformed or out-of-range link token.
-
-    where names the line, such as "PATH line K", and leads the message.
-    """
-
-    def __init__(self, token: str, detail: str = "", where: str = "") -> None:
-        self.token = token
-        self.detail = detail
-        super().__init__(
-            f"{f'{where}: ' if where else ''}bad alignment token {token!r}"
-            f"{f': {detail}' if detail else ''}"
-        )
-
-
-class EventParseError(DataError):
-    """An event line was not a valid update record."""
-
-
-class EventOrderError(DataError):
-    """Events for one utterance were interleaved with another utterance."""
+    return DataError(f"{what[1]} has {tgt_count} lines but {what[0]} has {src_count}")
 
 
 class TranslatorError(RuntimeError):

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, islice
 
 from .corpus import ParallelCorpus, SentencePair, Tokens, detokenize
-from .errors import CorpusMismatchError, DataError, EmptySentenceError
+from .errors import DataError, count_mismatch
 
 
 class Method(enum.Enum):
@@ -193,7 +193,7 @@ class _PartialLines(Sequence[SentencePair]):
                 raise DataError(f"prefix row {k + 1} is gone: {what} changed while it was read")
             self._next = k + 1
         if not (source := tuple(row[0].split())):  # a line blanked after the first pass
-            raise EmptySentenceError(f"{self._what[0]} line {k + 1}")
+            raise DataError(f"{self._what[0]} line {k + 1}: empty sentence")
         return SentencePair(k, source, tuple(row[1].split()))
 
 
@@ -219,7 +219,7 @@ def read_partial(
             blank = src_count
     tgt_count = sum(1 for _ in tgt)
     if src_count != tgt_count:
-        raise CorpusMismatchError(src_count, tgt_count, what)
+        raise count_mismatch(src_count, tgt_count, what)
     if blank:
-        raise EmptySentenceError(f"{what[0]} line {blank}")
+        raise DataError(f"{what[0]} line {blank}: empty sentence")
     return _PartialLines(src_count, src, tgt, what)

@@ -25,13 +25,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .corpus import Tokens, detokenize, tokenize
-from .errors import (
-    DataError,
-    EventOrderError,
-    EventParseError,
-    NoOpEventWarning,
-    TranslatorError,
-)
+from .errors import DataError, NoOpEventWarning, TranslatorError
 from .metrics import CorrectionReport, bleu, correction_report, resegment
 
 Translator = Callable[[Sequence[Tokens]], Iterable[Tokens]]
@@ -102,7 +96,7 @@ def run_session(events: Sequence[UpdateEvent], translator: Translator) -> list[S
     seen: set[int] = set()
     for utterance_id, group in groupby(events, key=attrgetter("utterance_id")):
         if utterance_id in seen:
-            raise EventOrderError(f"utterance {utterance_id} reappears after other events")
+            raise DataError(f"utterance {utterance_id} reappears after other events")
         seen.add(utterance_id)
         current: Tokens = ()
         for step, event in enumerate(group):
@@ -294,21 +288,21 @@ def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEve
         try:
             record = json.loads(line)
         except ValueError as exc:  # a JSONDecodeError, or a digit run past int()'s limit
-            raise EventParseError(f"{what} line {no}: invalid JSON: {exc}") from None
+            raise DataError(f"{what} line {no}: invalid JSON: {exc}") from None
         if not isinstance(record, dict):
-            raise EventParseError(f"{what} line {no}: expected an object")
+            raise DataError(f"{what} line {no}: expected an object")
         try:
             utterance_id = record["utterance_id"]
             kind = record["kind"]
             text = record["text"]
         except KeyError as exc:
-            raise EventParseError(f"{what} line {no}: missing key {exc}") from None
+            raise DataError(f"{what} line {no}: missing key {exc}") from None
         if not isinstance(utterance_id, int) or isinstance(utterance_id, bool):
-            raise EventParseError(f"{what} line {no}: utterance_id must be an integer")
+            raise DataError(f"{what} line {no}: utterance_id must be an integer")
         if kind not in KINDS or not isinstance(text, str):
-            raise EventParseError(f"{what} line {no}: bad kind or text")
+            raise DataError(f"{what} line {no}: bad kind or text")
         if kind == "replace" and not text.split():
-            raise EventParseError(
+            raise DataError(
                 f"{what} line {no}: replace event for utterance {utterance_id} has no tokens"
             )
         events.append(UpdateEvent(utterance_id, kind, text))

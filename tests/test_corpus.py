@@ -19,12 +19,7 @@ from retrans.corpus import (
     tokenize,
     write_lines,
 )
-from retrans.errors import (
-    AlignmentParseError,
-    CorpusMismatchError,
-    DataError,
-    EmptySentenceError,
-)
+from retrans.errors import DataError
 
 tokens_st = st.lists(
     st.text(alphabet="abcdefg", min_size=1, max_size=4), min_size=1, max_size=8
@@ -39,11 +34,11 @@ class TestTokenize:
         assert tokenize("  a   b ") == ("a", "b")
 
     def test_empty_line_rejected(self):
-        with pytest.raises(EmptySentenceError):
+        with pytest.raises(DataError, match="^empty sentence$"):
             tokenize("")
 
     def test_whitespace_only_rejected(self):
-        with pytest.raises(EmptySentenceError):
+        with pytest.raises(DataError, match="^empty sentence$"):
             tokenize(" \t  ")
 
     def test_unicode_whitespace(self):
@@ -70,14 +65,12 @@ class TestReadParallel:
         assert corpus[0].source[2] == "houses"
 
     def test_length_mismatch(self):
-        with pytest.raises(CorpusMismatchError) as err:
+        with pytest.raises(DataError) as err:
             read_parallel(["a"], [])
-        assert err.value.src_count == 1
-        assert err.value.tgt_count == 0
         assert str(err.value) == "target has 0 lines but source has 1"
 
     def test_length_mismatch_names_the_streams(self):
-        with pytest.raises(CorpusMismatchError, match="^t.txt has 2 lines but s.txt has 1$"):
+        with pytest.raises(DataError, match="^t.txt has 2 lines but s.txt has 1$"):
             read_parallel(["a"], ["x", "y"], what=("s.txt", "t.txt"))
 
     def test_ids_follow_file_order(self):
@@ -85,7 +78,7 @@ class TestReadParallel:
         assert [p.id for p in corpus] == [0, 1]
 
     def test_empty_line_reports_position(self):
-        with pytest.raises(EmptySentenceError, match="target line 2"):
+        with pytest.raises(DataError, match="^target line 2: empty sentence$"):
             read_parallel(["a", "b"], ["x", " "])
 
     @given(st.lists(tokens_st, min_size=1, max_size=6))
@@ -110,22 +103,24 @@ class TestAlignmentParsing:
         assert parse_line("", 3, 2) == frozenset()
 
     def test_out_of_range(self):
-        with pytest.raises(AlignmentParseError) as err:
+        with pytest.raises(DataError) as err:
             parse_line("5-0", 2, 2)
-        assert err.value.token == "5-0"
+        assert str(err.value) == (
+            "alignments line 1: bad alignment token '5-0': index out of range for lengths (2,2)"
+        )
 
     @pytest.mark.parametrize("bad", ["1:2", "x-0", "0-", "-1-0", "0--1", "²-0"])
     def test_malformed_tokens(self, bad):
-        with pytest.raises(AlignmentParseError):
+        with pytest.raises(DataError) as err:
             parse_line(bad, 9, 9)
+        assert str(err.value) == f"alignments line 1: bad alignment token {bad!r}"
 
     # Digits outside ASCII (Arabic-Indic, fullwidth, superscript) and dashes
     # that leave a side empty or signed; the old regex rejected all of them.
     @pytest.mark.parametrize("bad", ["١-٢", "１-２", "²-0", "1--2", "+1-2", "1-", "-"])
     def test_rejects_the_token_by_name(self, bad):
-        with pytest.raises(AlignmentParseError) as err:
+        with pytest.raises(DataError) as err:
             parse_line(f"0-0 {bad} 1-1", 9, 9)
-        assert err.value.token == bad
         assert str(err.value) == f"alignments line 1: bad alignment token {bad!r}"
 
     def test_leading_zeros_are_read_as_numbers(self):
@@ -160,9 +155,8 @@ def test_read_alignments_matches_corpus_order():
 
 def test_read_alignments_count_mismatch():
     corpus = read_parallel(["a"], ["x"])
-    with pytest.raises(CorpusMismatchError, match="^a.txt has 2 lines but s.txt has 1$") as err:
+    with pytest.raises(DataError, match="^a.txt has 2 lines but s.txt has 1$"):
         read_alignments(["", ""], corpus, what=("s.txt", "a.txt"))
-    assert (err.value.src_count, err.value.tgt_count) == (1, 2)
 
 
 class TestLineIO:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import inspect
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import retrans
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # The public names as of release 0.1.0, less the retired SessionReport,
 # identity_translator, read_alignment_line, subsample, Alignment (a pair's
@@ -108,6 +110,29 @@ def test_the_traced_translator_call_is_the_translators_own():
     assert "CommandTranslator.__call__" in TRACING.read_text(encoding="utf-8")
     assert "__call__" in vars(CommandTranslator)
     assert "sources" in inspect.signature(CommandTranslator.__call__).parameters
+
+
+def test_each_exit_path_has_one_exception_type():
+    # Every data fault is a DataError whose message says what went wrong, so a
+    # new exception or warning class, per raise site or otherwise, shows up here.
+    bases = {
+        f"{path.stem}.{node.name}": [ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases]
+        for path in (ROOT / "src" / "retrans").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    }
+    by_name = {name.rsplit(".", 1)[1]: names for name, names in bases.items()}
+
+    def is_exception(name: str) -> bool:
+        found = getattr(builtins, name, None)
+        if isinstance(found, type):
+            return issubclass(found, BaseException)
+        return any(map(is_exception, by_name.get(name, ())))
+
+    exceptions = {name for name, names in bases.items() if any(map(is_exception, names))}
+    assert exceptions == {
+        "errors.DataError", "errors.TranslatorError", "errors.NoOpEventWarning", "cli.UsageError"
+    }
 
 
 def test_star_import_and_dir_list_every_name():

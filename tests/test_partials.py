@@ -23,12 +23,7 @@ from retrans.corpus import (
     read_parallel,
     write_lines,
 )
-from retrans.errors import (
-    AlignmentParseError,
-    CorpusMismatchError,
-    DataError,
-    EmptySentenceError,
-)
+from retrans.errors import DataError
 from retrans.partials import (
     Method,
     alignment_prefix_lens,
@@ -251,8 +246,8 @@ class TestPartialRows:
         "lines,min_i,error,message",
         [
             (["0-0", "0-0"], 0, ValueError, "min_i must be >= 1, got 0"),
-            (["0-0"], 1, CorpusMismatchError, "a.txt has 1 lines but s.txt has 2"),
-            (["0-0", "0-0 1-0"], 1, AlignmentParseError,
+            (["0-0"], 1, DataError, "a.txt has 1 lines but s.txt has 2"),
+            (["0-0", "0-0 1-0"], 1, DataError,
              "a.txt line 2: bad alignment token '1-0': index out of range for lengths (1,1)"),
         ],
         ids=["min-i", "count", "last-line-token"],
@@ -283,7 +278,7 @@ class TestPartialRows:
                         ValueError, "the alignment method needs alignments"),
             # An alignment line made for longer sentences than its pair's.
             "length-mismatch": (corpus_of("a", "x"), Method.ALIGNMENT, ["1-0"], 1,
-                                AlignmentParseError, "alignments line 1: bad alignment token"
+                                DataError, "alignments line 1: bad alignment token"
                                 " '1-0': index out of range for lengths (1,1)"),
         },
     )
@@ -297,7 +292,8 @@ class TestPartialRows:
 
     @both_entry_points(
         "link",
-        {"source-past-end": ((3, 1),), "position-zero": ((0, 0),), "target-past-end": ((1, 5),)},
+        {"source-past-end": ((3, 1),), "position-zero": ((0, 0),), "target-past-end": ((1, 5),),
+         "target-position-zero": ((1, 0),)},
     )
     def test_partial_blocks_rejects_a_link_outside_its_pair(self, entry, link):
         corpus = read_parallel(["c", "a b"], ["z", "x y"])
@@ -381,7 +377,7 @@ def test_lazy_read_partial_matches_eager_tokenisation(pairs):
     tgt = [t for _, t in pairs]
     empty = next((k for k, s in enumerate(src) if not s.split()), None)
     if empty is not None:
-        with pytest.raises(EmptySentenceError) as err:
+        with pytest.raises(DataError) as err:
             read_partial(src, tgt, what=("p.src", "p.tgt"))
         assert str(err.value) == f"p.src line {empty + 1}: empty sentence"
         return
@@ -399,7 +395,7 @@ def test_lazy_read_partial_matches_eager_tokenisation(pairs):
 
 
 def test_read_partial_count_mismatch_names_both_files():
-    with pytest.raises(CorpusMismatchError, match="^p.tgt has 1 lines but p.src has 2$"):
+    with pytest.raises(DataError, match="^p.tgt has 1 lines but p.src has 2$"):
         read_partial(["a", "b"], ["x"], what=("p.src", "p.tgt"))
 
 
@@ -431,7 +427,7 @@ def test_read_partial_names_the_line_of_a_source_blanked_after_the_check(tmp_pat
     src, tgt = line_files(tmp_path, ["a", "b"], ["x", "y"])
     rows = read_partial(src, tgt, what=("p.src", "p.tgt"))
     write_lines(src.path, ["a", " "])
-    with pytest.raises(EmptySentenceError) as err:
+    with pytest.raises(DataError) as err:
         rows[1]
     assert str(err.value) == "p.src line 2: empty sentence"
 

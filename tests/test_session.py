@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import json
 import os
+import re
 import signal
 import sys
 import time
@@ -12,14 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from retrans.corpus import detokenize, tokenize
-from retrans.errors import (
-    DataError,
-    EmptySentenceError,
-    EventOrderError,
-    EventParseError,
-    NoOpEventWarning,
-    TranslatorError,
-)
+from retrans.errors import DataError, NoOpEventWarning, TranslatorError
 from retrans.session import (
     CommandTranslator,
     SessionLog,
@@ -74,7 +68,7 @@ class TestApplyEvent:
         assert result == current
 
     def test_empty_replace_is_an_error(self):
-        with pytest.raises(EmptySentenceError, match="^empty sentence$"):
+        with pytest.raises(DataError, match="^empty sentence$"):
             apply_event(("a",), UpdateEvent(0, "replace", ""))
 
     def test_bad_kind_rejected_on_construction(self):
@@ -127,7 +121,7 @@ class TestRunSession:
             UpdateEvent(1, "replace", "b"),
             UpdateEvent(0, "replace", "c"),
         ]
-        with pytest.raises(EventOrderError):
+        with pytest.raises(DataError, match="^utterance 0 reappears after other events$"):
             run_session(events, dictionary_translator({}))
 
     def test_translator_failure_reports_position(self):
@@ -366,7 +360,7 @@ class TestCommandTranslator:
         calls = []
         events = [UpdateEvent(0, "replace", "a"), UpdateEvent(1, "replace", "b"),
                   UpdateEvent(0, "extend", "c")]
-        with pytest.raises(EventOrderError):
+        with pytest.raises(DataError, match="^utterance 0 reappears after other events$"):
             run_session(events, lambda sources: calls.append(sources) or sources)
         assert calls == []
 
@@ -673,6 +667,17 @@ def test_prefix_stable_translator_never_corrects(data):
     assert totals.messages_updated == 0
 
 
+# Each malformed event line, and the refusal after its "events line 1: ".
+MALFORMED_EVENTS = {
+    "not json": "invalid JSON: Expecting value: line 1 column 1 (char 0)",
+    "[1, 2]": "expected an object",
+    '{"utterance_id": "x", "kind": "replace", "text": "a"}': "utterance_id must be an integer",
+    '{"utterance_id": 0, "kind": "restart", "text": "a"}': "bad kind or text",
+    '{"utterance_id": 0, "kind": "replace"}': "missing key 'text'",
+    '{"utterance_id": true, "kind": "replace", "text": "a"}': "utterance_id must be an integer",
+}
+
+
 class TestEventIO:
     def test_round_trip(self):
         events = [
@@ -686,21 +691,9 @@ class TestEventIO:
         lines = ['{"utterance_id": 0, "kind": "replace", "text": "a"}', "", "  "]
         assert len(read_events(lines)) == 1
 
-    @pytest.mark.parametrize(
-        "line,message",
-        [
-            ("not json", "invalid JSON: Expecting value: line 1 column 1 \\(char 0\\)"),
-            ("[1, 2]", "expected an object"),
-            ('{"utterance_id": "x", "kind": "replace", "text": "a"}',
-             "utterance_id must be an integer"),
-            ('{"utterance_id": 0, "kind": "restart", "text": "a"}', "bad kind or text"),
-            ('{"utterance_id": 0, "kind": "replace"}', "missing key 'text'"),
-            ('{"utterance_id": true, "kind": "replace", "text": "a"}',
-             "utterance_id must be an integer"),
-        ],
-    )
-    def test_malformed_events_rejected(self, line, message):
-        with pytest.raises(EventParseError, match=f"^events line 1: {message}$"):
+    @pytest.mark.parametrize("line", list(MALFORMED_EVENTS))
+    def test_malformed_events_rejected(self, line):
+        with pytest.raises(DataError, match=f"^events line 1: {re.escape(MALFORMED_EVENTS[line])}$"):
             read_events([line])
 
     def test_tsv_map_rejects_missing_tab(self):
