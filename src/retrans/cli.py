@@ -268,16 +268,16 @@ def build_parser() -> _Parser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--method", required=True, choices=["ratio", "alignment"])
     p.add_argument("--alignments", help="alignment file (required for --method alignment)")
-    p.add_argument("--min-i", type=int, default=1, dest="min_i")
-    p.add_argument("--out-prefix", required=True, dest="out_prefix")
+    p.add_argument("--min-i", type=int, default=1)
+    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_gen_partial, parser=p)
 
     p = sub.add_parser("mix", parents=[common], help="mix full and prefix corpora 1:1")
-    p.add_argument("--full-src", required=True, dest="full_src")
-    p.add_argument("--full-tgt", required=True, dest="full_tgt")
-    p.add_argument("--partial-src", required=True, dest="partial_src")
-    p.add_argument("--partial-tgt", required=True, dest="partial_tgt")
-    p.add_argument("--out-prefix", required=True, dest="out_prefix")
+    p.add_argument("--full-src", required=True)
+    p.add_argument("--full-tgt", required=True)
+    p.add_argument("--partial-src", required=True)
+    p.add_argument("--partial-tgt", required=True)
+    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_mix, parser=p)
 
     p = sub.add_parser("score", parents=[common], help="score hypothesis files")
@@ -288,7 +288,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_score, parser=p)
 
     p = sub.add_parser("reseg", parents=[common], help="resegment a stream against references")
-    p.add_argument("--hyp-stream", required=True, dest="hyp_stream")
+    p.add_argument("--hyp-stream", required=True)
     p.add_argument("--refs", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reseg, parser=p)
@@ -301,8 +301,8 @@ def build_parser() -> _Parser:
         help="identity | dict:FILE | script:FILE | cmd:\"...\"",
     )
     p.add_argument("--refs", help="reference stream for BLEU (one segment per line)")
-    p.add_argument("--log-out", dest="log_out", help="JSON-lines step log")
-    p.add_argument("--report-out", dest="report_out", help="key:value metrics file")
+    p.add_argument("--log-out", help="JSON-lines step log")
+    p.add_argument("--report-out", help="key:value metrics file")
     p.add_argument(
         "--timeout", type=float, default=30.0,
         help="seconds to wait for each reply line of a cmd translator, and for its output to end",

@@ -31,20 +31,25 @@ from .metrics import CorrectionReport, bleu, correction_report, resegment
 Translator = Callable[[Sequence[Tokens]], Iterable[Tokens]]
 """Deterministic map from a session's sources, in order, to one translation each."""
 
-KINDS = ("replace", "extend")
-
 
 @dataclass(frozen=True)
 class UpdateEvent:
-    """One source update: replace the current source or append to it."""
+    """One source update: replace the current source or append to it.
+
+    Construction checks every rule (ValueError); a replace needs a token, as it becomes the source.
+    """
 
     utterance_id: int
     kind: str
     text: str
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not isinstance(self.utterance_id, int) or isinstance(self.utterance_id, bool):
+            raise ValueError("utterance_id must be an integer")
+        if self.kind not in ("replace", "extend") or not isinstance(self.text, str):
+            raise ValueError("bad kind or text")
+        if self.kind == "replace" and not self.text.split():
+            raise ValueError(f"replace event for utterance {self.utterance_id} has no tokens")
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,11 @@ def dictionary_translator(lexicon: Mapping[str, str]) -> Translator:
     """Word-by-word lookup; out-of-vocabulary tokens are copied through.
 
     Monotone by construction, so extending the source only ever extends the
-    translation.
+    translation. Raises ValueError unless each key and value is one token.
     """
+    for key, value in lexicon.items():
+        if key.split() != [key] or value.split() != [value]:
+            raise ValueError(f"lexicon entry {key!r} -> {value!r} is not word-to-word")
 
     def translate(sources: Sequence[Tokens]) -> Iterator[Tokens]:
         return (tuple(lexicon.get(token, token) for token in source) for source in sources)
@@ -277,9 +285,8 @@ class CommandTranslator:
 def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEvent]:
     """Parse update events from JSON-lines text; blank lines are skipped.
 
-    A replace event must carry at least one token, since it becomes the
-    whole source. what names the lines in error messages, such as the path
-    they came from.
+    Each line must be a JSON object with the three keys; UpdateEvent checks
+    the rest. Every refusal is a DataError naming line K of what (say, a path).
     """
     events = []
     for no, line in enumerate(lines, start=1):
@@ -292,20 +299,11 @@ def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEve
         if not isinstance(record, dict):
             raise DataError(f"{what} line {no}: expected an object")
         try:
-            utterance_id = record["utterance_id"]
-            kind = record["kind"]
-            text = record["text"]
+            events.append(UpdateEvent(record["utterance_id"], record["kind"], record["text"]))
         except KeyError as exc:
             raise DataError(f"{what} line {no}: missing key {exc}") from None
-        if not isinstance(utterance_id, int) or isinstance(utterance_id, bool):
-            raise DataError(f"{what} line {no}: utterance_id must be an integer")
-        if kind not in KINDS or not isinstance(text, str):
-            raise DataError(f"{what} line {no}: bad kind or text")
-        if kind == "replace" and not text.split():
-            raise DataError(
-                f"{what} line {no}: replace event for utterance {utterance_id} has no tokens"
-            )
-        events.append(UpdateEvent(utterance_id, kind, text))
+        except ValueError as exc:
+            raise DataError(f"{what} line {no}: {exc}") from None
     return events
 
 

@@ -49,6 +49,16 @@ class TestTokenize:
         assert tokenize(detokenize(tokens)) == tokens
 
 
+class TestSentencePair:
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match="^pair id must be >= 0, got -1$"):
+            SentencePair(-1, ("a",), ("x",))
+
+    def test_empty_source_rejected(self):
+        with pytest.raises(ValueError, match="^pair 3: source must be non-empty$"):
+            SentencePair(3, (), ("x",))
+
+
 class TestReadParallel:
     def test_single_pair(self):
         corpus = read_parallel(["a b"], ["x y z"])

@@ -68,12 +68,27 @@ class TestApplyEvent:
         assert result == current
 
     def test_empty_replace_is_an_error(self):
-        with pytest.raises(DataError, match="^empty sentence$"):
-            apply_event(("a",), UpdateEvent(0, "replace", ""))
+        # Refused when the event is built, so apply_event and run_session never see one.
+        with pytest.raises(ValueError, match="^replace event for utterance 0 has no tokens$"):
+            UpdateEvent(0, "replace", "")
 
     def test_bad_kind_rejected_on_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bad kind or text$"):
             UpdateEvent(0, "restart", "x")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((7, "replace", "  "), "replace event for utterance 7 has no tokens"),
+            ((True, "extend", "a"), "utterance_id must be an integer"),
+            (("7", "extend", "a"), "utterance_id must be an integer"),
+            ((0, "extend", None), "bad kind or text"),
+            ((None, "restart", None), "utterance_id must be an integer"),  # the first rule wins
+        ],
+    )
+    def test_every_event_rule_is_checked_on_construction(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            UpdateEvent(*args)
 
 
 class TestRunSession:
@@ -177,6 +192,12 @@ class TestTranslators:
     def test_empty_lexicon_is_identity(self):
         translate = dictionary_translator({})
         assert list(translate([("a", "b")])) == [("a", "b")]
+
+    @pytest.mark.parametrize("key, value", [("a", "b c"), ("a", ""), ("a b", "c"), (" a", "b")])
+    def test_a_lexicon_entry_that_is_not_one_token_a_side_is_refused(self, key, value):
+        with pytest.raises(ValueError) as err:
+            dictionary_translator({"x": "y", key: value})
+        assert str(err.value) == f"lexicon entry {key!r} -> {value!r} is not word-to-word"
 
     def test_scripted_replay_baseline_column(self):
         script = load_tsv_map(
@@ -285,6 +306,16 @@ class TestCommandTranslator:
         translate = CommandTranslator([sys.executable, "-c", "pass"], timeout=5)
         with pytest.raises(RuntimeError, match="closed its output"):
             list(translate([("a",)]))
+
+    def test_a_child_that_closes_its_input_fails_the_first_step(self):
+        # 200 KB of sources overfill the pipe, so a write meets the closed input:
+        # the broken pipe is swallowed and the missing reply is what fails.
+        events = [UpdateEvent(0, "replace", "x" * 2000) for _ in range(100)]
+        translate = CommandTranslator([sys.executable, "-c", _CLOSED_INPUT_CHILD], timeout=10)
+        with pytest.raises(TranslatorError, match="closed its output") as err:
+            run_session(events, translate)
+        assert (err.value.utterance_id, err.value.step) == (0, 0)
+        assert str(err.value.__cause__) == "translator process closed its output"
 
     def test_shell_style_command_string(self):
         translate = CommandTranslator(f"{sys.executable} -u -c '{_ECHO_CHILD}'", timeout=10)
@@ -553,6 +584,7 @@ def test_command_protocol_matches_its_model(fault, events, data):
 _ECHO_CHILD = "import sys\nfor line in sys.stdin: print(line.rstrip())"
 _UPPER_CHILD = "import sys\nfor line in sys.stdin: print(line.rstrip().upper())"
 _SILENT_CHILD = "import time\ntime.sleep(60)"
+_CLOSED_INPUT_CHILD = "import os, time; os.close(0); time.sleep(0.3)"
 _LATE_FIRST_CHILD = (
     "import sys, time\n"
     "for k, line in enumerate(sys.stdin):\n"
