@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from retrans.cli import main
+from retrans.cli import DEFAULT_SEED, main
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "data" / "fixtures"
@@ -85,6 +85,6 @@ def pipeline(workdir: Path, seed: int) -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", type=Path, default=Path("pipeline-out"))
-    parser.add_argument("--seed", type=int, default=17)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
     pipeline(args.workdir, args.seed)

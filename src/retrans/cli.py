@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import sys
+import warnings
 from types import ModuleType
 from typing import NoReturn
 
-from .errors import DataError, TranslatorError, count_mismatch
+from .errors import DataError, NoOpEventWarning, TranslatorError, count_mismatch
 
 
 def _lazy(name: str) -> ModuleType:
@@ -84,20 +85,17 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_partial(args: argparse.Namespace) -> int:
-    method = partials.Method(args.method)
-    if args.min_i < 1:
-        args.parser.error("--min-i must be >= 1")
-    if method is partials.Method.ALIGNMENT and not args.alignments:
+    if args.method == "alignment" and not args.alignments:
         args.parser.error("--alignments is required with --method alignment")
-    if method is partials.Method.RATIO and args.alignments is not None:
+    if args.method == "ratio" and args.alignments is not None:
         args.parser.error("--alignments is only used with --method alignment")
     corpus = _corpus.load_corpus(args.src, args.tgt)
     links = None
-    if method is partials.Method.ALIGNMENT:
+    if args.method == "alignment":
         lines, what = _corpus.read_lines(args.alignments), (args.src, args.alignments)
         links = _corpus.alignment_links(lines, corpus, what=what)
-    blocks = partials.partial_blocks(corpus, method, links, args.min_i)
-    out, count = args.out_prefix, 0
+    blocks = partials.partial_blocks(corpus, args.method, links)
+    out = args.out_prefix
     # Each pair's rows are written as they are made, so no more than one pair's are held.
     with (
         open(f"{out}.src", "w", encoding="utf-8", newline="\n") as src_out,
@@ -105,12 +103,12 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
         open(f"{out}.manifest.tsv", "w", encoding="utf-8", newline="\n") as manifest_out,
     ):
         manifest_out.write(partials.MANIFEST_HEADER + "\n")
-        for rows, source, target, manifest in blocks:
+        for source, target, manifest in blocks:
             src_out.write(source)
             tgt_out.write(target)
             manifest_out.write(manifest)
-            count += rows
-    _note(args, f"generated {count} prefix rows from {len(corpus)} pairs")
+    rows = sum(len(p.source) for p in corpus)
+    _note(args, f"generated {rows} prefix rows from {len(corpus)} pairs")
     return 0
 
 
@@ -223,7 +221,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if refs and not events:
         raise DataError(f"{args.events}: need at least one event when --refs is given")
     try:
-        logs = session.run_session(events, translator)
+        with warnings.catch_warnings():  # read_events has named each no-op event's line
+            warnings.simplefilter("ignore", NoOpEventWarning)
+            logs = session.run_session(events, translator)
     except DataError as err:  # the events' fault: a translator's is raised as TranslatorError
         raise DataError(f"{args.events}: {err}") from None
     if args.log_out:
@@ -268,7 +268,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tgt", required=True)
     p.add_argument("--method", required=True, choices=["ratio", "alignment"])
     p.add_argument("--alignments", help="alignment file (required for --method alignment)")
-    p.add_argument("--min-i", type=int, default=1)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_gen_partial, parser=p)
 

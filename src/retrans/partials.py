@@ -1,6 +1,6 @@
 """Prefix-pair training data: source prefixes paired with reference prefixes.
 
-For a source sentence of length I, every prefix length i in [min_i, I] yields
+For a source sentence of length I, every prefix length i in [1, I] yields
 one training row. The target prefix length j is chosen either by length ratio
 (ratio_prefix_lens) or from a word alignment (alignment_prefix_lens), for
 every i of a pair at once; in both cases the target prefix for a shorter
@@ -69,58 +69,53 @@ def _target_lens(
     corpus: ParallelCorpus,
     method: Method,
     links: Iterable[Iterable[tuple[int, int]]] | None,
-    min_i: int,
 ) -> Iterator[tuple[SentencePair, list[int]]]:
-    """Pairs with rows, each with j for every i in [min_i, I]; every check runs first.
+    """Each pair with j for every i in [1, I]; every check runs first.
 
     links: each pair's 1-based links, with the alignment method only (ValueError
     otherwise); a bad count or link raises.
     """
-    if min_i < 1:
-        raise ValueError(f"min_i must be >= 1, got {min_i}")
     if (links is None) == (method is Method.ALIGNMENT):
         need = "needs" if links is None else "takes no"
         raise ValueError(f"the {method.value} method {need} alignments")
     if method is Method.RATIO:
         for pair in corpus:
-            if not pair.target and len(pair.source) >= min_i:
+            if not pair.target:
                 raise ValueError(f"pair {pair.id}: the ratio method needs a non-empty target")
-        # An empty target got past the check only on a pair without rows.
-        lens = (ratio_prefix_lens(len(p.source), len(p.target)) if p.target else [] for p in corpus)
+        lens = (ratio_prefix_lens(len(p.source), len(p.target)) for p in corpus)
     else:
         lens = [
             alignment_prefix_lens(len(p.source), len(p.target), ls, f"pair {p.id}: ")
             for p, ls in zip(corpus, links, strict=True)
         ]
-    return ((pair, js[min_i - 1 :]) for pair, js in zip(corpus, lens) if len(js) >= min_i)
+    return zip(corpus, lens)
 
 
 def partial_blocks(
     corpus: ParallelCorpus,
-    method: Method,
+    method: Method | str,
     links: Iterable[Iterable[tuple[int, int]]] | None = None,
-    min_i: int = 1,
-) -> Iterator[tuple[int, str, str, str]]:
-    """generate_partial's rows as (count, source, target, manifest) text, a pair at a time.
+) -> Iterator[tuple[str, str, str]]:
+    """generate_partial's rows as (source, target, manifest) text, a pair at a time.
 
     Each block is the newline-terminated lines that partial_lines and
-    manifest_lines give for the pair's rows. links go with the alignment
-    method only (ValueError otherwise): each pair's 1-based links, as
+    manifest_lines give for the pair's rows, one per source prefix. method is
+    a Method or its name. links go with the alignment method only
+    (ValueError otherwise): each pair's 1-based links, as
     aligner.align_corpus or corpus.alignment_links give them. Every check
-    runs first: a count other than the corpus's, or a link outside its
-    pair's lengths, raises ValueError.
+    runs first: an unknown method, a count other than the corpus's, or a
+    link outside its pair's lengths, raises ValueError.
     """
-    lens = _target_lens(corpus, method, links, min_i)
-    return (_block(pair, js, method.value, min_i) for pair, js in lens)
+    method = Method(method)
+    return (_block(pair, js, method.value) for pair, js in _target_lens(corpus, method, links))
 
 
-def _block(pair: SentencePair, js: list[int], name: str, min_i: int) -> tuple[int, str, str, str]:
+def _block(pair: SentencePair, js: list[int], name: str) -> tuple[str, str, str]:
     src, tgt = _running_joins(pair.source), _running_joins(pair.target)
     return (
-        len(js),
-        "\n".join(src[min_i:]) + "\n",
+        "\n".join(src[1:]) + "\n",
         "\n".join([tgt[j] for j in js]) + "\n",
-        "".join([f"{pair.id}\t{i}\t{j}\t{name}\n" for i, j in enumerate(js, min_i)]),
+        "".join([f"{pair.id}\t{i}\t{j}\t{name}\n" for i, j in enumerate(js, 1)]),
     )
 
 
@@ -131,22 +126,21 @@ def _running_joins(tokens: Tokens) -> list[str]:
 
 def generate_partial(
     corpus: ParallelCorpus,
-    method: Method,
+    method: Method | str,
     links: Iterable[Iterable[tuple[int, int]]] | None = None,
-    min_i: int = 1,
 ) -> ParallelCorpus:
-    """Emit one prefix row per pair and per source prefix length in [min_i, I].
+    """Emit one prefix row per pair and per source prefix length in [1, I].
 
     Rows whose target prefix is empty are kept: the empty translation is the
     correct label for such prefixes. The ratio method requires a non-empty
-    target for every pair that yields rows (ValueError otherwise). Takes
-    partial_blocks' arguments and runs its checks, all before any row. A
-    row's id is its parent pair's id.
+    target for every pair (ValueError otherwise). Takes partial_blocks'
+    arguments and runs its checks, all before any row. A row's id is its
+    parent pair's id.
     """
     return tuple(
         SentencePair(pair.id, pair.source[:i], pair.target[:j])
-        for pair, js in _target_lens(corpus, method, links, min_i)
-        for i, j in enumerate(js, min_i)
+        for pair, js in _target_lens(corpus, Method(method), links)
+        for i, j in enumerate(js, 1)
     )
 
 

@@ -287,6 +287,7 @@ def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEve
 
     Each line must be a JSON object with the three keys; UpdateEvent checks
     the rest. Every refusal is a DataError naming line K of what (say, a path).
+    A blank extend event is kept, with a NoOpEventWarning that names line K.
     """
     events = []
     for no, line in enumerate(lines, start=1):
@@ -299,11 +300,15 @@ def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEve
         if not isinstance(record, dict):
             raise DataError(f"{what} line {no}: expected an object")
         try:
-            events.append(UpdateEvent(record["utterance_id"], record["kind"], record["text"]))
+            event = UpdateEvent(record["utterance_id"], record["kind"], record["text"])
         except KeyError as exc:
             raise DataError(f"{what} line {no}: missing key {exc}") from None
         except ValueError as exc:
             raise DataError(f"{what} line {no}: {exc}") from None
+        if event.kind == "extend" and not event.text.split():
+            message = f"extend event with empty text on utterance {event.utterance_id}"
+            warnings.warn_explicit(message, NoOpEventWarning, what, no)
+        events.append(event)
     return events
 
 

@@ -93,8 +93,7 @@ _ALIGN_USAGE = (
 _GEN_PARTIAL_USAGE = (
     "usage: retrans gen-partial [-h] [--seed SEED] [-v] --src SRC --tgt TGT\n"
     "                           --method {ratio,alignment}\n"
-    "                           [--alignments ALIGNMENTS] [--min-i MIN_I]\n"
-    "                           --out-prefix OUT_PREFIX\n"
+    "                           [--alignments ALIGNMENTS] --out-prefix OUT_PREFIX\n"
 )
 _SCORE_USAGE = (
     "usage: retrans score [-h] [--seed SEED] [-v] --hyp HYP --ref REF --metric\n"
@@ -129,19 +128,16 @@ class TestStderrContract:
             + "error: --iterations must be >= 1\n"
         )
 
-    def test_gen_partial_min_i_below_one(self, capsys, tmp_path, fixtures):
+    def test_gen_partial_has_no_min_i(self, capsys, tmp_path, fixtures):
         src, tgt, prefix = fixtures / "tiny.en", fixtures / "tiny.es", tmp_path / "p"
         code, stdout, err = run(
             capsys, "gen-partial", "--src", str(src), "--tgt", str(tgt),
-            "--method", "ratio", "--min-i", "0", "--out-prefix", str(prefix),
+            "--method", "ratio", "--min-i", "2", "--out-prefix", str(prefix),
         )
         assert (code, stdout) == (1, "")
-        assert err == (
-            f"config: command=gen-partial seed=17 verbose=0 method=ratio min_i=0 "
-            f"out_prefix={prefix} src={src} tgt={tgt}\n"
-            + _GEN_PARTIAL_USAGE
-            + "error: --min-i must be >= 1\n"
-        )
+        # argparse reports an unknown option with the top-level usage, before any echo.
+        assert err == "usage: retrans [-h] COMMAND ...\nerror: unrecognized arguments: --min-i 2\n"
+        assert not list(tmp_path.glob("p*"))
 
     def test_gen_partial_alignment_without_alignments(self, capsys, tmp_path, fixtures):
         src, tgt, prefix = fixtures / "tiny.en", fixtures / "tiny.es", tmp_path / "p"
@@ -151,7 +147,7 @@ class TestStderrContract:
         )
         assert (code, stdout) == (1, "")
         assert err == (
-            f"config: command=gen-partial seed=17 verbose=0 method=alignment min_i=1 "
+            f"config: command=gen-partial seed=17 verbose=0 method=alignment "
             f"out_prefix={prefix} src={src} tgt={tgt}\n"
             + _GEN_PARTIAL_USAGE
             + "error: --alignments is required with --method alignment\n"
@@ -167,7 +163,7 @@ class TestStderrContract:
         assert (code, stdout) == (1, "")
         assert err == (
             f"config: command=gen-partial seed=17 verbose=0 alignments={alignments} "
-            f"method=ratio min_i=1 out_prefix={prefix} src={src} tgt={tgt}\n"
+            f"method=ratio out_prefix={prefix} src={src} tgt={tgt}\n"
             + _GEN_PARTIAL_USAGE
             + "error: --alignments is only used with --method alignment\n"
         )
@@ -301,6 +297,22 @@ class TestProcess:
         assert proc.stderr == (
             f"config: command=reseg seed=17 verbose=0 hyp_stream={hyp} out={os.devnull} "
             f"refs={ref}\n"
+        )
+
+    def test_a_blank_extend_is_named_once_by_its_events_line(self, fresh_python, tmp_path):
+        blank = '{"utterance_id": 0, "kind": "extend", "text": " "}'
+        replace = '{"utterance_id": 0, "kind": "replace", "text": "a"}'
+        events = write(tmp_path / "e.jsonl", f"{replace}\n\n{blank}\n")
+        proc = fresh_python(
+            "-m", "retrans.cli", "simulate", "--events", str(events), "--translator", "identity"
+        )
+        assert (proc.returncode, proc.stdout) == (0, "word_up: 0\nmssg_up: 0\nupdates_total: 1\n")
+        # Python prints the warning's line of the events file under it.
+        assert proc.stderr == (
+            f"config: command=simulate seed=17 verbose=0 events={events} timeout=30.0 "
+            "translator=identity\n"
+            f"{events}:3: NoOpEventWarning: extend event with empty text on utterance 0\n"
+            f"  {blank}\n"
         )
 
 
@@ -1213,7 +1225,7 @@ HOSTILE_RUNS = {
     ],
     "gen-partial-alignment": [
         "gen-partial", "--src", "{0}", "--tgt", "{1}", "--method", "alignment",
-        "--alignments", "{2}", "--min-i", "2", "--out-prefix", "{out}",
+        "--alignments", "{2}", "--out-prefix", "{out}",
     ],
     "mix": [
         "mix", "--full-src", "{0}", "--full-tgt", "{1}", "--partial-src", "{2}",
@@ -1288,9 +1300,9 @@ def oracle_lines(lines) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
-@given(walk_inputs_st(), st.integers(1, 3), st.integers(1, 4), st.booleans())
+@given(walk_inputs_st(), st.integers(1, 3), st.booleans())
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
-def test_commands_write_the_oracles_bytes(files, iterations, min_i, smooth):
+def test_commands_write_the_oracles_bytes(files, iterations, smooth):
     """align, gen-partial, reseg and score, each output rebuilt from tests/oracles.py alone.
 
     --alignments and --smooth are passed only where they apply; elsewhere they are refused.
@@ -1310,7 +1322,7 @@ def test_commands_write_the_oracles_bytes(files, iterations, min_i, smooth):
         rows = [
             (k, i, j, s, t)
             for k, ((s, t), ls) in enumerate(zip(pairs, links))
-            for i in range(min_i, len(s) + 1)
+            for i in range(1, len(s) + 1)
             for j in [
                 ratio_len_reference(len(s), i, len(t))
                 if method == "ratio"
@@ -1341,10 +1353,9 @@ def test_commands_write_the_oracles_bytes(files, iterations, min_i, smooth):
         runs = [
             ["align", *corpus, "--iterations", str(iterations), "--out", str(d / "a.out"),
              "--table-out", str(d / "table.tsv")],
-            ["gen-partial", *corpus, "--method", "ratio", "--min-i", str(min_i),
-             "--out-prefix", str(d / "ratio")],
+            ["gen-partial", *corpus, "--method", "ratio", "--out-prefix", str(d / "ratio")],
             ["gen-partial", *corpus, "--method", "alignment", "--alignments", str(d / "a.out"),
-             "--min-i", str(min_i), "--out-prefix", str(d / "alignment")],
+             "--out-prefix", str(d / "alignment")],
             ["reseg", "--hyp-stream", str(d / "c.tgt"), "--refs", str(d / "refs"),
              "--out", str(d / "reseg.out")],
         ]

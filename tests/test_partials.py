@@ -143,21 +143,20 @@ def aligned_pair_st(draw) -> tuple[int, int, str]:
     return src_len, tgt_len, draw(st.sampled_from([" ", "\t", "  "])).join(tokens)
 
 
-@given(st.lists(aligned_pair_st(), min_size=1, max_size=6), st.integers(1, 3))
+@given(st.lists(aligned_pair_st(), min_size=1, max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_scanned_prefix_lens_match_the_parsed_alignment(pairs, min_i):
+def test_scanned_prefix_lens_match_the_parsed_alignment(pairs):
     corpus = ParallelCorpus(
         SentencePair(k, ("s",) * src_len, ("t",) * tgt_len)
         for k, (src_len, tgt_len, _) in enumerate(pairs)
     )
     lines = [line for _, _, line in pairs]
-    blocks = partial_blocks(corpus, Method.ALIGNMENT, alignment_links(lines, corpus), min_i)
-    manifest = "".join(block[3] for block in blocks)
+    blocks = partial_blocks(corpus, Method.ALIGNMENT, alignment_links(lines, corpus))
+    manifest = "".join(block[2] for block in blocks)
     expected = "".join(
         f"{pair.id}\t{i}\t{j}\talignment\n"
         for pair, links in zip(corpus, read_alignments(lines, corpus))
         for i, j in enumerate(alignment_prefix_lens(len(pair.source), len(pair.target), links), 1)
-        if i >= min_i
     )
     assert manifest == expected
 
@@ -179,10 +178,6 @@ class TestGeneratePartial:
         assert [len(p.target) for p in partial] == [1, 3, 4, 4, 5]
         assert partial[1].target == ("yo", "animo", "a")
 
-    def test_min_i_skips_short_prefixes(self):
-        partial = generate_partial(corpus_of("a b c", "x y"), Method.RATIO, min_i=2)
-        assert [len(p.source) for p in partial] == [2, 3]
-
     def test_empty_target_prefixes_are_kept(self):
         links = {(2, 1), (2, 2)}
         partial = generate_partial(corpus_of("a b", "x y"), Method.ALIGNMENT, [links])
@@ -200,15 +195,16 @@ class TestGeneratePartial:
             with pytest.raises(ValueError, match="^the ratio method takes no alignments$"):
                 entry(corpus, Method.RATIO, alignments)
 
-    def test_bad_min_i(self):
-        with pytest.raises(ValueError):
-            generate_partial(corpus_of("a", "x"), Method.RATIO, min_i=0)
-
-    def test_ratio_needs_a_target_only_where_rows_are_made(self):
-        corpus = (SentencePair(0, ("a", "b"), ()),)
-        with pytest.raises(ValueError, match="^pair 0: the ratio method needs a non-empty target$"):
-            partial_blocks(corpus, Method.RATIO)
-        assert generate_partial(corpus, Method.RATIO, min_i=3) == ()
+    def test_a_method_may_be_given_by_name(self):
+        corpus = read_parallel(["a b c", "d e"], ["x y", "z"])
+        links = [{(1, 1), (3, 2)}, {(2, 1)}]
+        for method in Method:
+            given = links if method is Method.ALIGNMENT else None
+            by_name = generate_partial(corpus, method.value, given)
+            assert by_name == generate_partial(corpus, method, given)
+            assert list(partial_blocks(corpus, method.value, given)) == list(
+                partial_blocks(corpus, method, given)
+            )
 
 
 def both_entry_points(names: str, cases: dict[str, tuple]):
@@ -236,58 +232,51 @@ class TestPartialRows:
         with pytest.raises(ValueError):
             generate_partial(corpus, Method.ALIGNMENT, links)
 
-    @pytest.mark.parametrize("method", list(Method))
-    def test_bad_min_i_raises_on_call(self, method):
-        # min_i is checked first, before the ratio method refuses the links.
-        with pytest.raises(ValueError, match="min_i"):
-            partial_blocks(corpus_of("a", "x"), method, [[(1, 1)]], min_i=0)
-
     @pytest.mark.parametrize(
-        "lines,min_i,error,message",
+        "lines,error,message",
         [
-            (["0-0", "0-0"], 0, ValueError, "min_i must be >= 1, got 0"),
-            (["0-0"], 1, DataError, "a.txt has 1 lines but s.txt has 2"),
-            (["0-0", "0-0 1-0"], 1, DataError,
+            (["0-0"], DataError, "a.txt has 1 lines but s.txt has 2"),
+            (["0-0", "0-0 1-0"], DataError,
              "a.txt line 2: bad alignment token '1-0': index out of range for lengths (1,1)"),
         ],
-        ids=["min-i", "count", "last-line-token"],
+        ids=["count", "last-line-token"],
     )
-    def test_alignment_blocks_checks_every_line_on_call(self, lines, min_i, error, message):
+    def test_alignment_blocks_checks_every_line_on_call(self, lines, error, message):
         corpus = read_parallel(["a", "b"], ["x", "y"])
         with pytest.raises(error) as err:
             links = alignment_links(lines, corpus, what=("s.txt", "a.txt"))
-            partial_blocks(corpus, Method.ALIGNMENT, links, min_i)
+            partial_blocks(corpus, Method.ALIGNMENT, links)
         assert str(err.value) == message
 
     def test_rows_come_one_at_a_time(self):
         blocks = partial_blocks(read_parallel(["a b c", "d"], ["x y", "z"]), Method.RATIO)
         assert isinstance(blocks, Iterator)
         manifest = "0\t1\t1\tratio\n0\t2\t1\tratio\n0\t3\t2\tratio\n"
-        assert next(blocks) == (3, "a\na b\na b c\n", "x\nx\nx y\n", manifest)
-        assert next(blocks) == (1, "d\n", "z\n", "1\t1\t1\tratio\n")
+        assert next(blocks) == ("a\na b\na b c\n", "x\nx\nx y\n", manifest)
+        assert next(blocks) == ("d\n", "z\n", "1\t1\t1\tratio\n")
         assert next(blocks, None) is None
 
     @both_entry_points(
-        "corpus,method,lines,min_i,error,message",
+        "corpus,method,lines,error,message",
         {
-            "ratio-empty-target": ((SentencePair(0, ("a",), ()),), Method.RATIO, None, 1,
+            "ratio-empty-target": ((SentencePair(0, ("a",), ()),), Method.RATIO, None,
                                    ValueError, "pair 0: the ratio method needs a non-empty target"),
-            "min-i": (corpus_of("a", "x"), Method.RATIO, None, 0,
-                      ValueError, "min_i must be >= 1, got 0"),
-            "no-list": (corpus_of("a", "x"), Method.ALIGNMENT, None, 1,
+            "no-list": (corpus_of("a", "x"), Method.ALIGNMENT, None,
                         ValueError, "the alignment method needs alignments"),
+            "unknown-method": (corpus_of("a", "x"), "rat", None,
+                               ValueError, "'rat' is not a valid Method"),
             # An alignment line made for longer sentences than its pair's.
-            "length-mismatch": (corpus_of("a", "x"), Method.ALIGNMENT, ["1-0"], 1,
+            "length-mismatch": (corpus_of("a", "x"), Method.ALIGNMENT, ["1-0"],
                                 DataError, "alignments line 1: bad alignment token"
                                 " '1-0': index out of range for lengths (1,1)"),
         },
     )
     def test_partial_blocks_runs_the_same_checks_on_call(
-        self, entry, corpus, method, lines, min_i, error, message
+        self, entry, corpus, method, lines, error, message
     ):
         links = None if lines is None else alignment_links(lines, corpus)
         with pytest.raises(error) as err:
-            entry(corpus, method, links, min_i)
+            entry(corpus, method, links)
         assert str(err.value) == message
 
     @both_entry_points(
@@ -487,11 +476,10 @@ def corpus_line_st(draw) -> str:
 @given(
     st.lists(st.tuples(corpus_line_st(), corpus_line_st()), min_size=1, max_size=6),
     st.sampled_from(list(Method)),
-    st.integers(1, 4),
     st.randoms(use_true_random=False),
 )
 @settings(max_examples=60, deadline=None)
-def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, min_i, rng):
+def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, rng):
     corpus = read_parallel([s for s, _ in pairs], [t for _, t in pairs])
     alignments = [
         frozenset(
@@ -501,7 +489,7 @@ def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, min_i,
         for p in corpus
     ]
     aligned = method is Method.ALIGNMENT
-    partial = generate_partial(corpus, method, alignments if aligned else None, min_i)
+    partial = generate_partial(corpus, method, alignments if aligned else None)
     src_lines, tgt_lines = partial_lines(partial)
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
@@ -514,7 +502,7 @@ def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, min_i,
                 "gen-partial", "--src", str(d / "c.src"), "--tgt", str(d / "c.tgt"),
                 "--method", method.value,
                 *(["--alignments", str(d / "c.align")] if aligned else []),
-                "--min-i", str(min_i), "--out-prefix", str(d / "p"), "-v",
+                "--out-prefix", str(d / "p"), "-v",
             ])
         assert code == 0
         for suffix, lines in (
@@ -552,7 +540,7 @@ def render_peak(traced_peak, directory: Path, n: int, method: Method) -> tuple[i
     def render() -> None:
         links = alignment_links(lines, corpus) if method is Method.ALIGNMENT else None
         with open(directory / "rows.txt", "w", encoding="utf-8") as out:
-            for _, source, target, manifest in partial_blocks(corpus, method, links):
+            for source, target, manifest in partial_blocks(corpus, method, links):
                 out.write(source + target + manifest)
 
     return traced_peak(render), sum(len(p.source) for p in corpus)

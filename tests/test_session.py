@@ -723,6 +723,16 @@ class TestEventIO:
         lines = ['{"utterance_id": 0, "kind": "replace", "text": "a"}', "", "  "]
         assert len(read_events(lines)) == 1
 
+    def test_a_blank_extend_is_kept_and_warned_at_its_line(self):
+        lines = ['{"utterance_id": 0, "kind": "replace", "text": "a"}', "",
+                 '{"utterance_id": 0, "kind": "extend", "text": "\\t"}']
+        with pytest.warns(NoOpEventWarning) as record:
+            events = read_events(lines, what="e.jsonl")
+        assert events[1] == UpdateEvent(0, "extend", "\t")
+        assert [(w.filename, w.lineno, str(w.message)) for w in record] == [
+            ("e.jsonl", 3, "extend event with empty text on utterance 0")
+        ]
+
     @pytest.mark.parametrize("line", list(MALFORMED_EVENTS))
     def test_malformed_events_rejected(self, line):
         with pytest.raises(DataError, match=f"^events line 1: {re.escape(MALFORMED_EVENTS[line])}$"):
