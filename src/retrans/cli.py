@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import sys
-import warnings
 from types import ModuleType
 from typing import NoReturn
 
-from .errors import DataError, NoOpEventWarning, TranslatorError, count_mismatch
+from .errors import DataError, TranslatorError, count_mismatch
 
 
 def _lazy(name: str) -> ModuleType:
@@ -221,9 +220,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if refs and not events:
         raise DataError(f"{args.events}: need at least one event when --refs is given")
     try:
-        with warnings.catch_warnings():  # read_events has named each no-op event's line
-            warnings.simplefilter("ignore", NoOpEventWarning)
-            logs = session.run_session(events, translator)
+        logs = session.run_session(events, translator)
     except DataError as err:  # the events' fault: a translator's is raised as TranslatorError
         raise DataError(f"{args.events}: {err}") from None
     if args.log_out:

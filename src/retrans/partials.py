@@ -49,8 +49,10 @@ def alignment_prefix_lens(
     links are 1-based (source, target) positions. A target position with a link
     past source position i blocks the prefix there; unaligned positions impose
     no constraint. j never shrinks as i grows, so one pointer walks the target
-    positions. A link outside the lengths raises ValueError prefixed with where.
+    positions. src_len < 1, tgt_len < 0 or a link outside them raises ValueError prefixed with where.
     """
+    if src_len < 1 or tgt_len < 0:
+        raise ValueError(f"{where}need src_len >= 1 and tgt_len >= 0, got {src_len} and {tgt_len}")
     max_link = [0] * (tgt_len + 1)
     for si, tj in links:
         if not (0 < si <= src_len and 0 < tj <= tgt_len):
@@ -154,11 +156,10 @@ def partial_lines(partial: Sequence[SentencePair]) -> tuple[list[str], list[str]
     return src, [detokenize(p.target) for p in partial]
 
 
-def manifest_lines(partial: Sequence[SentencePair], method: Method) -> list[str]:
-    """Tab-separated manifest rows: parent_id, i, j, method (with header)."""
-    return [MANIFEST_HEADER] + [
-        f"{p.id}\t{len(p.source)}\t{len(p.target)}\t{method.value}" for p in partial
-    ]
+def manifest_lines(partial: Sequence[SentencePair], method: Method | str) -> list[str]:
+    """Tab-separated manifest rows: parent_id, i, j, method (a Method or its name), with header."""
+    name = Method(method).value
+    return [MANIFEST_HEADER] + [f"{p.id}\t{len(p.source)}\t{len(p.target)}\t{name}" for p in partial]
 
 
 class _PartialLines(Sequence[SentencePair]):

@@ -69,21 +69,10 @@ class SessionLog:
 
 
 def apply_event(current: Tokens, event: UpdateEvent) -> Tokens:
-    """Fold one update into the current source.
-
-    An extend event with no tokens is reported as a no-op warning and leaves
-    the state unchanged.
-    """
+    """Fold one update into the current source; a blank extend returns current, without a warning."""
     if event.kind == "replace":
         return tokenize(event.text)
-    if not event.text.split():
-        warnings.warn(
-            f"extend event with empty text on utterance {event.utterance_id}",
-            NoOpEventWarning,
-            stacklevel=2,
-        )
-        return current
-    return current + tokenize(event.text)
+    return current + tuple(event.text.split())
 
 
 def run_session(events: Sequence[UpdateEvent], translator: Translator) -> list[SessionLog]:

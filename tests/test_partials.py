@@ -112,6 +112,11 @@ class TestAlignmentPrefixLen:
             message = f"^pair 7: link \\({si},{tj}\\) outside sentence lengths \\(2,2\\)$"
             with pytest.raises(ValueError, match=message):
                 alignment_prefix_lens(2, 2, [(1, 1), (si, tj)], "pair 7: ")
+        for src_len, tgt_len in [(2, -1), (-3, 2), (0, 0)]:
+            message = f"^pair 7: need src_len >= 1 and tgt_len >= 0, got {src_len} and {tgt_len}$"
+            with pytest.raises(ValueError, match=message):
+                alignment_prefix_lens(src_len, tgt_len, [], "pair 7: ")
+        assert alignment_prefix_lens(2, 0, []) == [0, 0]  # an empty target stays legal
 
     def test_matches_bruteforce_on_random_instances(self):
         rng = random.Random(314)
@@ -205,6 +210,9 @@ class TestGeneratePartial:
             assert list(partial_blocks(corpus, method.value, given)) == list(
                 partial_blocks(corpus, method, given)
             )
+            assert manifest_lines(by_name, method.value) == manifest_lines(by_name, method)
+        with pytest.raises(ValueError, match="^'rat' is not a valid Method$"):
+            manifest_lines(by_name, "rat")
 
 
 def both_entry_points(names: str, cases: dict[str, tuple]):

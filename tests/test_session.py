@@ -7,6 +7,7 @@ import re
 import signal
 import sys
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -61,11 +62,14 @@ class TestApplyEvent:
     def test_replace_from_empty(self):
         assert apply_event((), UpdateEvent(0, "replace", "i")) == ("i",)
 
-    def test_empty_extend_warns_and_keeps_state(self):
-        current = ("a", "b")
-        with pytest.warns(NoOpEventWarning):
-            result = apply_event(current, UpdateEvent(0, "extend", "  "))
-        assert result == current
+    def test_a_blank_extend_keeps_the_state_and_says_nothing(self):
+        # read_events reports a blank extend at its line; the fold and the replay are silent.
+        events = [UpdateEvent(0, "replace", "a b"), UpdateEvent(0, "extend", "  ")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert apply_event(("a", "b"), events[1]) == ("a", "b")
+            [log] = run_session(events, lambda sources: sources)
+        assert [source for source, _ in log.steps] == [("a", "b"), ("a", "b")]
 
     def test_empty_replace_is_an_error(self):
         # Refused when the event is built, so apply_event and run_session never see one.
