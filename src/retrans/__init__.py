@@ -19,7 +19,7 @@ _HOMES = {
     "metrics": "CorrectionReport bleu corrected_words correction_report edit_distance gleu"
     " mean_gleu resegment wer",
     "mixing": "MixManifest mix",
-    "partials": "Method alignment_prefix_lens generate_partial ratio_prefix_lens",
+    "partials": "alignment_prefix_lens generate_partial ratio_prefix_lens",
     "session": "CommandTranslator SessionLog Translator UpdateEvent apply_event"
     " dictionary_translator evaluate_sessions read_events run_session scripted_translator",
 }

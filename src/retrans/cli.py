@@ -77,7 +77,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     _note(args, f"trained on {len(corpus)} pairs, {args.iterations} iterations")
     alignments = aligner.align_corpus(table, corpus)
     _corpus.write_lines(args.out, map(_corpus.format_alignment, alignments))
-    if args.table_out:
+    if args.table_out is not None:
         rows = (f"{e}\t{f}\t{p:.12g}" for e, f, p in aligner.table_rows(table))
         _corpus.write_lines(args.table_out, rows)
     return 0
@@ -216,14 +216,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     translator = _build_translator(args)  # before the events: a bad spec is a usage error
     events = session.read_events(_corpus.read_lines(args.events), what=args.events)
     # The references are checked before any translator work is done.
-    refs = _read_refs(args.refs) if args.refs else None
+    refs = _read_refs(args.refs) if args.refs is not None else None
     if refs and not events:
         raise DataError(f"{args.events}: need at least one event when --refs is given")
     try:
         logs = session.run_session(events, translator)
     except DataError as err:  # the events' fault: a translator's is raised as TranslatorError
         raise DataError(f"{args.events}: {err}") from None
-    if args.log_out:
+    if args.log_out is not None:
         import json
 
         steps = [
@@ -237,7 +237,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report_lines = session.evaluate_sessions(logs, refs).lines()
     for line in report_lines:
         print(line)
-    if args.report_out:
+    if args.report_out is not None:
         _corpus.write_lines(args.report_out, report_lines)
     return 0
 

@@ -184,11 +184,11 @@ def read_lines(path: str | Path) -> list[str]:
     """Read a UTF-8 text file as a list of lines without terminators.
 
     Lines end at "\n" only, so form feeds, U+2028 and the other characters
-    str.splitlines() also breaks on stay inside their line; one "\r" before
-    the "\n" (a CRLF file) is dropped. The inverse of write_lines for lines
-    that hold no "\n" or U+FEFF and do not end in "\r". Invalid UTF-8 and
-    U+FEFF (a byte-order mark) raise DataError naming the path, the 1-based
-    line and the byte column.
+    str.splitlines() also breaks on stay inside their line. One "\r" that ends
+    a line is dropped: before its "\n" (a CRLF file), or at the end of a last
+    line with no "\n". The inverse of write_lines for lines that hold no "\n"
+    or U+FEFF and do not end in "\r". Invalid UTF-8 and U+FEFF (a byte-order
+    mark) raise DataError naming the path, the 1-based line and the byte column.
     """
     return list(LineFile(path))
 

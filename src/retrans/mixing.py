@@ -35,8 +35,10 @@ def mix(
 
     Rows are renumbered 0..N-1 in output order. The same seed drives both
     the subsample and the shuffle, so equal inputs and seed give identical
-    output byte for byte.
+    output byte for byte; a seed that is not an int, or is a bool, raises ValueError.
     """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     sampled = partial
     if len(full) < len(partial):

@@ -13,7 +13,6 @@ length j; its id is its parent pair's id, or k for read_partial's row k.
 
 from __future__ import annotations
 
-import enum
 import operator
 import threading
 from collections.abc import Iterable, Iterator, Sequence
@@ -22,12 +21,7 @@ from itertools import accumulate, islice
 from .corpus import ParallelCorpus, SentencePair, Tokens, detokenize
 from .errors import DataError, count_mismatch
 
-
-class Method(enum.Enum):
-    """How the target prefix length is chosen for a source prefix."""
-
-    RATIO = "ratio"
-    ALIGNMENT = "alignment"
+METHODS = ("ratio", "alignment")
 
 
 def ratio_prefix_lens(src_len: int, tgt_len: int) -> list[int]:
@@ -69,18 +63,20 @@ def alignment_prefix_lens(
 
 def _target_lens(
     corpus: ParallelCorpus,
-    method: Method,
+    method: str,
     links: Iterable[Iterable[tuple[int, int]]] | None,
 ) -> Iterator[tuple[SentencePair, list[int]]]:
     """Each pair with j for every i in [1, I]; every check runs first.
 
-    links: each pair's 1-based links, with the alignment method only (ValueError
-    otherwise); a bad count or link raises.
+    method is one of METHODS (ValueError otherwise). links: each pair's 1-based
+    links, with the alignment method only (ValueError otherwise); a bad count or link raises.
     """
-    if (links is None) == (method is Method.ALIGNMENT):
+    if method not in METHODS:
+        raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {method!r}")
+    if (links is None) == (method == "alignment"):
         need = "needs" if links is None else "takes no"
-        raise ValueError(f"the {method.value} method {need} alignments")
-    if method is Method.RATIO:
+        raise ValueError(f"the {method} method {need} alignments")
+    if method == "ratio":
         for pair in corpus:
             if not pair.target:
                 raise ValueError(f"pair {pair.id}: the ratio method needs a non-empty target")
@@ -95,21 +91,20 @@ def _target_lens(
 
 def partial_blocks(
     corpus: ParallelCorpus,
-    method: Method | str,
+    method: str,
     links: Iterable[Iterable[tuple[int, int]]] | None = None,
 ) -> Iterator[tuple[str, str, str]]:
     """generate_partial's rows as (source, target, manifest) text, a pair at a time.
 
     Each block is the newline-terminated lines that partial_lines and
     manifest_lines give for the pair's rows, one per source prefix. method is
-    a Method or its name. links go with the alignment method only
+    "ratio" or "alignment". links go with the alignment method only
     (ValueError otherwise): each pair's 1-based links, as
     aligner.align_corpus or corpus.alignment_links give them. Every check
     runs first: an unknown method, a count other than the corpus's, or a
     link outside its pair's lengths, raises ValueError.
     """
-    method = Method(method)
-    return (_block(pair, js, method.value) for pair, js in _target_lens(corpus, method, links))
+    return (_block(pair, js, method) for pair, js in _target_lens(corpus, method, links))
 
 
 def _block(pair: SentencePair, js: list[int], name: str) -> tuple[str, str, str]:
@@ -128,7 +123,7 @@ def _running_joins(tokens: Tokens) -> list[str]:
 
 def generate_partial(
     corpus: ParallelCorpus,
-    method: Method | str,
+    method: str,
     links: Iterable[Iterable[tuple[int, int]]] | None = None,
 ) -> ParallelCorpus:
     """Emit one prefix row per pair and per source prefix length in [1, I].
@@ -141,7 +136,7 @@ def generate_partial(
     """
     return tuple(
         SentencePair(pair.id, pair.source[:i], pair.target[:j])
-        for pair, js in _target_lens(corpus, Method(method), links)
+        for pair, js in _target_lens(corpus, method, links)
         for i, j in enumerate(js, 1)
     )
 
@@ -156,10 +151,11 @@ def partial_lines(partial: Sequence[SentencePair]) -> tuple[list[str], list[str]
     return src, [detokenize(p.target) for p in partial]
 
 
-def manifest_lines(partial: Sequence[SentencePair], method: Method | str) -> list[str]:
-    """Tab-separated manifest rows: parent_id, i, j, method (a Method or its name), with header."""
-    name = Method(method).value
-    return [MANIFEST_HEADER] + [f"{p.id}\t{len(p.source)}\t{len(p.target)}\t{name}" for p in partial]
+def manifest_lines(partial: Sequence[SentencePair], method: str) -> list[str]:
+    """Tab-separated manifest rows: parent_id, i, j, method (one of METHODS), with header."""
+    if method not in METHODS:
+        raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {method!r}")
+    return [MANIFEST_HEADER] + [f"{p.id}\t{len(p.source)}\t{len(p.target)}\t{method}" for p in partial]
 
 
 class _PartialLines(Sequence[SentencePair]):

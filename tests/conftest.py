@@ -27,7 +27,7 @@ def fresh_python() -> Callable[..., subprocess.CompletedProcess[str]]:
 
     def run(*args: str) -> subprocess.CompletedProcess[str]:
         return subprocess.run(
-            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+            [sys.executable, *args], env=env, capture_output=True, encoding="utf-8", timeout=60
         )
 
     return run

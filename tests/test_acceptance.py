@@ -26,7 +26,7 @@ from retrans.corpus import (
 )
 from retrans.metrics import bleu, correction_report, edit_distance, gleu, resegment
 from retrans.mixing import mix
-from retrans.partials import Method, alignment_prefix_lens, generate_partial
+from retrans.partials import alignment_prefix_lens, generate_partial
 from retrans.session import (
     UpdateEvent,
     dictionary_translator,
@@ -125,7 +125,7 @@ def test_criterion_4_prefix_monotonicity():
             (rng.randint(1, src_len), rng.randint(1, tgt_len))
             for _ in range(rng.randint(0, src_len * tgt_len // 2))
         )
-        for method, supplied in ((Method.RATIO, None), (Method.ALIGNMENT, [links])):
+        for method, supplied in (("ratio", None), ("alignment", [links])):
             rows = list(generate_partial(corpus, method, supplied))
             for shorter, longer in zip(rows, rows[1:]):
                 if longer.target[: len(shorter.target)] != shorter.target:

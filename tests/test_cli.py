@@ -64,6 +64,19 @@ class TestUsageErrors:
         assert "usage:" in err
         assert "--alignments" in err
 
+    def test_gen_partial_empty_alignments_path(self, capsys, tmp_path, fixtures):
+        code, _, err = run(
+            capsys,
+            "gen-partial",
+            "--src", str(fixtures / "tiny.en"),
+            "--tgt", str(fixtures / "tiny.es"),
+            "--method", "alignment",
+            "--alignments", "",
+            "--out-prefix", str(tmp_path / "p"),
+        )
+        assert code == 1
+        assert err.endswith("error: --alignments is required with --method alignment\n")
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
@@ -259,7 +272,7 @@ def test_method_choices_are_the_method_values():
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     method = next(a for a in commands.choices["gen-partial"]._actions if a.dest == "method")
-    assert sorted(method.choices) == sorted(m.value for m in partials.Method)
+    assert tuple(method.choices) == partials.METHODS
 
 
 class TestProcess:
@@ -568,6 +581,18 @@ class TestAlign:
         assert err.splitlines()[-1] == f"error: nothing to align: {src} and {tgt} are both empty"
         assert not out.exists()
 
+    def test_an_empty_table_out_path_cannot_be_opened(self, capsys, tmp_path, fixtures):
+        code, stdout, err = run(
+            capsys,
+            "align",
+            "--src", str(fixtures / "tiny.en"),
+            "--tgt", str(fixtures / "tiny.es"),
+            "--out", str(tmp_path / "tiny.align"),
+            "--table-out", "",
+        )
+        assert (code, stdout) == (2, "")
+        assert err.splitlines()[-1] == "error: [Errno 2] No such file or directory: ''"
+
 
 class TestGenPartialAndMix:
     def test_ratio_generation_and_mixing(self, capsys, tmp_path, fixtures):
@@ -868,6 +893,27 @@ class TestSimulate:
             assert err.splitlines()[-1] == f"error: {refs}: need at least one reference segment"
         assert not started.exists()
         assert not log.exists()
+
+    @pytest.mark.parametrize("option", ["--refs", "--log-out", "--report-out"])
+    def test_an_empty_path_cannot_be_opened(self, capsys, tmp_path, fixtures, option):
+        # The references are read before the translator starts; the outputs are written after it.
+        started = tmp_path / "started"
+        child = (
+            "import sys\n"
+            f"open({str(started)!r}, 'w').close()\n"
+            "for line in sys.stdin: print(line.rstrip(), flush=True)"
+        )
+        code, _, err = run(
+            capsys,
+            "simulate",
+            "--events", str(fixtures / "tiny.events.jsonl"),
+            "--translator", _cmd_spec(child),
+            "--timeout", "10",
+            option, "",
+        )
+        assert code == 2
+        assert err.splitlines()[-1] == "error: [Errno 2] No such file or directory: ''"
+        assert started.exists() == (option != "--refs")
 
     def test_word_to_word_lexicon_enforced(self, capsys, tmp_path, fixtures):
         bad = write(tmp_path / "bad.tsv", "source\ttwo words\n")
@@ -1173,7 +1219,7 @@ class TestSimulateCommandFaults:
             assert code == 0, err
         finally:
             with contextlib.suppress(FileNotFoundError, ProcessLookupError):
-                os.kill(int(pid_file.read_text()), signal.SIGKILL)
+                os.kill(int(pid_file.read_text(encoding="utf-8")), signal.SIGKILL)
 
     def test_child_stderr_is_shown_and_its_tail_ends_the_error(self, capsys, tmp_path):
         events = write(tmp_path / "events.jsonl", _EIGHT_EVENTS)

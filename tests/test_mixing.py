@@ -116,6 +116,15 @@ class TestMix:
         b, _ = mix(full_corpus(30), partial_corpus(90), seed=17)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [None, 1.5, "17", True], ids=["none", "float", "str", "bool"])
+    def test_a_seed_that_is_not_an_integer_is_refused_before_any_draw(self, reads, seed):
+        # random.Random(None) seeds from the OS, so such a mix could not be reproduced.
+        partial = read_partial([f"p{k}" for k in range(50)], [f"q{k}" for k in range(50)])
+        with pytest.raises(ValueError) as err:
+            mix(full_corpus(3), partial, seed=seed)
+        assert str(err.value) == f"seed must be an integer, got {seed!r}"
+        assert reads == []
+
     def test_different_seeds_differ(self):
         a, _ = mix(full_corpus(30), partial_corpus(90), seed=17)
         b, _ = mix(full_corpus(30), partial_corpus(90), seed=18)

@@ -16,12 +16,12 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 # The public names as of release 0.1.0, less the retired SessionReport,
 # identity_translator, read_alignment_line, subsample, Alignment (a pair's
 # alignment is its set of 1-based links), PartialPair and PartialCorpus (a
-# prefix row is a SentencePair), and with the two prefix rules' one-position
+# prefix row is a SentencePair), Method (a prefix rule is its name, "ratio" or
+# "alignment"), and with the two prefix rules' one-position
 # functions replaced by the every-i ratio_prefix_lens and alignment_prefix_lens.
 EXPORTED = {
     "CommandTranslator",
     "CorrectionReport",
-    "Method",
     "MixManifest",
     "NULL",
     "ParallelCorpus",
@@ -145,6 +145,8 @@ def test_star_import_and_dir_list_every_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'retrans' has no attribute 'no_such_name'"):
         retrans.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError, match="'retrans' has no attribute 'Method'"):
+        retrans.Method  # noqa: B018
 
 
 _THREADED_LOOKUP = """

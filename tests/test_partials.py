@@ -25,7 +25,6 @@ from retrans.corpus import (
 )
 from retrans.errors import DataError
 from retrans.partials import (
-    Method,
     alignment_prefix_lens,
     generate_partial,
     manifest_lines,
@@ -156,7 +155,7 @@ def test_scanned_prefix_lens_match_the_parsed_alignment(pairs):
         for k, (src_len, tgt_len, _) in enumerate(pairs)
     )
     lines = [line for _, _, line in pairs]
-    blocks = partial_blocks(corpus, Method.ALIGNMENT, alignment_links(lines, corpus))
+    blocks = partial_blocks(corpus, "alignment", alignment_links(lines, corpus))
     manifest = "".join(block[2] for block in blocks)
     expected = "".join(
         f"{pair.id}\t{i}\t{j}\talignment\n"
@@ -172,47 +171,33 @@ def corpus_of(src: str, tgt: str) -> ParallelCorpus:
 
 class TestGeneratePartial:
     def test_one_row_per_prefix_length(self):
-        partial = generate_partial(corpus_of("a b c", "x y"), Method.RATIO)
+        partial = generate_partial(corpus_of("a b c", "x y"), "ratio")
         assert [len(p.source) for p in partial] == [1, 2, 3]
         assert partial[2].source == ("a", "b", "c")
         assert partial[2].target == ("x", "y")
 
     def test_worked_example_target_lengths(self):
         corpus = corpus_of("I encourage all of you", "yo animo a todos ustedes")
-        partial = generate_partial(corpus, Method.ALIGNMENT, [EXAMPLE_LINKS])
+        partial = generate_partial(corpus, "alignment", [EXAMPLE_LINKS])
         assert [len(p.target) for p in partial] == [1, 3, 4, 4, 5]
         assert partial[1].target == ("yo", "animo", "a")
 
     def test_empty_target_prefixes_are_kept(self):
         links = {(2, 1), (2, 2)}
-        partial = generate_partial(corpus_of("a b", "x y"), Method.ALIGNMENT, [links])
+        partial = generate_partial(corpus_of("a b", "x y"), "alignment", [links])
         assert partial[0].target == ()
         assert partial[1].target == ("x", "y")
 
     def test_missing_alignments(self):
         with pytest.raises(ValueError, match="^the alignment method needs alignments$"):
-            generate_partial(corpus_of("a b", "x"), Method.ALIGNMENT, None)
+            generate_partial(corpus_of("a b", "x"), "alignment", None)
 
     @pytest.mark.parametrize("alignments", [[], [frozenset()]])
     def test_ratio_method_refuses_alignments(self, alignments):
         corpus = read_parallel(["a"], ["x"])[: len(alignments)]
         for entry in (generate_partial, partial_blocks):
             with pytest.raises(ValueError, match="^the ratio method takes no alignments$"):
-                entry(corpus, Method.RATIO, alignments)
-
-    def test_a_method_may_be_given_by_name(self):
-        corpus = read_parallel(["a b c", "d e"], ["x y", "z"])
-        links = [{(1, 1), (3, 2)}, {(2, 1)}]
-        for method in Method:
-            given = links if method is Method.ALIGNMENT else None
-            by_name = generate_partial(corpus, method.value, given)
-            assert by_name == generate_partial(corpus, method, given)
-            assert list(partial_blocks(corpus, method.value, given)) == list(
-                partial_blocks(corpus, method, given)
-            )
-            assert manifest_lines(by_name, method.value) == manifest_lines(by_name, method)
-        with pytest.raises(ValueError, match="^'rat' is not a valid Method$"):
-            manifest_lines(by_name, "rat")
+                entry(corpus, "ratio", alignments)
 
 
 def both_entry_points(names: str, cases: dict[str, tuple]):
@@ -238,7 +223,7 @@ class TestPartialRows:
     def test_bad_alignments_raise_on_call(self, links):
         corpus = read_parallel(["a", "b"], ["x", "y"])
         with pytest.raises(ValueError):
-            generate_partial(corpus, Method.ALIGNMENT, links)
+            generate_partial(corpus, "alignment", links)
 
     @pytest.mark.parametrize(
         "lines,error,message",
@@ -253,11 +238,11 @@ class TestPartialRows:
         corpus = read_parallel(["a", "b"], ["x", "y"])
         with pytest.raises(error) as err:
             links = alignment_links(lines, corpus, what=("s.txt", "a.txt"))
-            partial_blocks(corpus, Method.ALIGNMENT, links)
+            partial_blocks(corpus, "alignment", links)
         assert str(err.value) == message
 
     def test_rows_come_one_at_a_time(self):
-        blocks = partial_blocks(read_parallel(["a b c", "d"], ["x y", "z"]), Method.RATIO)
+        blocks = partial_blocks(read_parallel(["a b c", "d"], ["x y", "z"]), "ratio")
         assert isinstance(blocks, Iterator)
         manifest = "0\t1\t1\tratio\n0\t2\t1\tratio\n0\t3\t2\tratio\n"
         assert next(blocks) == ("a\na b\na b c\n", "x\nx\nx y\n", manifest)
@@ -267,14 +252,16 @@ class TestPartialRows:
     @both_entry_points(
         "corpus,method,lines,error,message",
         {
-            "ratio-empty-target": ((SentencePair(0, ("a",), ()),), Method.RATIO, None,
+            "ratio-empty-target": ((SentencePair(0, ("a",), ()),), "ratio", None,
                                    ValueError, "pair 0: the ratio method needs a non-empty target"),
-            "no-list": (corpus_of("a", "x"), Method.ALIGNMENT, None,
+            "no-list": (corpus_of("a", "x"), "alignment", None,
                         ValueError, "the alignment method needs alignments"),
             "unknown-method": (corpus_of("a", "x"), "rat", None,
-                               ValueError, "'rat' is not a valid Method"),
+                               ValueError, "method must be 'ratio' or 'alignment', got 'rat'"),
+            "no-method": (corpus_of("a", "x"), None, None,
+                          ValueError, "method must be 'ratio' or 'alignment', got None"),
             # An alignment line made for longer sentences than its pair's.
-            "length-mismatch": (corpus_of("a", "x"), Method.ALIGNMENT, ["1-0"],
+            "length-mismatch": (corpus_of("a", "x"), "alignment", ["1-0"],
                                 DataError, "alignments line 1: bad alignment token"
                                 " '1-0': index out of range for lengths (1,1)"),
         },
@@ -296,7 +283,7 @@ class TestPartialRows:
         corpus = read_parallel(["c", "a b"], ["z", "x y"])
         message = f"^pair 1: link \\({link[0]},{link[1]}\\) outside sentence lengths \\(2,2\\)$"
         with pytest.raises(ValueError, match=message):
-            entry(corpus, Method.ALIGNMENT, [[(1, 1)], [(1, 1), link]])
+            entry(corpus, "alignment", [[(1, 1)], [(1, 1), link]])
 
     @both_entry_points(
         "form,count",
@@ -308,7 +295,7 @@ class TestPartialRows:
         corpus = read_parallel(["a b", "c"], ["x", "y"])
         links = form([[(1, 1)]] * count)
         with pytest.raises(ValueError, match="^zip\\(\\) argument 2 is (shorter|longer) than"):
-            entry(corpus, Method.ALIGNMENT, links)
+            entry(corpus, "alignment", links)
 
 
 sentence_st = st.lists(
@@ -329,7 +316,7 @@ def test_prefix_monotonicity_both_methods(source, target, data):
             max_size=len(source) * len(target),
         )
     )
-    for method, alignments in ((Method.RATIO, None), (Method.ALIGNMENT, [links])):
+    for method, alignments in (("ratio", None), ("alignment", [links])):
         partial = generate_partial(corpus, method, alignments)
         rows = list(partial)
         for shorter, longer in zip(rows, rows[1:]):
@@ -339,7 +326,7 @@ def test_prefix_monotonicity_both_methods(source, target, data):
 
 def test_partial_lines_round_trip():
     corpus = corpus_of("a b c", "x y")
-    generated = generate_partial(corpus, Method.RATIO)
+    generated = generate_partial(corpus, "ratio")
     src_lines, tgt_lines = partial_lines(generated)
     loaded = read_partial(src_lines, tgt_lines)
     assert [p.source for p in loaded] == [p.source for p in generated]
@@ -350,10 +337,20 @@ def test_partial_lines_round_trip():
 
 def test_manifest_lines_layout():
     corpus = corpus_of("a b", "x y")
-    lines = manifest_lines(generate_partial(corpus, Method.RATIO), Method.RATIO)
+    lines = manifest_lines(generate_partial(corpus, "ratio"), "ratio")
     assert lines[0] == "parent_id\ti\tj\tmethod"
     assert lines[1] == "0\t1\t1\tratio"
     assert lines[2] == "0\t2\t2\tratio"
+
+
+@pytest.mark.parametrize(
+    "method", ["rat", None, b"ratio", "Ratio"], ids=["unknown-method", "no-method", "bytes", "case"]
+)
+def test_manifest_lines_refuses_a_method_that_is_not_a_name(method):
+    # The same refusal as generate_partial's and partial_blocks' unknown-method cases.
+    with pytest.raises(ValueError) as err:
+        manifest_lines(generate_partial(corpus_of("a b", "x y"), "ratio"), method)
+    assert str(err.value) == f"method must be 'ratio' or 'alignment', got {method!r}"
 
 
 # Lines with every kind of blank that str.split() splits on, and the
@@ -483,7 +480,7 @@ def corpus_line_st(draw) -> str:
 
 @given(
     st.lists(st.tuples(corpus_line_st(), corpus_line_st()), min_size=1, max_size=6),
-    st.sampled_from(list(Method)),
+    st.sampled_from(["ratio", "alignment"]),
     st.randoms(use_true_random=False),
 )
 @settings(max_examples=60, deadline=None)
@@ -496,7 +493,7 @@ def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, rng):
         )
         for p in corpus
     ]
-    aligned = method is Method.ALIGNMENT
+    aligned = method == "alignment"
     partial = generate_partial(corpus, method, alignments if aligned else None)
     src_lines, tgt_lines = partial_lines(partial)
     with tempfile.TemporaryDirectory() as tmp:
@@ -508,7 +505,7 @@ def test_gen_partial_writes_the_library_rows_byte_for_byte(pairs, method, rng):
         with contextlib.redirect_stderr(stderr):
             code = main([
                 "gen-partial", "--src", str(d / "c.src"), "--tgt", str(d / "c.tgt"),
-                "--method", method.value,
+                "--method", method,
                 *(["--alignments", str(d / "c.align")] if aligned else []),
                 "--out-prefix", str(d / "p"), "-v",
             ])
@@ -541,12 +538,12 @@ def random_pairs(n: int) -> tuple[ParallelCorpus, list[str]]:
     return corpus, links
 
 
-def render_peak(traced_peak, directory: Path, n: int, method: Method) -> tuple[int, int]:
+def render_peak(traced_peak, directory: Path, n: int, method: str) -> tuple[int, int]:
     """Traced peak of rendering n pairs' prefix rows to a file, and the pairs' source tokens."""
     corpus, lines = random_pairs(n)
 
     def render() -> None:
-        links = alignment_links(lines, corpus) if method is Method.ALIGNMENT else None
+        links = alignment_links(lines, corpus) if method == "alignment" else None
         with open(directory / "rows.txt", "w", encoding="utf-8") as out:
             for source, target, manifest in partial_blocks(corpus, method, links):
                 out.write(source + target + manifest)
@@ -560,11 +557,11 @@ class TestRenderMemory:
     # alignment method keeps every pair's prefix lengths, so that every link is
     # checked before the first row is written, and grew by 15-16 B per source token.
     def test_ratio_peak_does_not_grow_with_the_corpus(self, tmp_path, traced_peak):
-        small, _ = render_peak(traced_peak, tmp_path, 300, Method.RATIO)
-        large, _ = render_peak(traced_peak, tmp_path, 1_200, Method.RATIO)
+        small, _ = render_peak(traced_peak, tmp_path, 300, "ratio")
+        large, _ = render_peak(traced_peak, tmp_path, 1_200, "ratio")
         assert large - small < 16 << 10
 
     def test_alignment_peak_grows_by_the_prefix_lengths_alone(self, tmp_path, traced_peak):
-        small, small_tokens = render_peak(traced_peak, tmp_path, 300, Method.ALIGNMENT)
-        large, large_tokens = render_peak(traced_peak, tmp_path, 1_200, Method.ALIGNMENT)
+        small, small_tokens = render_peak(traced_peak, tmp_path, 300, "alignment")
+        large, large_tokens = render_peak(traced_peak, tmp_path, 1_200, "alignment")
         assert large - small < 24 * (large_tokens - small_tokens)

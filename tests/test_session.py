@@ -279,7 +279,7 @@ class TestCommandTranslator:
         pid_file = tmp_path / "child.pid"
         replies = CommandTranslator(_pid_child(pid_file), timeout=10)([("a",), ("b",)])
         assert next(replies) == ("a",)
-        pid = int(pid_file.read_text())
+        pid = int(pid_file.read_text(encoding="utf-8"))
         start = time.monotonic()
         del replies
         assert time.monotonic() - start < 5
@@ -367,7 +367,7 @@ class TestCommandTranslator:
             assert list(translate([("a",)])) == [("a",)]
             assert time.monotonic() - start < 5
         finally:
-            child, grandchild = map(int, pid_file.read_text().split())
+            child, grandchild = map(int, pid_file.read_text(encoding="utf-8").split())
             os.kill(grandchild, signal.SIGKILL)
         assert _open_fds() == fds
         with pytest.raises(ProcessLookupError):
@@ -410,7 +410,7 @@ class TestCommandTranslator:
         assert time.monotonic() - start < 5
         assert _open_fds() == fds  # the three pipes and the selector
         with pytest.raises(ProcessLookupError):  # reaped
-            os.kill(int(pid_file.read_text()), 0)
+            os.kill(int(pid_file.read_text(encoding="utf-8")), 0)
 
 
 def _crc_rule(line):
