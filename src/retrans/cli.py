@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import sys
+from itertools import chain
 from types import ModuleType
 from typing import NoReturn
 
@@ -84,6 +85,8 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_partial(args: argparse.Namespace) -> int:
+    if not args.out_prefix:
+        args.parser.error("--out-prefix must not be empty")
     if args.method == "alignment" and not args.alignments:
         args.parser.error("--alignments is required with --method alignment")
     if args.method == "ratio" and args.alignments is not None:
@@ -94,24 +97,17 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
         lines, what = _corpus.read_lines(args.alignments), (args.src, args.alignments)
         links = _corpus.alignment_links(lines, corpus, what=what)
     blocks = partials.partial_blocks(corpus, args.method, links)
-    out = args.out_prefix
+    paths = [f"{args.out_prefix}.{ext}" for ext in ("src", "tgt", "manifest.tsv")]
     # Each pair's rows are written as they are made, so no more than one pair's are held.
-    with (
-        open(f"{out}.src", "w", encoding="utf-8", newline="\n") as src_out,
-        open(f"{out}.tgt", "w", encoding="utf-8", newline="\n") as tgt_out,
-        open(f"{out}.manifest.tsv", "w", encoding="utf-8", newline="\n") as manifest_out,
-    ):
-        manifest_out.write(partials.MANIFEST_HEADER + "\n")
-        for source, target, manifest in blocks:
-            src_out.write(source)
-            tgt_out.write(target)
-            manifest_out.write(manifest)
+    _corpus.write_files(paths, chain([("", "", partials.MANIFEST_HEADER + "\n")], blocks))
     rows = sum(len(p.source) for p in corpus)
     _note(args, f"generated {rows} prefix rows from {len(corpus)} pairs")
     return 0
 
 
 def cmd_mix(args: argparse.Namespace) -> int:
+    if not args.out_prefix:
+        args.parser.error("--out-prefix must not be empty")
     full = _corpus.load_corpus(args.full_src, args.full_tgt)
     partial = partials.read_partial(
         _corpus.LineFile(args.partial_src),
@@ -181,11 +177,13 @@ def _build_translator(args: argparse.Namespace) -> session.Translator:
     name, _, rest = spec.partition(":")
     if spec == "identity":
         return session.dictionary_translator({})
-    if name == "dict":
+    if name in ("dict", "script"):
         if not rest:
-            args.parser.error("dict translator needs a file: dict:FILE")
+            args.parser.error(f"{name} translator needs a file: {name}:FILE")
         lines = _corpus.read_lines(rest)
         lexicon = session.load_tsv_map(lines, what=rest)
+        if name == "script":
+            return session.scripted_translator(lexicon)
         for no, line in enumerate(lines, start=1):
             # load_tsv_map has checked the tab, so two tokens mean one a side.
             if len(line.split()) not in (0, 2):
@@ -195,11 +193,6 @@ def _build_translator(args: argparse.Namespace) -> session.Translator:
                     " is not word-to-word"
                 )
         return session.dictionary_translator(lexicon)
-    if name == "script":
-        if not rest:
-            args.parser.error("script translator needs a file: script:FILE")
-        lexicon = session.load_tsv_map(_corpus.read_lines(rest), what=rest)
-        return session.scripted_translator(lexicon)
     if name == "cmd":
         if not rest.strip():
             args.parser.error("cmd translator needs a command: cmd:\"...\"")
@@ -224,16 +217,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except DataError as err:  # the events' fault: a translator's is raised as TranslatorError
         raise DataError(f"{args.events}: {err}") from None
     if args.log_out is not None:
-        import json
-
-        steps = [
-            {"utterance_id": log.utterance_id, "step": step,
-             "source": _corpus.detokenize(source),
-             "translation": _corpus.detokenize(translation)}
-            for log in logs
-            for step, (source, translation) in enumerate(log.steps)
-        ]
-        _corpus.write_lines(args.log_out, [json.dumps(step, ensure_ascii=False) for step in steps])
+        _corpus.write_lines(args.log_out, session.log_lines(logs))
     report_lines = session.evaluate_sessions(logs, refs).lines()
     for line in report_lines:
         print(line)

@@ -7,6 +7,7 @@ converted at the I/O boundary only.
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -198,16 +199,24 @@ def token_lines(path: str | Path) -> list[Tokens]:
     return [tuple(line.split()) for line in read_lines(path)]
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write lines as a UTF-8 text file, each with a trailing newline, 4,096 lines per write.
+def write_files(paths: Iterable[str | Path], rows: Iterable[Sequence[str]]) -> None:
+    """Write each row's k-th text to the k-th path's UTF-8 file, with "\n" newlines, row by row.
 
-    lines, any iterable, is read once while the file is written: it must not read
-    that file, and one that raises partway leaves a partial file.
+    rows, read once after every file is open, must not read them. A row whose text count is
+    not the path count raises ValueError; rows that raise partway leave each file as far as it got.
     """
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline="\n")) for p in paths]
+        for row in rows:
+            for f, text in zip(files, row, strict=True):
+                f.write(text)
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """write_files for one file of lines, each with a trailing newline, 4,096 lines per write."""
     lines = iter(lines)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        while chunk := list(islice(lines, 4096)):
-            f.write("\n".join(chunk) + "\n")
+    chunks = iter(lambda: list(islice(lines, 4096)), [])
+    write_files([path], (["\n".join(chunk) + "\n"] for chunk in chunks))
 
 
 def load_corpus(src_path: str | Path, tgt_path: str | Path) -> ParallelCorpus:

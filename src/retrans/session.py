@@ -133,6 +133,15 @@ def evaluate_sessions(
     return replace(totals, bleu=bleu(segments, ref_segments))
 
 
+def log_lines(logs: Iterable[SessionLog]) -> Iterator[str]:
+    """The step log of simulate --log-out: one JSON object per step, in log order."""
+    for log in logs:
+        for step, (source, translation) in enumerate(log.steps):
+            record = {"utterance_id": log.utterance_id, "step": step,
+                      "source": detokenize(source), "translation": detokenize(translation)}
+            yield json.dumps(record, ensure_ascii=False)
+
+
 def dictionary_translator(lexicon: Mapping[str, str]) -> Translator:
     """Word-by-word lookup; out-of-vocabulary tokens are copied through.
 

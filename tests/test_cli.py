@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retrans import partials
+from retrans import partials, session
 from retrans.cli import build_parser, main
 from retrans.corpus import detokenize, load_corpus, read_lines
 from retrans.errors import DataError
@@ -76,6 +76,24 @@ class TestUsageErrors:
         )
         assert code == 1
         assert err.endswith("error: --alignments is required with --method alignment\n")
+
+    @pytest.mark.parametrize("command", ["gen-partial", "mix"])
+    @pytest.mark.parametrize("inputs", ["present", "missing"])
+    def test_an_empty_out_prefix_is_refused_before_any_input_is_read(
+        self, capsys, tmp_path, monkeypatch, fixtures, command, inputs
+    ):
+        # An empty prefix would write .src, .tgt and a manifest into the working directory.
+        monkeypatch.chdir(tmp_path)
+        en, es = (fixtures / "tiny.en", fixtures / "tiny.es") if inputs == "present" else ("x", "y")
+        sides = {
+            "gen-partial": ["--src", en, "--tgt", es, "--method", "ratio"],
+            "mix": ["--full-src", en, "--full-tgt", es, "--partial-src", en, "--partial-tgt", es],
+        }
+        code, _, err = run(capsys, command, *map(str, sides[command]), "--out-prefix", "")
+        assert code == 1
+        assert "usage:" in err
+        assert err.endswith("error: --out-prefix must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -798,6 +816,27 @@ class TestSimulate:
         assert keys["word_up"] == "0"
         log_lines = read_lines(log)
         assert len(log_lines) == 8
+
+    @pytest.mark.parametrize(
+        "events, translator",
+        [("tiny.events.jsonl", "dict:tiny.lexicon.tsv"), ("replay.events.jsonl", "script:replay.baseline.tsv")],
+        ids=["dict", "script"],
+    )
+    def test_the_log_is_session_log_lines(self, capsys, tmp_path, fixtures, events, translator):
+        log = tmp_path / "log.jsonl"
+        name, _, table = translator.partition(":")
+        code, _, _ = run(
+            capsys,
+            "simulate",
+            "--events", str(fixtures / events),
+            "--translator", f"{name}:{fixtures / table}",
+            "--log-out", str(log),
+        )
+        assert code == 0
+        mapping = session.load_tsv_map(read_lines(fixtures / table), what=table)
+        build = session.dictionary_translator if name == "dict" else session.scripted_translator
+        logs = session.run_session(session.read_events(read_lines(fixtures / events)), build(mapping))
+        assert list(session.log_lines(logs)) == read_lines(log)
 
     def test_identity_translator_without_refs(self, capsys, tmp_path, fixtures):
         code, out, _ = run(

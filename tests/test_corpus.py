@@ -17,6 +17,7 @@ from retrans.corpus import (
     read_lines,
     read_parallel,
     tokenize,
+    write_files,
     write_lines,
 )
 from retrans.errors import DataError
@@ -306,3 +307,47 @@ class TestLineIO:
             (("uno", "dos", "tres"), ("one", "two", "three")),
             (("cuatro",), ("four",)),
         ]
+
+
+class TestWriteFiles:
+    def test_writes_each_rows_texts_to_their_files_row_by_row(self, tmp_path):
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"]
+
+        def rows():
+            assert all(path.exists() for path in paths)  # every file is open before the first row
+            yield "a1\n", "", "c1 é\n"
+            yield "", "b2\r\n", "c2\n"
+            yield "a3\n", "b3", "\u2028\n"
+
+        write_files(paths, rows())
+        assert [path.read_bytes() for path in paths] == [
+            b"a1\na3\n", b"b2\r\nb3", "c1 é\nc2\n\u2028\n".encode()
+        ]
+
+    @pytest.mark.parametrize("row", [("a2\n",), ("a2\n", "b2\n", "c2\n")], ids=["short", "long"])
+    def test_a_row_of_the_wrong_length_raises_value_error(self, tmp_path, row):
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        with pytest.raises(ValueError):
+            write_files(paths, [("a1\n", "b1\n"), row, ("a3\n", "b3\n")])
+        # zip(strict=True) finds the fault after writing the texts that have a file.
+        assert [path.read_text("utf-8") for path in paths] == ["a1\na2\n", "b1\n" + "".join(row[1:2])]
+
+    def test_rows_that_raise_leave_each_file_as_far_as_it_got(self, tmp_path):
+        def rows():
+            yield "a1\n", "b1\n"
+            yield "a2\n", "b2\n"
+            raise RuntimeError("rows failed")
+
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        with pytest.raises(RuntimeError, match="rows failed"):
+            write_files(paths, rows())
+        assert [read_lines(path) for path in paths] == [["a1", "a2"], ["b1", "b2"]]
+
+    def test_a_path_that_cannot_be_opened_reads_no_row(self, tmp_path):
+        def rows():
+            raise AssertionError("a row was read")
+            yield
+
+        with pytest.raises(FileNotFoundError):
+            write_files([tmp_path / "a.txt", tmp_path / "no" / "b.txt"], rows())
+        assert read_lines(tmp_path / "a.txt") == []

@@ -135,6 +135,27 @@ def test_each_exit_path_has_one_exception_type():
     }
 
 
+def test_only_corpus_opens_a_file():
+    # Every input is read by corpus._line_blocks and every output written by
+    # corpus.write_files, so a command cannot write a file some other way.
+    opened = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in {"open", "fdopen", "read_text", "read_bytes", "write_text", "write_bytes"}:
+                    opened.add(f"{inner}: {name}")
+            visit(child, inner)
+
+    for path in (ROOT / "src" / "retrans").glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert opened == {"corpus._line_blocks: open", "corpus.write_files: open"}
+
+
 def test_star_import_and_dir_list_every_name():
     namespace: dict = {}
     exec("from retrans import *", namespace)

@@ -24,6 +24,7 @@ from retrans.corpus import (
     write_lines,
 )
 from retrans.errors import DataError
+from retrans.mixing import mix
 from retrans.partials import (
     alignment_prefix_lens,
     generate_partial,
@@ -391,6 +392,15 @@ def test_lazy_read_partial_matches_eager_tokenisation(pairs):
 def test_read_partial_count_mismatch_names_both_files():
     with pytest.raises(DataError, match="^p.tgt has 1 lines but p.src has 2$"):
         read_partial(["a", "b"], ["x"], what=("p.src", "p.tgt"))
+
+
+def test_read_partial_copies_one_shot_iterators_first():
+    # Both passes, and mix's picks, would otherwise find the iterators spent.
+    src, tgt = ["a b", "c", "d e f", "g"], ["x", "", "y z", "w"]
+    rows = read_partial(iter(src), iter(tgt))
+    assert list(rows) == list(read_partial(src, tgt))
+    full = read_parallel(["h i", "j"], ["u", "v t"])
+    assert mix(full, rows, 5) == mix(full, tuple(rows), 5)
 
 
 def test_read_partial_rows_take_an_integer_index_only():

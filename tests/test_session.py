@@ -23,6 +23,7 @@ from retrans.session import (
     dictionary_translator,
     evaluate_sessions,
     load_tsv_map,
+    log_lines,
     read_events,
     run_session,
     scripted_translator,
@@ -631,6 +632,19 @@ _EXTRA_LINE_CHILD = (
     "    sys.stdout.write(line + ('EXTRA\\n' if k == 0 else ''))\n"
     "    sys.stdout.flush()"
 )
+
+
+def test_log_lines_are_one_json_object_per_step():
+    logs = [
+        SessionLog(3, ((("a",), ()), (("a", "b"), ("é", "\u2028")))),
+        SessionLog(0, ()),
+        SessionLog(1, ((("c",), ("z",)),)),
+    ]
+    assert list(log_lines(logs)) == [
+        '{"utterance_id": 3, "step": 0, "source": "a", "translation": ""}',
+        '{"utterance_id": 3, "step": 1, "source": "a b", "translation": "é \u2028"}',
+        '{"utterance_id": 1, "step": 0, "source": "c", "translation": "z"}',
+    ]
 
 
 class TestEvaluateSessions:
