@@ -6,8 +6,9 @@ displayed translations, token-level word error rate, and the repartitioning
 of an unsegmented hypothesis stream against reference segments so that
 segmentation mismatches do not distort BLEU.
 
-BLEU and GLEU share one n-gram profile per sentence (ngram_counts), walk
-only the clipped overlap of two profiles, and take n-gram totals from lengths.
+BLEU and GLEU share one kernel, _clipped_matches: it counts the reference's
+n-grams and lets each hypothesis n-gram use up one of them, so it builds no
+profile of the hypothesis; n-gram totals come from the lengths.
 Their float sums add left to right (sum() compensates its rounding on Python
 3.12+), so a score is the same on every Python version.
 
@@ -29,12 +30,6 @@ from operator import add
 from .corpus import Tokens
 
 MAX_ORDER = 4
-
-
-def ngram_counts(tokens: Sequence[str]) -> Counter:
-    """Occurrence counts of all n-grams with 1 <= n <= MAX_ORDER, keyed by token tuples."""
-    tails = [tokens[k:] for k in range(MAX_ORDER)]
-    return Counter(chain.from_iterable(zip(*tails[:n]) for n in range(1, MAX_ORDER + 1)))
 
 
 def bleu(
@@ -91,14 +86,26 @@ def gleu(hypothesis: Tokens, reference: Tokens) -> float:
 
 
 def _clipped_matches(hypothesis: Tokens, reference: Tokens) -> list[int]:
-    """Hypothesis n-grams matched in the reference, clipped per n-gram; entry n is order n."""
-    matched = [0] * (MAX_ORDER + 1)
-    rc = ngram_counts(reference)
-    # One dict lookup per hypothesis n-gram; Counter's & would call __missing__ for each miss.
-    for gram, c in ngram_counts(hypothesis).items():
-        if gram in rc:
-            r = rc[gram]
-            matched[len(gram)] += c if c < r else r
+    """Hypothesis n-grams matched in the reference, clipped per n-gram; entry n is order n.
+
+    Each hypothesis n-gram in turn uses up one remaining occurrence of it in
+    the reference, so an n-gram seen h times in the hypothesis and r times in
+    the reference matches min(h, r) times. Unigrams are the tokens themselves
+    and higher orders tuples, so the keys of two orders never collide.
+    """
+    r1, r2, r3 = reference[1:], reference[2:], reference[3:]
+    left = Counter(chain(reference, zip(reference, r1), zip(reference, r1, r2), zip(reference, r1, r2, r3)))
+    get = left.get
+    h1, h2, h3 = hypothesis[1:], hypothesis[2:], hypothesis[3:]
+    matched = [0]
+    for grams in (hypothesis, zip(hypothesis, h1), zip(hypothesis, h1, h2), zip(hypothesis, h1, h2, h3)):
+        m = 0
+        for gram in grams:
+            c = get(gram)
+            if c:
+                left[gram] = c - 1
+                m += 1
+        matched.append(m)
     return matched
 
 

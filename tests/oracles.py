@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 
@@ -208,6 +208,12 @@ def resegment_dp(stream, refs):
         segments.append(tuple(stream[b:e]))
         b = e
     return segments, best[0][0]
+
+
+def ngram_counts(tokens):
+    """Occurrence counts of all n-grams with 1 <= n <= 4, keyed by token tuples."""
+    tails = [tokens[k:] for k in range(4)]
+    return Counter(itertools.chain.from_iterable(zip(*tails[:n]) for n in range(1, 5)))
 
 
 def _ngram_list(tokens, n):

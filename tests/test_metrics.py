@@ -17,16 +17,17 @@ from retrans.metrics import (
     edit_distance,
     gleu,
     mean_gleu,
-    ngram_counts,
     resegment,
     wer,
 )
 
+import oracles
 from oracles import (
     bleu_reference,
     gleu_reference,
     left_sum,
     levenshtein_full,
+    ngram_counts,
     resegment_bruteforce,
     resegment_dp,
 )
@@ -159,6 +160,18 @@ class TestScoresAgainstOracles:
     the highest order, so clipping, skipped orders and the brevity penalty
     all come up.
     """
+
+    @given(short_sentence_st, short_sentence_st)
+    @example(("a", "a", "a", "a"), ("a", "a"))
+    @example(("a", "b", "a", "b", "a", "b"), ("b", "a", "b", "c"))
+    @example((), ("a",))
+    @settings(max_examples=400, deadline=None)
+    def test_each_order_clips_as_the_oracle(self, hyp, ref):
+        expected = [
+            oracles._clipped_matches(oracles._ngram_list(hyp, n), oracles._ngram_list(ref, n))
+            for n in range(1, 5)
+        ]
+        assert metrics._clipped_matches(hyp, ref)[1:] == expected
 
     @given(
         st.lists(st.tuples(short_sentence_st, short_sentence_st), min_size=1, max_size=6),
