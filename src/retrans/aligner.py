@@ -61,12 +61,10 @@ def train_model1(corpus: ParallelCorpus, iterations: int) -> TranslationTable:
     distributes one unit of count per target token over the source tokens of
     its pair (null included) proportionally to the current probabilities,
     then renormalizes each source row. Corpus log-likelihood is non-decreasing
-    across iterations.
+    across iterations. A corpus without a target token gives an empty table.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if not len(corpus):
-        raise ValueError("cannot train on an empty corpus")
 
     # Intern each co-occurring (source, target) type pair as a cell index, in
     # first-visit order of the E-step loop, with NULL as source row 0. A pair's

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 from itertools import chain
 from types import ModuleType
@@ -68,9 +69,22 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _refuse_overwrites(args: argparse.Namespace, inputs: list, outputs: list) -> None:
+    """Refuse an output on an input's or an earlier output's file; a non-regular one (/dev/null) may repeat."""
+    seen = [("input", path) for path in inputs if path]
+    for out in filter(None, outputs):
+        if os.path.isfile(out) or not os.path.exists(out):
+            for role, path in seen:
+                if os.path.realpath(out) == os.path.realpath(path) or (
+                        os.path.isfile(out) and os.path.exists(path) and os.path.samefile(out, path)):
+                    args.parser.error(f"output {out} would overwrite {role} {path}")
+            seen.append(("output", out))
+
+
 def cmd_align(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         args.parser.error("--iterations must be >= 1")
+    _refuse_overwrites(args, [args.src, args.tgt], [args.out, args.table_out])
     corpus = _corpus.load_corpus(args.src, args.tgt)
     if not corpus:
         raise DataError(f"nothing to align: {args.src} and {args.tgt} are both empty")
@@ -91,13 +105,14 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
         args.parser.error("--alignments is required with --method alignment")
     if args.method == "ratio" and args.alignments is not None:
         args.parser.error("--alignments is only used with --method alignment")
+    paths = [f"{args.out_prefix}.{ext}" for ext in ("src", "tgt", "manifest.tsv")]
+    _refuse_overwrites(args, [args.src, args.tgt, args.alignments], paths)
     corpus = _corpus.load_corpus(args.src, args.tgt)
     links = None
     if args.method == "alignment":
         lines, what = _corpus.read_lines(args.alignments), (args.src, args.alignments)
         links = _corpus.alignment_links(lines, corpus, what=what)
     blocks = partials.partial_blocks(corpus, args.method, links)
-    paths = [f"{args.out_prefix}.{ext}" for ext in ("src", "tgt", "manifest.tsv")]
     # Each pair's rows are written as they are made, so no more than one pair's are held.
     _corpus.write_files(paths, chain([("", "", partials.MANIFEST_HEADER + "\n")], blocks))
     rows = sum(len(p.source) for p in corpus)
@@ -108,6 +123,8 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
 def cmd_mix(args: argparse.Namespace) -> int:
     if not args.out_prefix:
         args.parser.error("--out-prefix must not be empty")
+    paths = [f"{args.out_prefix}.{ext}" for ext in ("src", "tgt", "manifest.txt")]
+    _refuse_overwrites(args, [args.full_src, args.full_tgt, args.partial_src, args.partial_tgt], paths)
     full = _corpus.load_corpus(args.full_src, args.full_tgt)
     partial = partials.read_partial(
         _corpus.LineFile(args.partial_src),
@@ -116,10 +133,10 @@ def cmd_mix(args: argparse.Namespace) -> int:
     )
     mixed, manifest = mixing.mix(full, partial, args.seed)
     _note(args, f"mixed {manifest.full_count} full + {manifest.partial_sampled} partial rows")
-    _corpus.write_lines(f"{args.out_prefix}.src", (_corpus.detokenize(p.source) for p in mixed))
-    _corpus.write_lines(f"{args.out_prefix}.tgt", (_corpus.detokenize(p.target) for p in mixed))
+    _corpus.write_lines(paths[0], (_corpus.detokenize(p.source) for p in mixed))
+    _corpus.write_lines(paths[1], (_corpus.detokenize(p.target) for p in mixed))
     counts = [*vars(manifest).items(), ("output_size", manifest.output_size)]
-    _corpus.write_lines(f"{args.out_prefix}.manifest.txt", [f"{k}: {v}" for k, v in counts])
+    _corpus.write_lines(paths[2], [f"{k}: {v}" for k, v in counts])
     return 0
 
 
@@ -165,6 +182,7 @@ def _read_refs(path: str) -> list[_corpus.Tokens]:
 
 
 def cmd_reseg(args: argparse.Namespace) -> int:
+    _refuse_overwrites(args, [args.hyp_stream, args.refs], [args.out])
     stream = tuple(token for line in _corpus.token_lines(args.hyp_stream) for token in line)
     segments = metrics.resegment(stream, _read_refs(args.refs))
     _corpus.write_lines(args.out, [_corpus.detokenize(s) for s in segments])
@@ -194,11 +212,9 @@ def _build_translator(args: argparse.Namespace) -> session.Translator:
                 )
         return session.dictionary_translator(lexicon)
     if name == "cmd":
-        if not rest.strip():
-            args.parser.error("cmd translator needs a command: cmd:\"...\"")
         try:
             return session.CommandTranslator(rest, timeout=args.timeout)
-        except ValueError as err:  # shlex cannot split it, as in an unclosed quote
+        except ValueError as err:  # no command, or shlex cannot split it (an unclosed quote)
             args.parser.error(f"--translator {spec!r}: {err}")
     args.parser.error(f"unknown translator {spec!r}")
 
@@ -206,6 +222,8 @@ def _build_translator(args: argparse.Namespace) -> session.Translator:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if not 0 < args.timeout < float("inf"):
         args.parser.error("--timeout must be a finite number > 0")
+    table = args.translator.startswith(("dict:", "script:")) and args.translator.partition(":")[2]
+    _refuse_overwrites(args, [args.events, args.refs, table], [args.log_out, args.report_out])
     translator = _build_translator(args)  # before the events: a bad spec is a usage error
     events = session.read_events(_corpus.read_lines(args.events), what=args.events)
     # The references are checked before any translator work is done.

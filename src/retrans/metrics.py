@@ -169,9 +169,7 @@ class CorrectionReport:
 
 
 def correction_report(translations: Sequence[Tokens]) -> CorrectionReport:
-    """Tally rewrites over consecutive displayed translations of one utterance."""
-    if not translations:
-        raise ValueError("need at least one displayed translation")
+    """Tally rewrites over consecutive displayed translations of one utterance; zeros for fewer than two."""
     changed = list(map(corrected_words, translations, translations[1:]))
     return CorrectionReport(sum(changed), len(changed) - changed.count(0), len(changed))
 

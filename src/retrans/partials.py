@@ -27,11 +27,11 @@ METHODS = ("ratio", "alignment")
 def ratio_prefix_lens(src_len: int, tgt_len: int) -> list[int]:
     """j for every i in [1, src_len]: i * tgt_len / src_len, rounded half up.
 
-    Exact integer arithmetic, so i == src_len maps to tgt_len. Both lengths
-    must be >= 1 (ValueError otherwise).
+    Exact integer arithmetic, so i == src_len maps to tgt_len. As with
+    alignment_prefix_lens, src_len < 1 or tgt_len < 0 raises ValueError.
     """
-    if src_len < 1 or tgt_len < 1:
-        raise ValueError(f"need src_len >= 1 and tgt_len >= 1, got {src_len} and {tgt_len}")
+    if src_len < 1 or tgt_len < 0:
+        raise ValueError(f"need src_len >= 1 and tgt_len >= 0, got {src_len} and {tgt_len}")
     return [(2 * i * tgt_len + src_len) // (2 * src_len) for i in range(1, src_len + 1)]
 
 
@@ -77,9 +77,6 @@ def _target_lens(
         need = "needs" if links is None else "takes no"
         raise ValueError(f"the {method} method {need} alignments")
     if method == "ratio":
-        for pair in corpus:
-            if not pair.target:
-                raise ValueError(f"pair {pair.id}: the ratio method needs a non-empty target")
         lens = (ratio_prefix_lens(len(p.source), len(p.target)) for p in corpus)
     else:
         lens = [
@@ -129,10 +126,9 @@ def generate_partial(
     """Emit one prefix row per pair and per source prefix length in [1, I].
 
     Rows whose target prefix is empty are kept: the empty translation is the
-    correct label for such prefixes. The ratio method requires a non-empty
-    target for every pair (ValueError otherwise). Takes partial_blocks'
-    arguments and runs its checks, all before any row. A row's id is its
-    parent pair's id.
+    correct label for such prefixes, and the only one for a pair with an
+    empty target, by either method. Takes partial_blocks' arguments and runs
+    its checks, all before any row. A row's id is its parent pair's id.
     """
     return tuple(
         SentencePair(pair.id, pair.source[:i], pair.target[:j])

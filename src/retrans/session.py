@@ -119,15 +119,13 @@ def evaluate_sessions(
     Without references only the counts are returned (bleu is None). With
     references the final translations are concatenated into one stream,
     re-split against the references to undo any segmentation mismatch, and
-    scored with corpus BLEU; that needs at least one log.
+    scored with corpus BLEU. No logs give zero counts, and with references a bleu of 0.0.
     """
     totals = sum(
         (correction_report(log.translations) for log in logs), CorrectionReport(0, 0, 0)
     )
     if ref_segments is None:
         return totals
-    if not logs:
-        raise ValueError("need at least one session log")
     stream = tuple(token for log in logs for token in log.final_translation)
     segments = resegment(stream, ref_segments)
     return replace(totals, bleu=bleu(segments, ref_segments))
@@ -293,7 +291,7 @@ def read_events(lines: Iterable[str], *, what: str = "events") -> list[UpdateEve
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:  # a JSONDecodeError, or a digit run past int()'s limit
+        except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, or too deep
             raise DataError(f"{what} line {no}: invalid JSON: {exc}") from None
         if not isinstance(record, dict):
             raise DataError(f"{what} line {no}: expected an object")

@@ -157,13 +157,13 @@ class TestTrainModel1:
         with pytest.raises(ValueError):
             train_model1(read_parallel(["a"], ["x"]), 0)
 
-    def test_rejects_empty_corpus(self):
-        with pytest.raises(ValueError):
-            train_model1(ParallelCorpus(()), 3)
-
-    def test_all_empty_targets_give_an_empty_table(self):
-        # Pairs read from files always have a target; library callers may pass none.
-        corpus = (SentencePair(0, ("a",), ()), SentencePair(1, ("b", "a"), ()))
+    @pytest.mark.parametrize(
+        "corpus",
+        [(SentencePair(0, ("a",), ()), SentencePair(1, ("b", "a"), ())), ParallelCorpus(())],
+        ids=["empty-targets", "no-pairs"],
+    )
+    def test_all_empty_targets_give_an_empty_table(self, corpus):
+        # Pairs read from files always have a target; library callers may pass none, or no pair.
         assert train_model1(corpus, 3).probs == {}
 
     def test_deterministic(self, la_maison):

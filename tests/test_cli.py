@@ -116,6 +116,57 @@ class TestUsageErrors:
         assert "magic" in err
 
 
+class TestNoCommandWritesOverItsInputs:
+    """An output on the file of an input or of an earlier output is a usage error, before any read."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch, fixtures):
+        monkeypatch.chdir(tmp_path)
+        sources = {"c.src": "tiny.en", "c.tgt": "tiny.es", "q.src": "tiny.en", "q.tgt": "tiny.es",
+                   "r": "tiny.es", "e": "tiny.events.jsonl", "lex": "tiny.lexicon.tsv"}
+        for name, fixture in sources.items():
+            (tmp_path / name).write_bytes((fixtures / fixture).read_bytes())
+        os.symlink("c.src", "link")
+        os.link("c.src", "hard")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("gen-partial --src c.src --tgt c.tgt --method ratio --out-prefix c",
+             "output c.src would overwrite input c.src"),
+            ("mix --full-src c.src --full-tgt c.tgt --partial-src q.src --partial-tgt q.tgt"
+             " --out-prefix q", "output q.src would overwrite input q.src"),
+            ("align --src c.src --tgt c.tgt --out c.src", "output c.src would overwrite input c.src"),
+            ("align --src c.src --tgt c.tgt --out x --table-out x", "output x would overwrite output x"),
+            ("reseg --hyp-stream c.tgt --refs r --out r", "output r would overwrite input r"),
+            ("simulate --events e --translator identity --log-out e", "output e would overwrite input e"),
+            ("simulate --events e --translator dict:lex --report-out lex",
+             "output lex would overwrite input lex"),
+            ("align --src c.src --tgt c.tgt --out link", "output link would overwrite input c.src"),
+            ("align --src c.src --tgt c.tgt --out hard", "output hard would overwrite input c.src"),
+        ],
+        ids=["gen-partial", "mix", "align-out", "align-table-out", "reseg", "simulate-log-out",
+             "simulate-dict", "symlink", "hard-link"],
+    )
+    def test_refused_and_every_file_kept(self, capsys, workdir, argv, message):
+        before = {path.name: path.read_bytes() for path in workdir.iterdir()}
+        code, out, err = run(capsys, *shlex.split(argv))
+        assert (code, out) == (1, "")
+        assert "usage:" in err
+        assert err.endswith(f"error: {message}\n")
+        assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["align --src c.src --tgt c.tgt --out /dev/null --table-out /dev/null",
+         "simulate --events e --translator dict:lex --log-out /dev/null --report-out /dev/null"],
+        ids=["align", "simulate"],
+    )
+    def test_a_file_that_is_not_regular_may_take_several_outputs(self, capsys, workdir, argv):
+        assert run(capsys, *shlex.split(argv))[0] == 0
+
+
 _ALIGN_USAGE = (
     "usage: retrans align [-h] [--seed SEED] [-v] --src SRC --tgt TGT\n"
     "                     [--iterations ITERATIONS] --out OUT\n"
@@ -229,7 +280,7 @@ class TestStderrContract:
 
     @pytest.mark.parametrize(
         "translator, message",
-        [("cmd:   ", 'cmd translator needs a command: cmd:"..."'),
+        [("cmd:   ", "--translator 'cmd:   ': translator command is empty"),
          ("identity:whatever", "unknown translator 'identity:whatever'"),
          ('cmd:"unclosed', """--translator 'cmd:"unclosed': No closing quotation"""),
          ("script:", "script translator needs a file: script:FILE")],
@@ -986,6 +1037,15 @@ class TestSimulate:
         )
         assert (code, out) == (2, "")
         assert err.splitlines()[-1].startswith(f"error: {events} line 2: invalid JSON: Exceeds ")
+
+    def test_json_nested_past_the_recursion_limit_names_file_and_line(self, capsys, tmp_path):
+        # json.loads raises RecursionError here, whose text differs between Python versions.
+        events = write(tmp_path / "ev.jsonl", "[" * 100_000 + "\n")
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", "identity"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(f"error: {events} line 1: invalid JSON: ")
 
     def test_empty_replace_event_names_file_and_line(self, capsys, tmp_path):
         events = write(

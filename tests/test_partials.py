@@ -68,13 +68,15 @@ class TestRatioPrefixLen:
 
     def test_zero_possible_for_short_targets(self):
         assert ratio_prefix_lens(3, 1) == [0, 1, 1]  # 0.33 rounds down, 0.67 up
+        assert ratio_prefix_lens(3, 0) == [0, 0, 0]  # an empty target, as alignment_prefix_lens allows
 
-    @pytest.mark.parametrize("src_len,tgt_len", [(3, 0), (0, 2)])
+    @pytest.mark.parametrize("src_len,tgt_len", [(0, 2), (3, -1), (0, 0)])
     def test_preconditions(self, src_len, tgt_len):
-        with pytest.raises(ValueError, match="^need src_len >= 1 and tgt_len >= 1"):
+        message = f"^need src_len >= 1 and tgt_len >= 0, got {src_len} and {tgt_len}$"
+        with pytest.raises(ValueError, match=message):
             ratio_prefix_lens(src_len, tgt_len)
 
-    @given(st.integers(1, 40), st.integers(1, 40))
+    @given(st.integers(1, 40), st.integers(0, 40))
     def test_monotone_and_complete(self, src_len, tgt_len):
         lens = ratio_prefix_lens(src_len, tgt_len)
         assert len(lens) == src_len
@@ -82,7 +84,7 @@ class TestRatioPrefixLen:
         assert lens == sorted(lens)
         assert lens[-1] == tgt_len
 
-    @given(st.integers(1, 40), st.integers(1, 40))
+    @given(st.integers(1, 40), st.integers(0, 40))
     @settings(max_examples=300)
     def test_one_list_matches_the_rule_at_every_i(self, src_len, tgt_len):
         assert ratio_prefix_lens(src_len, tgt_len) == [
@@ -253,8 +255,6 @@ class TestPartialRows:
     @both_entry_points(
         "corpus,method,lines,error,message",
         {
-            "ratio-empty-target": ((SentencePair(0, ("a",), ()),), "ratio", None,
-                                   ValueError, "pair 0: the ratio method needs a non-empty target"),
             "no-list": (corpus_of("a", "x"), "alignment", None,
                         ValueError, "the alignment method needs alignments"),
             "unknown-method": (corpus_of("a", "x"), "rat", None,
@@ -274,6 +274,24 @@ class TestPartialRows:
         with pytest.raises(error) as err:
             entry(corpus, method, links)
         assert str(err.value) == message
+
+    @both_entry_points(
+        "corpus",
+        {"ratio-empty-target": ((SentencePair(0, ("a",), ()),),),
+         "empty-targets": ((SentencePair(0, ("a", "b"), ()), SentencePair(4, ("c",), ("z",)),
+                            SentencePair(5, ("d",), ())),)},
+    )
+    def test_an_empty_target_gives_the_same_rows_by_either_method(self, entry, corpus):
+        # Under both rules every prefix of an empty target is empty: the pair gives I empty targets.
+        ratio = list(entry(corpus, "ratio"))
+        alignment = list(entry(corpus, "alignment", [frozenset()] * len(corpus)))
+        if entry is partial_blocks:  # its manifest names the method
+            ratio = [(s, t, m.replace("\tratio\n", "\talignment\n")) for s, t, m in ratio]
+        assert ratio == alignment
+        if entry is partial_blocks:
+            assert ratio[0][1] == "\n" * len(corpus[0].source)
+        else:
+            assert ratio[0].target == ()
 
     @both_entry_points(
         "link",

@@ -668,9 +668,13 @@ class TestEvaluateSessions:
         assert report.messages_updated == 0
         assert report.bleu == 1.0
 
-    def test_empty_logs_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_sessions([], [tokenize("a")])
+    @pytest.mark.parametrize("logs", [[], [SessionLog(0, ())]], ids=["no-logs", "no-steps"])
+    def test_nothing_displayed_scores_zero(self, logs):
+        # SessionLog.final_translation of a log without steps is empty, as is the stream.
+        assert evaluate_sessions(logs).lines() == ["word_up: 0", "mssg_up: 0", "updates_total: 0"]
+        report = evaluate_sessions(logs, [tokenize("a")])
+        assert (report.words_updated, report.messages_updated, report.updates_total) == (0, 0, 0)
+        assert report.bleu == 0.0
 
     def test_without_references_counts_only(self):
         logs = run_session(EXAMPLE_EVENTS, scripted_translator(EXAMPLE_SCRIPT))
