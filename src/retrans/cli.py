@@ -149,12 +149,10 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise count_mismatch(len(hyps), len(refs), (args.hyp, args.ref))
     if not hyps:
         raise DataError(f"nothing to score: {args.hyp} and {args.ref} are both empty")
-    if args.metric != "bleu":
-        for k, (hyp, ref) in enumerate(zip(hyps, refs), start=1):
-            if not ref:
-                raise DataError(f"{args.ref} line {k}: {args.metric} requires a non-empty reference")
-            if not hyp and args.metric == "gleu":
-                raise DataError(f"{args.hyp} line {k}: gleu requires a non-empty hypothesis")
+    for k, (hyp, ref) in enumerate(zip(hyps, refs), start=1):
+        if not ref and (args.metric == "wer" or args.metric == "gleu" and not hyp):
+            need = "reference" if args.metric == "wer" else "hypothesis or reference"
+            raise DataError(f"{args.ref} line {k}: {args.metric} requires a non-empty {need}")
     if args.metric == "bleu":
         value = metrics.bleu(hyps, refs, smooth=args.smooth)
         print(f"bleu\t{value:.4f}")

@@ -20,7 +20,7 @@ stream with a few big-integer operations per reference token.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import _count_elements
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -75,10 +75,10 @@ def gleu(hypothesis: Tokens, reference: Tokens) -> float:
     """Sentence reward in [0, 1]: min of n-gram precision and recall.
 
     Matches are summed over orders 1..4 with counts clipped per n-gram.
-    Symmetric in its arguments; 1.0 exactly when both n-gram profiles agree.
+    Symmetric; 1.0 exactly when both n-gram profiles agree, 0.0 when one side is empty.
     """
-    if not hypothesis or not reference:
-        raise ValueError("gleu requires non-empty hypothesis and reference")
+    if not hypothesis and not reference:
+        raise ValueError("gleu requires a non-empty hypothesis or reference")
     matched = sum(_clipped_matches(hypothesis, reference))
     # min(matched / h, matched / r) is matched / max(h, r), and the longer side has more n-grams.
     longer = max(len(hypothesis), len(reference))
@@ -94,7 +94,8 @@ def _clipped_matches(hypothesis: Tokens, reference: Tokens) -> list[int]:
     and higher orders tuples, so the keys of two orders never collide.
     """
     r1, r2, r3 = reference[1:], reference[2:], reference[3:]
-    left = Counter(chain(reference, zip(reference, r1), zip(reference, r1, r2), zip(reference, r1, r2, r3)))
+    left: dict = {}  # filled by the C counter that Counter.update calls
+    _count_elements(left, chain(reference, zip(reference, r1), zip(reference, r1, r2), zip(reference, r1, r2, r3)))
     get = left.get
     h1, h2, h3 = hypothesis[1:], hypothesis[2:], hypothesis[3:]
     matched = [0]

@@ -133,11 +133,12 @@ def evaluate_sessions(
 
 def log_lines(logs: Iterable[SessionLog]) -> Iterator[str]:
     """The step log of simulate --log-out: one JSON object per step, in log order."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps would build one per step
     for log in logs:
         for step, (source, translation) in enumerate(log.steps):
             record = {"utterance_id": log.utterance_id, "step": step,
                       "source": detokenize(source), "translation": detokenize(translation)}
-            yield json.dumps(record, ensure_ascii=False)
+            yield encode(record)
 
 
 def dictionary_translator(lexicon: Mapping[str, str]) -> Translator:
@@ -159,13 +160,13 @@ def dictionary_translator(lexicon: Mapping[str, str]) -> Translator:
 def scripted_translator(script: Mapping[str, str]) -> Translator:
     """Exact-match replay of recorded outputs, keyed by detokenized source.
 
-    Unscripted sources are copied through.
+    Unscripted sources are copied through; a blank recorded output replays as ().
     """
 
     def translate(sources: Sequence[Tokens]) -> Iterator[Tokens]:
         for source in sources:
             line = script.get(detokenize(source))
-            yield source if line is None else tokenize(line)
+            yield source if line is None else tuple(line.split())
 
     return translate
 
@@ -313,8 +314,8 @@ def load_tsv_map(lines: Iterable[str], *, what: str) -> dict[str, str]:
 
     Keys are whitespace-normalised as input lines are tokenised, so a key
     with inner runs of spaces matches the detokenized source; two lines whose
-    keys normalise alike raise DataError. what names the lines in error
-    messages, such as the path they came from.
+    keys normalise alike raise DataError. A blank target column loads as "".
+    what names the lines in error messages, such as the path they came from.
     """
     mapping: dict[str, str] = {}
     first_line: dict[str, int] = {}
@@ -322,7 +323,7 @@ def load_tsv_map(lines: Iterable[str], *, what: str) -> dict[str, str]:
         if not line.strip():
             continue
         left, sep, right = line.partition("\t")
-        if not sep or not left.strip() or not right.strip():
+        if not sep or not left.strip():
             raise DataError(f"{what} line {no}: expected 'source<TAB>target'")
         key = " ".join(left.split())
         if (seen := first_line.setdefault(key, no)) != no:

@@ -268,7 +268,7 @@ def gleu_reference(hypothesis, reference):
     """Sentence GLEU (Wu et al., 2016): min of n-gram precision and recall.
 
     Clipped matches, hypothesis n-grams and reference n-grams are each summed
-    over orders 1..4.
+    over orders 1..4. A side without n-grams matches nothing: the pair scores 0.
     """
     matched = hyp_total = ref_total = 0
     for n in range(1, 5):
@@ -277,6 +277,8 @@ def gleu_reference(hypothesis, reference):
         matched += _clipped_matches(hyp_grams, ref_grams)
         hyp_total += len(hyp_grams)
         ref_total += len(ref_grams)
+    if not hyp_total or not ref_total:
+        return 0.0
     return min(matched / hyp_total, matched / ref_total)
 
 

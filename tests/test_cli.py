@@ -567,11 +567,10 @@ class TestScore:
     @pytest.mark.parametrize(
         "metric, hyp_text, ref_text, bad_file, message",
         [
-            ("gleu", "a b\n\nc\n", "a b\nx\nc\n", "hyp", "line 2: gleu requires a non-empty hypothesis"),
-            ("gleu", "a b\ny\nc\n", "a b\nx\n\n", "ref", "line 3: gleu requires a non-empty reference"),
+            ("gleu", "a b\n\nc\n", "a b\n\nc\n", "ref", "line 2: gleu requires a non-empty hypothesis or reference"),
             ("wer", "a b\n\nc\n", "a b\n \nc\n", "ref", "line 2: wer requires a non-empty reference"),
         ],
-        ids=["gleu-empty-hyp", "gleu-empty-ref", "wer-empty-ref"],
+        ids=["gleu-both-empty", "wer-empty-ref"],
     )
     def test_empty_line_names_file_and_line(
         self, capsys, tmp_path, metric, hyp_text, ref_text, bad_file, message
@@ -584,8 +583,19 @@ class TestScore:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == f"error: {tmp_path / bad_file}.txt {message}"
 
+    def test_gleu_scores_an_empty_reference_line_zero(self, capsys, tmp_path):
+        # Lines 1 and 3 score 1, line 2 scores 0: the mean is 2/3.
+        hyp = write(tmp_path / "hyp.txt", "a b\nx\nc\n")
+        ref = write(tmp_path / "ref.txt", "a b\n\nc\n")
+        code, out, _ = run(
+            capsys, "score", "--hyp", str(hyp), "--ref", str(ref), "--metric", "gleu"
+        )
+        assert (code, out) == (0, "gleu\t0.6667\n")
+
     @pytest.mark.parametrize(
-        "metric, expected", [("bleu", "bleu\t0.7788"), ("wer", "wer\t0.2000")], ids=["bleu", "wer"]
+        "metric, expected",
+        [("bleu", "bleu\t0.7788"), ("gleu", "gleu\t0.6667"), ("wer", "wer\t0.2000")],
+        ids=["bleu", "gleu", "wer"],
     )
     def test_empty_hypothesis_line_still_scores(self, capsys, tmp_path, metric, expected):
         hyp = write(tmp_path / "hyp.txt", "a b\n\nc d\n")
@@ -1004,6 +1014,31 @@ class TestSimulate:
         assert code == 2
         assert err.splitlines()[-1] == "error: [Errno 2] No such file or directory: ''"
         assert started.exists() == (option != "--refs")
+
+    def test_a_blank_translation_column_replays_empty_and_dict_refuses_it(self, capsys, tmp_path):
+        events = write(
+            tmp_path / "events.jsonl",
+            '{"utterance_id": 0, "kind": "replace", "text": "a"}\n'
+            '{"utterance_id": 0, "kind": "extend", "text": "b"}\n',
+        )
+        table = write(tmp_path / "table.tsv", "a\t\na b\tx y\n")
+        log = tmp_path / "log.jsonl"
+        code, _, _ = run(
+            capsys,
+            "simulate",
+            "--events", str(events),
+            "--translator", f"script:{table}",
+            "--log-out", str(log),
+        )
+        assert code == 0
+        assert [json.loads(line)["translation"] for line in read_lines(log)] == ["", "x y"]
+        code, out, err = run(
+            capsys, "simulate", "--events", str(events), "--translator", f"dict:{table}"
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"error: {table} line 1: lexicon entry 'a' -> '' is not word-to-word"
+        )
 
     def test_word_to_word_lexicon_enforced(self, capsys, tmp_path, fixtures):
         bad = write(tmp_path / "bad.tsv", "source\ttwo words\n")

@@ -118,9 +118,10 @@ class TestGleu:
     def test_disjoint_tokens(self):
         assert gleu(tokenize("a"), tokenize("b")) == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            gleu((), tokenize("a"))
+    def test_one_empty_side_scores_zero_and_two_are_rejected(self):
+        assert gleu((), ("a",)) == gleu(("a",), ()) == 0.0
+        with pytest.raises(ValueError, match="^gleu requires a non-empty hypothesis or reference$"):
+            gleu((), ())
 
     def test_same_unigrams_different_order_not_perfect(self):
         score = gleu(tokenize("a b a"), tokenize("a a b"))
@@ -188,12 +189,13 @@ class TestScoresAgainstOracles:
 
     @given(
         st.lists(
-            st.tuples(short_sentence_st.filter(len), short_sentence_st.filter(len)),
+            st.tuples(short_sentence_st, short_sentence_st).filter(any),
             min_size=1,
             max_size=6,
         )
     )
     @example([(("a",), ("a", "b", "c", "a", "b"))])
+    @example([((), ("a", "b")), (("c",), ())])
     @example([(("a", "b", "a"), ("a", "a", "b")), (("c", "c"), ("c",))])
     @settings(max_examples=400, deadline=None)
     def test_gleu_and_mean_gleu_equal_oracle(self, pairs):

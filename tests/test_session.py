@@ -217,6 +217,9 @@ class TestTranslators:
         translate = scripted_translator({"now, I should": "ahora debería"})
         assert list(translate([("now,", "I", "should")])) == [("ahora", "debería")]
 
+    def test_a_blank_scripted_translation_replays_empty(self):
+        assert list(scripted_translator({"a": ""})([("a",)])) == [()]
+
     def test_scripted_fallback_is_identity(self):
         translate = scripted_translator({"a": "b"})
         assert list(translate([("hello",)])) == [("hello",)]
@@ -769,6 +772,9 @@ class TestEventIO:
         message = "^lexicon line 4: duplicate source 'i encourage' \\(first on line 1\\)$"
         with pytest.raises(DataError, match=message):
             load_tsv_map(lines, what="lexicon")
+
+    def test_tsv_map_loads_a_blank_target_column_as_empty(self):
+        assert load_tsv_map(["a\t"], what="t") == {"a": ""}
 
     def test_tsv_map_skips_blank_lines(self):
         mapping = load_tsv_map(["a\tb", ""], what="lexicon")
