@@ -8,10 +8,12 @@ so outputs can be reproduced.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import os
 import sys
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, count
 from types import ModuleType
 from typing import NoReturn
 
@@ -40,6 +42,7 @@ aligner, _corpus, metrics, mixing, partials, session = map(
 )
 
 DEFAULT_SEED = 17
+_STAGED = count()  # numbers the staged files of this process, so no two runs share one
 
 
 class UsageError(Exception):
@@ -69,32 +72,51 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _refuse_overwrites(args: argparse.Namespace, inputs: list, outputs: list) -> None:
-    """Refuse an output on an input's or an earlier output's file; a non-regular one (/dev/null) may repeat."""
-    seen = [("input", path) for path in inputs if path]
-    for out in filter(None, outputs):
-        if os.path.isfile(out) or not os.path.exists(out):
-            for role, path in seen:
-                if os.path.realpath(out) == os.path.realpath(path) or (
-                        os.path.isfile(out) and os.path.exists(path) and os.path.samefile(out, path)):
-                    args.parser.error(f"output {out} would overwrite {role} {path}")
-            seen.append(("output", out))
+@contextlib.contextmanager
+def _outputs(args: argparse.Namespace, inputs: list, outputs: list) -> Iterator[list]:
+    """Refuse outputs on an input's or an earlier output's file, then yield the paths to write.
+
+    Each regular or new output is staged: made now with its mode, renamed over it in order on success.
+    """
+    seen, staged = [("input", path) for path in inputs if path], {}  # output: (staged file, real path)
+    try:
+        for out in outputs:
+            if out is not None and (os.path.isfile(out) or not os.path.exists(out)):
+                for role, path in seen:
+                    if os.path.realpath(out) == os.path.realpath(path) or (
+                            os.path.isfile(out) and os.path.exists(path) and os.path.samefile(out, path)):
+                        args.parser.error(f"output {out} would overwrite {role} {path}")
+                seen.append(("output", out))
+                unopenable = os.path.basename(out) in ("", ".", "..") or os.path.isfile(out) and not os.access(out, os.W_OK)
+                part = out if unopenable else f"{os.path.realpath(out)}.{os.getpid()}.{next(_STAGED)}.part"
+                try:
+                    _corpus.write_files([part], [])
+                except OSError as err:
+                    raise OSError(err.errno, err.strerror, out) from None
+                staged[out] = part, os.path.realpath(out)
+                if os.path.isfile(out):
+                    os.chmod(part, os.stat(out).st_mode & 0o7777)
+        yield [staged[out][0] if out in staged else out for out in outputs]
+        for part, real in staged.values():
+            os.replace(part, real)
+    finally:  # deletes every staged file not renamed into place, which after an exception is all
+        for part, _ in staged.values():
+            with contextlib.suppress(OSError):  # a renamed one is gone; a failed delete hides no error
+                os.remove(part)
 
 
 def cmd_align(args: argparse.Namespace) -> int:
     if args.iterations < 1:
         args.parser.error("--iterations must be >= 1")
-    _refuse_overwrites(args, [args.src, args.tgt], [args.out, args.table_out])
-    corpus = _corpus.load_corpus(args.src, args.tgt)
-    if not corpus:
-        raise DataError(f"nothing to align: {args.src} and {args.tgt} are both empty")
-    table = aligner.train_model1(corpus, args.iterations)
-    _note(args, f"trained on {len(corpus)} pairs, {args.iterations} iterations")
-    alignments = aligner.align_corpus(table, corpus)
-    _corpus.write_lines(args.out, map(_corpus.format_alignment, alignments))
-    if args.table_out is not None:
-        rows = (f"{e}\t{f}\t{p:.12g}" for e, f, p in aligner.table_rows(table))
-        _corpus.write_lines(args.table_out, rows)
+    with _outputs(args, [args.src, args.tgt], [args.out, args.table_out]) as (out, table_out):
+        corpus = _corpus.load_corpus(args.src, args.tgt)
+        table = aligner.train_model1(corpus, args.iterations)
+        _note(args, f"trained on {len(corpus)} pairs, {args.iterations} iterations")
+        alignments = aligner.align_corpus(table, corpus)
+        _corpus.write_lines(out, map(_corpus.format_alignment, alignments))
+        if table_out is not None:
+            rows = (f"{e}\t{f}\t{p:.12g}" for e, f, p in aligner.table_rows(table))
+            _corpus.write_lines(table_out, rows)
     return 0
 
 
@@ -106,15 +128,15 @@ def cmd_gen_partial(args: argparse.Namespace) -> int:
     if args.method == "ratio" and args.alignments is not None:
         args.parser.error("--alignments is only used with --method alignment")
     paths = [f"{args.out_prefix}.{ext}" for ext in ("src", "tgt", "manifest.tsv")]
-    _refuse_overwrites(args, [args.src, args.tgt, args.alignments], paths)
-    corpus = _corpus.load_corpus(args.src, args.tgt)
-    links = None
-    if args.method == "alignment":
-        lines, what = _corpus.read_lines(args.alignments), (args.src, args.alignments)
-        links = _corpus.alignment_links(lines, corpus, what=what)
-    blocks = partials.partial_blocks(corpus, args.method, links)
-    # Each pair's rows are written as they are made, so no more than one pair's are held.
-    _corpus.write_files(paths, chain([("", "", partials.MANIFEST_HEADER + "\n")], blocks))
+    with _outputs(args, [args.src, args.tgt, args.alignments], paths) as paths:
+        corpus = _corpus.load_corpus(args.src, args.tgt)
+        links = None
+        if args.method == "alignment":
+            lines, what = _corpus.read_lines(args.alignments), (args.src, args.alignments)
+            links = _corpus.alignment_links(lines, corpus, what=what)
+        blocks = partials.partial_blocks(corpus, args.method, links)
+        # Each pair's rows are written as they are made, so no more than one pair's are held.
+        _corpus.write_files(paths, chain([("", "", partials.MANIFEST_HEADER + "\n")], blocks))
     rows = sum(len(p.source) for p in corpus)
     _note(args, f"generated {rows} prefix rows from {len(corpus)} pairs")
     return 0
@@ -124,19 +146,19 @@ def cmd_mix(args: argparse.Namespace) -> int:
     if not args.out_prefix:
         args.parser.error("--out-prefix must not be empty")
     paths = [f"{args.out_prefix}.{ext}" for ext in ("src", "tgt", "manifest.txt")]
-    _refuse_overwrites(args, [args.full_src, args.full_tgt, args.partial_src, args.partial_tgt], paths)
-    full = _corpus.load_corpus(args.full_src, args.full_tgt)
-    partial = partials.read_partial(
-        _corpus.LineFile(args.partial_src),
-        _corpus.LineFile(args.partial_tgt),
-        what=(args.partial_src, args.partial_tgt),
-    )
-    mixed, manifest = mixing.mix(full, partial, args.seed)
-    _note(args, f"mixed {manifest.full_count} full + {manifest.partial_sampled} partial rows")
-    _corpus.write_lines(paths[0], (_corpus.detokenize(p.source) for p in mixed))
-    _corpus.write_lines(paths[1], (_corpus.detokenize(p.target) for p in mixed))
-    counts = [*vars(manifest).items(), ("output_size", manifest.output_size)]
-    _corpus.write_lines(paths[2], [f"{k}: {v}" for k, v in counts])
+    with _outputs(args, [args.full_src, args.full_tgt, args.partial_src, args.partial_tgt], paths) as paths:
+        full = _corpus.load_corpus(args.full_src, args.full_tgt)
+        partial = partials.read_partial(
+            _corpus.LineFile(args.partial_src),
+            _corpus.LineFile(args.partial_tgt),
+            what=(args.partial_src, args.partial_tgt),
+        )
+        mixed, manifest = mixing.mix(full, partial, args.seed)
+        _note(args, f"mixed {manifest.full_count} full + {manifest.partial_sampled} partial rows")
+        _corpus.write_lines(paths[0], (_corpus.detokenize(p.source) for p in mixed))
+        _corpus.write_lines(paths[1], (_corpus.detokenize(p.target) for p in mixed))
+        counts = [*vars(manifest).items(), ("output_size", manifest.output_size)]
+        _corpus.write_lines(paths[2], [f"{k}: {v}" for k, v in counts])
     return 0
 
 
@@ -180,10 +202,10 @@ def _read_refs(path: str) -> list[_corpus.Tokens]:
 
 
 def cmd_reseg(args: argparse.Namespace) -> int:
-    _refuse_overwrites(args, [args.hyp_stream, args.refs], [args.out])
-    stream = tuple(token for line in _corpus.token_lines(args.hyp_stream) for token in line)
-    segments = metrics.resegment(stream, _read_refs(args.refs))
-    _corpus.write_lines(args.out, [_corpus.detokenize(s) for s in segments])
+    with _outputs(args, [args.hyp_stream, args.refs], [args.out]) as (out,):
+        stream = tuple(token for line in _corpus.token_lines(args.hyp_stream) for token in line)
+        segments = metrics.resegment(stream, _read_refs(args.refs))
+        _corpus.write_lines(out, [_corpus.detokenize(s) for s in segments])
     return 0
 
 
@@ -221,24 +243,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not 0 < args.timeout < float("inf"):
         args.parser.error("--timeout must be a finite number > 0")
     table = args.translator.startswith(("dict:", "script:")) and args.translator.partition(":")[2]
-    _refuse_overwrites(args, [args.events, args.refs, table], [args.log_out, args.report_out])
-    translator = _build_translator(args)  # before the events: a bad spec is a usage error
-    events = session.read_events(_corpus.read_lines(args.events), what=args.events)
-    # The references are checked before any translator work is done.
-    refs = _read_refs(args.refs) if args.refs is not None else None
-    if refs and not events:
-        raise DataError(f"{args.events}: need at least one event when --refs is given")
-    try:
-        logs = session.run_session(events, translator)
-    except DataError as err:  # the events' fault: a translator's is raised as TranslatorError
-        raise DataError(f"{args.events}: {err}") from None
-    if args.log_out is not None:
-        _corpus.write_lines(args.log_out, session.log_lines(logs))
-    report_lines = session.evaluate_sessions(logs, refs).lines()
-    for line in report_lines:
-        print(line)
-    if args.report_out is not None:
-        _corpus.write_lines(args.report_out, report_lines)
+    with _outputs(args, [args.events, args.refs, table], [args.log_out, args.report_out]) as (log, report):
+        translator = _build_translator(args)  # before the events: a bad spec is a usage error
+        events = session.read_events(_corpus.read_lines(args.events), what=args.events)
+        # The references are checked before any translator work is done.
+        refs = _read_refs(args.refs) if args.refs is not None else None
+        try:
+            logs = session.run_session(events, translator)
+        except DataError as err:  # the events' fault: a translator's is raised as TranslatorError
+            raise DataError(f"{args.events}: {err}") from None
+        if log is not None:
+            _corpus.write_lines(log, session.log_lines(logs))
+        report_lines = session.evaluate_sessions(logs, refs).lines()
+        for line in report_lines:
+            print(line)
+        if report is not None:
+            _corpus.write_lines(report, report_lines)
     return 0
 
 

@@ -42,6 +42,9 @@ from oracles import (
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
+    # No run, passing or failing, leaves a staged output in the working directory or beside a path.
+    dirs = {os.getcwd(), *map(os.path.dirname, argv)}
+    assert [p for d in dirs if os.path.isdir(d) for p in Path(d).glob("*.part")] == []
     return code, captured.out, captured.err
 
 
@@ -116,19 +119,21 @@ class TestUsageErrors:
         assert "magic" in err
 
 
+@pytest.fixture
+def workdir(tmp_path, monkeypatch, fixtures):
+    """A working directory of fixture copies under short names, with a symlink and a hard link."""
+    monkeypatch.chdir(tmp_path)
+    sources = {"c.src": "tiny.en", "c.tgt": "tiny.es", "q.src": "tiny.en", "q.tgt": "tiny.es",
+               "r": "tiny.es", "e": "tiny.events.jsonl", "lex": "tiny.lexicon.tsv"}
+    for name, fixture in sources.items():
+        (tmp_path / name).write_bytes((fixtures / fixture).read_bytes())
+    os.symlink("c.src", "link")
+    os.link("c.src", "hard")
+    return tmp_path
+
+
 class TestNoCommandWritesOverItsInputs:
     """An output on the file of an input or of an earlier output is a usage error, before any read."""
-
-    @pytest.fixture
-    def workdir(self, tmp_path, monkeypatch, fixtures):
-        monkeypatch.chdir(tmp_path)
-        sources = {"c.src": "tiny.en", "c.tgt": "tiny.es", "q.src": "tiny.en", "q.tgt": "tiny.es",
-                   "r": "tiny.es", "e": "tiny.events.jsonl", "lex": "tiny.lexicon.tsv"}
-        for name, fixture in sources.items():
-            (tmp_path / name).write_bytes((fixtures / fixture).read_bytes())
-        os.symlink("c.src", "link")
-        os.link("c.src", "hard")
-        return tmp_path
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -165,6 +170,132 @@ class TestNoCommandWritesOverItsInputs:
     )
     def test_a_file_that_is_not_regular_may_take_several_outputs(self, capsys, workdir, argv):
         assert run(capsys, *shlex.split(argv))[0] == 0
+
+
+def _listing(directory: Path) -> dict[str, bytes | None]:
+    """Each entry's bytes; None for a directory or a dangling symlink."""
+    return {path.name: path.read_bytes() if path.is_file() else None for path in directory.iterdir()}
+
+
+class TestAFailedRunLeavesNoOutput:
+    """Outputs are staged and renamed into place only when the whole run succeeds."""
+
+    @pytest.mark.parametrize(
+        "argv, first, last",
+        [
+            ("align --src c.src --tgt c.tgt --out keep --table-out nodir/t.tsv", "keep", "nodir/t.tsv"),
+            ("gen-partial --src c.src --tgt c.tgt --method ratio --out-prefix p", "p.src",
+             "p.manifest.tsv"),
+            ("mix --full-src c.src --full-tgt c.tgt --partial-src q.src --partial-tgt q.tgt"
+             " --out-prefix m", "m.src", "m.manifest.txt"),
+            ("reseg --hyp-stream c.tgt --refs r --out nodir/s.txt", None, "nodir/s.txt"),
+            ("simulate --events e --translator MARKER --log-out keep --report-out nodir/r.txt",
+             "keep", "nodir/r.txt"),
+        ],
+        ids=["align", "gen-partial", "mix", "reseg", "simulate"],
+    )
+    def test_a_last_output_in_a_missing_directory(self, capsys, workdir, argv, first, last):
+        if first is not None:
+            (workdir / first).write_bytes(b"old\n")
+        if "/" not in last:  # a prefix's outputs share a directory: the last links into a missing one
+            os.symlink("nodir/x", last)
+        child = _cmd_spec("open('started', 'w')\nimport sys\nfor line in sys.stdin: print(line, end='')")
+        before = _listing(workdir)
+        code, out, err = run(capsys, *shlex.split(argv.replace("MARKER", shlex.quote(child))))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: [Errno 2] No such file or directory: {last!r}"
+        assert _listing(workdir) == before  # so the translator never started either
+
+    def test_a_child_that_crashes_after_its_second_reply(self, capsys, workdir):
+        child = "import sys\nfor _ in range(2): print(sys.stdin.readline(), end='', flush=True)\nsys.exit(1)"
+        before = _listing(workdir)
+        code, out, err = run(
+            capsys, "simulate", "--events", "e", "--translator", _cmd_spec(child), "--timeout", "10",
+            "--log-out", "log.jsonl", "--report-out", "report.txt",
+        )
+        assert (code, out) == (2, "")
+        assert "error: translator failed on utterance " in err.splitlines()[-1]
+        assert _listing(workdir) == before
+
+    def test_an_interrupt_deletes_the_staged_files(self, workdir, fresh_python):
+        child = "import os, signal, sys\nsys.stdin.readline()\nos.kill(os.getppid(), signal.SIGINT)\nsys.stdin.read()"
+        before = _listing(workdir)
+        proc = fresh_python(
+            "-m", "retrans.cli", "simulate", "--events", "e", "--translator", _cmd_spec(child),
+            "--log-out", "log.jsonl", "--report-out", "report.txt",
+        )
+        assert proc.returncode != 0
+        assert "KeyboardInterrupt" in proc.stderr
+        assert _listing(workdir) == before
+
+
+class TestOutputsAreWrittenAsBefore:
+    """Staging changes what a failed run leaves, and nothing a run that succeeds writes."""
+
+    def _reseg(self, capsys, fixtures, out: str | Path) -> tuple[int, str, str]:
+        return run(capsys, "reseg", "--hyp-stream", str(fixtures / "tiny.hyp.es"),
+                   "--refs", str(fixtures / "tiny.es"), "--out", str(out))
+
+    def test_an_error_names_the_path_as_given(self, capsys, tmp_path, fixtures):
+        (tmp_path / "real").mkdir()
+        os.symlink("real", tmp_path / "alias")
+        out = tmp_path / "alias" / "nodir" / "s.txt"
+        code, _, err = self._reseg(capsys, fixtures, out)
+        assert code == 2
+        assert err.splitlines()[-1] == f"error: [Errno 2] No such file or directory: {str(out)!r}"
+
+    @pytest.mark.parametrize("out", ["", "nodir/", "nodir/.", "nodir/.."])
+    def test_a_path_that_names_no_file_fails_as_a_plain_open_does(
+        self, capsys, tmp_path, monkeypatch, fixtures, out
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError) as plain:
+            open(out, "w", encoding="utf-8").close()
+        code, _, err = self._reseg(capsys, fixtures, out)
+        assert code == 2
+        assert err.splitlines()[-1] == f"error: {plain.value}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_existing_output_keeps_its_mode_and_a_new_one_follows_the_umask(
+        self, capsys, tmp_path, fixtures
+    ):
+        kept, new = write(tmp_path / "kept.txt", "old\n"), tmp_path / "new.txt"
+        kept.chmod(0o600)
+        mask = os.umask(0o027)
+        try:
+            assert self._reseg(capsys, fixtures, kept)[0] == 0
+            assert self._reseg(capsys, fixtures, new)[0] == 0
+        finally:
+            os.umask(mask)
+        assert kept.read_bytes() == new.read_bytes() != b"old\n"
+        assert (kept.stat().st_mode & 0o777, new.stat().st_mode & 0o777) == (0o600, 0o640)
+
+    def test_a_symlinked_output_writes_its_target(self, capsys, tmp_path, fixtures):
+        target, link = write(tmp_path / "target.txt", "old\n"), tmp_path / "link"
+        os.symlink("target.txt", link)
+        assert self._reseg(capsys, fixtures, link)[0] == 0
+        assert self._reseg(capsys, fixtures, tmp_path / "direct.txt")[0] == 0
+        assert os.readlink(link) == "target.txt"
+        assert target.read_bytes() == (tmp_path / "direct.txt").read_bytes()
+
+    def test_two_runs_in_one_process_never_share_a_staged_file(
+        self, capsys, tmp_path, fixtures, monkeypatch
+    ):
+        from retrans import corpus
+
+        created, write_files = [], corpus.write_files
+
+        def spy(paths, rows):
+            if rows == []:
+                created.extend(map(str, paths))
+            return write_files(paths, rows)
+
+        monkeypatch.setattr(corpus, "write_files", spy)
+        out = tmp_path / "s.txt"
+        assert self._reseg(capsys, fixtures, out)[0] == 0
+        assert self._reseg(capsys, fixtures, out)[0] == 0
+        assert len(created) == len(set(created)) == 2
+        assert all(path.startswith(f"{out}.{os.getpid()}.") for path in created)
 
 
 _ALIGN_USAGE = (
@@ -649,16 +780,16 @@ class TestAlign:
         assert first[0] == "<NULL>"
         assert 0.0 <= float(first[2]) <= 1.0
 
-    def test_two_empty_files_are_named(self, capsys, tmp_path):
+    def test_two_empty_files_give_an_empty_alignment_and_table(self, capsys, tmp_path):
         src = write(tmp_path / "c.src", "")
         tgt = write(tmp_path / "c.tgt", "")
-        out = tmp_path / "c.align"
-        code, stdout, err = run(
-            capsys, "align", "--src", str(src), "--tgt", str(tgt), "--out", str(out)
+        out, table = tmp_path / "c.align", tmp_path / "t.tsv"
+        code, stdout, _ = run(
+            capsys, "align", "--src", str(src), "--tgt", str(tgt), "--out", str(out),
+            "--table-out", str(table),
         )
-        assert (code, stdout) == (2, "")
-        assert err.splitlines()[-1] == f"error: nothing to align: {src} and {tgt} are both empty"
-        assert not out.exists()
+        assert (code, stdout) == (0, "")
+        assert out.read_bytes() == table.read_bytes() == b""
 
     def test_an_empty_table_out_path_cannot_be_opened(self, capsys, tmp_path, fixtures):
         code, stdout, err = run(
@@ -671,6 +802,7 @@ class TestAlign:
         )
         assert (code, stdout) == (2, "")
         assert err.splitlines()[-1] == "error: [Errno 2] No such file or directory: ''"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenPartialAndMix:
@@ -932,21 +1064,18 @@ class TestSimulate:
         assert code == 0
         assert out.splitlines() == ["word_up: 0", "mssg_up: 0", "updates_total: 0"]
 
-    def test_empty_events_with_refs_is_data_error(self, capsys, tmp_path, fixtures):
-        # The child would create `started`: the empty events file is caught first.
+    def test_empty_events_with_refs_score_zero_without_a_translator(self, capsys, tmp_path, fixtures):
+        # The child would create `started`: with no sources to translate, it never starts.
         events, started = write(tmp_path / "events.jsonl", ""), tmp_path / "started"
-        code, out, err = run(
+        code, out, _ = run(
             capsys,
             "simulate",
             "--events", str(events),
             "--translator", _cmd_spec(f"open({str(started)!r}, 'w')"),
             "--refs", str(fixtures / "tiny.refs.txt"),
         )
-        assert code == 2
-        assert out == ""
-        assert err.splitlines()[-1] == (
-            f"error: {events}: need at least one event when --refs is given"
-        )
+        assert code == 0
+        assert out.splitlines() == ["bleu: 0.0000", "word_up: 0", "mssg_up: 0", "updates_total: 0"]
         assert not started.exists()
 
     def test_script_key_with_inner_spaces_matches(self, capsys, tmp_path):
@@ -996,7 +1125,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("option", ["--refs", "--log-out", "--report-out"])
     def test_an_empty_path_cannot_be_opened(self, capsys, tmp_path, fixtures, option):
-        # The references are read before the translator starts; the outputs are written after it.
+        # The outputs are opened, and the references read, before the translator starts.
         started = tmp_path / "started"
         child = (
             "import sys\n"
@@ -1013,7 +1142,7 @@ class TestSimulate:
         )
         assert code == 2
         assert err.splitlines()[-1] == "error: [Errno 2] No such file or directory: ''"
-        assert started.exists() == (option != "--refs")
+        assert not started.exists()
 
     def test_a_blank_translation_column_replays_empty_and_dict_refuses_it(self, capsys, tmp_path):
         events = write(

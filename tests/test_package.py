@@ -156,6 +156,33 @@ def test_only_corpus_opens_a_file():
     assert opened == {"corpus._line_blocks: open", "corpus.write_files: open"}
 
 
+def test_every_cli_write_is_inside_an_outputs_block():
+    # cli._outputs stages each output and commits or deletes it, so a write outside
+    # `with _outputs(...)` would escape the rule that a failed run leaves nothing.
+    stray = []
+
+    def visit(node: ast.AST, guarded: bool, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner, guard = where, guarded
+            if isinstance(child, ast.FunctionDef):
+                inner = child.name
+            if isinstance(child, ast.With):
+                guard |= any(
+                    isinstance(item.context_expr, ast.Call)
+                    and getattr(item.context_expr.func, "id", None) == "_outputs"
+                    for item in child.items
+                )
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) in {
+                "write_lines", "write_files"
+            }:
+                if not guard:
+                    stray.append(f"{inner} line {child.lineno}")
+            visit(child, guard, inner)
+
+    visit(ast.parse((ROOT / "src" / "retrans" / "cli.py").read_text(encoding="utf-8")), False, "")
+    assert [place.split()[0] for place in stray] == ["_outputs"], stray
+
+
 def test_star_import_and_dir_list_every_name():
     namespace: dict = {}
     exec("from retrans import *", namespace)
